@@ -8,12 +8,11 @@ from .braid import (Braid, BraidError, ClosureInfo, ColoredBraid,
                     cable_first_component, closure_info, parse_braid)
 from .invariants import (Partition, adjust_framing, framing_factor,
                          homfly_columns, homfly_partition, homfly_rows,
-                         torus_reference, trefoil_reference,
-                         trefoil_zero_framed_rows)
+                         invariant, torus_reference, trefoil_reference)
 from .ladder import (LadderWord, Letter, build_cap, build_cup,
                      crossing_weights, enumerate_terms, weight_offsets)
 from .pbw import Evaluator, ev, ev_specialized
-from .qcomb import heaviside, kronecker, qbinom, qfactorial, qint, xbinom
+from .qcomb import qbinom, qfactorial, qint, xbinom
 from .recurrence import (OperatorError, RecurrenceOperator, guess,
                          parse_operator, parse_xpoly, trefoil_recurrence)
 from .rings import (LaurentQ, RatQ, XPoly, is_integral_laurent, laurent_gcd,
@@ -27,10 +26,9 @@ __all__ = [
     "RatQ", "RecurrenceOperator", "XPoly", "adjust_framing",
     "build_cap", "build_cup", "cable_first_component", "closure_info",
     "crossing_weights", "enumerate_terms", "ev", "ev_specialized",
-    "framing_factor", "guess", "heaviside", "homfly_columns",
-    "homfly_partition", "homfly_rows", "is_integral_laurent", "kronecker",
-    "laurent_gcd", "parse_braid", "parse_operator", "parse_xpoly",
-    "qbinom", "qfactorial", "qint", "torus_reference", "trefoil_recurrence",
-    "trefoil_reference", "trefoil_zero_framed_rows", "weight_offsets",
-    "xbinom", "xpoly_divexact", "xpoly_gcd",
+    "framing_factor", "guess", "homfly_columns", "homfly_partition",
+    "homfly_rows", "invariant", "is_integral_laurent", "laurent_gcd",
+    "parse_braid", "parse_operator", "parse_xpoly", "qbinom", "qfactorial",
+    "qint", "torus_reference", "trefoil_recurrence", "trefoil_reference",
+    "weight_offsets", "xbinom", "xpoly_divexact", "xpoly_gcd",
 ]

@@ -39,9 +39,6 @@ class Braid:
             perm[s] = p
         return tuple(perm)
 
-    def writhe(self) -> int:
-        return sum(1 if g > 0 else -1 for g in self.word)
-
     def mirror(self) -> "Braid":
         return Braid(self.strands, tuple(-g for g in self.word))
 

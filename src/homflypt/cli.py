@@ -13,9 +13,8 @@ import json
 import sys
 
 from .braid import BraidError, ColoredBraid, closure_info, parse_braid
-from .invariants import (Partition, adjust_framing, homfly_columns,
-                         homfly_partition, torus_reference,
-                         trefoil_reference)
+from .invariants import (Partition, homfly_partition, invariant,
+                         torus_reference, trefoil_reference)
 from .pbw import Evaluator
 from .recurrence import OperatorError, guess, parse_operator
 from .rings import XPoly, is_integral_laurent
@@ -57,7 +56,6 @@ def _colored(args) -> tuple[ColoredBraid, list[tuple[str, object]]]:
 def _eval_value(args) -> tuple[XPoly, ColoredBraid]:
     cb, colors = _colored(args)
     kinds = {k for k, _ in colors}
-    trace = (lambda s: print(s, file=sys.stderr)) if args.trace else None
     if "p" in kinds:
         if colors[0][0] != "p":
             raise UsageError("partition colors are supported on the first component only")
@@ -66,29 +64,18 @@ def _eval_value(args) -> tuple[XPoly, ColoredBraid]:
         if any(k == "e" for k, _ in colors[1:]):
             raise UsageError(
                 "alongside a partition color the other components take h<k> colors")
+        if args.framing == "zero":
+            raise UsageError("zero framing is not supported with partition colors")
         lam: Partition = colors[0][1]
         rest = tuple(c for _, c in colors[1:])
         cb = ColoredBraid(cb.braid, (0,) + rest)
-        ell = max(1, len(lam))
-        value = homfly_partition(cb, lam, ell, jobs=args.jobs)
-        row_like = True
-    elif kinds == {"e"} or not kinds:
-        ev = Evaluator(2 * cb.braid.strands, trace=trace)
-        value = homfly_columns(cb, jobs=args.jobs, evaluator=ev)
-        row_like = False
-    elif kinds == {"h"}:
-        ev = Evaluator(2 * cb.braid.strands, trace=trace)
-        value = homfly_columns(cb, jobs=args.jobs, evaluator=ev).q_bar()
-        row_like = True
-    else:
+        return homfly_partition(cb, lam, max(1, len(lam))), cb
+    if len(kinds) > 1:
         raise UsageError("mixed e and h colors on one link are not supported")
-    if args.framing == "zero":
-        if "p" in kinds:
-            raise UsageError("zero framing is not supported with partition colors")
-        for i, (kind, a) in enumerate(colors):
-            delta = -cb.closure.linking[i][i]
-            value = adjust_framing(value, a, delta, row=row_like)
-    return value, cb
+    trace = (lambda s: print(s, file=sys.stderr)) if args.trace else None
+    ev = Evaluator(2 * cb.braid.strands, trace=trace)
+    family = "h" if kinds == {"h"} else "e"
+    return invariant(cb, family, args.framing, evaluator=ev), cb
 
 
 def _emit(value, meta: dict, args) -> None:
@@ -143,18 +130,9 @@ def _build_sequence(args, lo: int, hi: int) -> dict[int, XPoly]:
     """W(family_m) for m in [lo, hi]; every component gets the color m."""
     braid = parse_braid(args.braid, args.strands)
     ncomp = closure_info(braid).component_count
-    out: dict[int, XPoly] = {}
-    for m in range(lo, hi + 1):
-        cb = ColoredBraid(braid, (m,) * ncomp)
-        v = homfly_columns(cb)
-        if args.family == "h":
-            v = v.q_bar()
-        if args.framing == "zero":
-            for i in range(ncomp):
-                delta = -cb.closure.linking[i][i]
-                v = adjust_framing(v, m, delta, row=args.family == "h")
-        out[m] = v
-    return out
+    return {m: invariant(ColoredBraid(braid, (m,) * ncomp), args.family,
+                         args.framing)
+            for m in range(lo, hi + 1)}
 
 
 def _cmd_recur(args) -> int:
@@ -204,7 +182,6 @@ def main(argv=None) -> int:
                          "e<k> (column), h<k> (row) or p<l1,l2,...> (partition, "
                          "first component only)")
     pe.add_argument("--framing", choices=("blackboard", "zero"), default="blackboard")
-    pe.add_argument("--jobs", type=int, default=1)
     pe.add_argument("--trace", action="store_true",
                     help="log rewrite steps to stderr")
     common(pe)

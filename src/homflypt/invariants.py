@@ -1,9 +1,12 @@
 """Colored HOMFLYPT invariants of braid closures, plus closed-form references.
 
 The engine computes the two-variable invariant of a blackboard-framed braid
-closure with column colors natively (``homfly_columns``); row colors go
-through the transpose symmetry q -> -q^{-1}, and general bounded-row
-partitions through the Jacobi-Trudi determinant realized by cabling.
+closure with column colors natively (``homfly_columns``).  ``invariant`` is
+the one place that turns that value into the invariant of a color family and
+a framing: row colors go through the transpose symmetry q -> -q^{-1}, and
+zero framing removes each component's blackboard self-framing.  General
+bounded-row partitions go through the Jacobi-Trudi determinant realized by
+cabling (``homfly_partition``).
 
 ``trefoil_reference`` and ``torus_reference`` are independent closed forms
 used as oracles by the test suite: a terminating six-fold quantum-binomial
@@ -13,12 +16,11 @@ sum for the trefoil in column colors, and a one-dimensional sum for the
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
-from .braid import Braid, ColoredBraid, cable_first_component, parse_braid
+from .braid import Braid, ColoredBraid, cable_first_component
 from .ladder import enumerate_terms
 from .pbw import Evaluator
 from .qcomb import qbinom, qint, xbinom
@@ -62,34 +64,51 @@ class Partition:
         return Partition((a,) if a else ())
 
 
-def homfly_columns(cb: ColoredBraid, *, jobs: int = 1,
+def homfly_columns(cb: ColoredBraid, *,
                    evaluator: Evaluator | None = None) -> XPoly:
     """The invariant of the blackboard-framed closure with component i
     colored by the one-column partition e_{a_i}.
 
-    Any negative color gives 0.  The sum over enumerated ladder terms is
-    exact and associative, so the result is independent of ``jobs``.
+    Any negative color gives 0.
     """
     if any(a < 0 for a in cb.colors):
         return XPoly.zero()
     ev = evaluator or Evaluator(2 * cb.braid.strands)
-    terms = list(enumerate_terms(cb))
-    if jobs > 1 and len(terms) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(lambda t: t.scalar * ev.ev(t), terms))
-    else:
-        values = [t.scalar * ev.ev(t) for t in terms]
     total = XPoly.zero()
-    for v in values:
-        total = total + v
+    for t in enumerate_terms(cb):
+        total = total + t.scalar * ev.ev(t)
     return total
 
 
-def homfly_rows(cb: ColoredBraid, *, jobs: int = 1) -> XPoly:
-    """Row colors h_{a_i}: the column invariant under q -> -q^{-1}, because
+def invariant(cb: ColoredBraid, family: str = "e",
+              framing: str = "blackboard", *,
+              evaluator: Evaluator | None = None) -> XPoly:
+    """The invariant with every component i colored by e_{a_i}
+    (``family="e"``) or h_{a_i} (``family="h"``), in the blackboard framing
+    of the closure or in the zero framing (``framing="zero"``).
+
+    Row colors are the column invariant under q -> -q^{-1}, because
     transposing every partition acts on the invariant by that involution and
-    (h_a)^t = e_a."""
-    return homfly_columns(cb, jobs=jobs).q_bar()
+    (h_a)^t = e_a.  Zero framing removes each component's blackboard
+    self-framing, the signed count of its self-crossings.
+    """
+    if family not in ("e", "h"):
+        raise ValueError(f"unknown color family {family!r} (want 'e' or 'h')")
+    if framing not in ("blackboard", "zero"):
+        raise ValueError(f"unknown framing {framing!r} (want 'blackboard' or 'zero')")
+    row = family == "h"
+    value = homfly_columns(cb, evaluator=evaluator)
+    if row:
+        value = value.q_bar()
+    if framing == "zero":
+        for i, a in enumerate(cb.colors):
+            value = adjust_framing(value, a, -cb.closure.linking[i][i], row=row)
+    return value
+
+
+def homfly_rows(cb: ColoredBraid) -> XPoly:
+    """Row colors h_{a_i} in the blackboard framing: ``invariant(cb, "h")``."""
+    return invariant(cb, "h")
 
 
 @lru_cache(maxsize=None)
@@ -125,8 +144,7 @@ def _perm_sign(perm: tuple[int, ...]) -> int:
     return -1 if inv % 2 else 1
 
 
-def homfly_partition(cb: ColoredBraid, lam: Partition, ell: int, *,
-                     jobs: int = 1) -> XPoly:
+def homfly_partition(cb: ColoredBraid, lam: Partition, ell: int) -> XPoly:
     """First component colored by the partition ``lam`` (at most ``ell``
     rows), via the dual Jacobi-Trudi pipeline: replace the first component
     by ``ell`` blackboard parallels, sum signed column-colored invariants
@@ -149,7 +167,7 @@ def homfly_partition(cb: ColoredBraid, lam: Partition, ell: int, *,
         cab = cable_first_component(cb, ell, colors)
         sides = 2 * cab.braid.strands
         ev = evaluators.setdefault(sides, Evaluator(sides))
-        term = homfly_columns(cab, jobs=jobs, evaluator=ev)
+        term = homfly_columns(cab, evaluator=ev)
         total = total + (term if _perm_sign(sigma) > 0 else -term)
     return total.q_bar()
 
@@ -218,13 +236,3 @@ def torus_reference(s: int, m: int, *, zero_framed: bool = False) -> XPoly:
         total = total * XPoly.x_power(-s * m)
     return total
 
-
-def trefoil_zero_framed_rows(m_max: int) -> dict[int, XPoly]:
-    """Engine-computed 0-framed right-hand trefoil row sequence W(h_m) for
-    m = 0..m_max; the canonical recurrence regression target."""
-    out: dict[int, XPoly] = {}
-    braid = parse_braid("1 1 1", 2)
-    for m in range(m_max + 1):
-        v = homfly_rows(ColoredBraid(braid, (m,)))
-        out[m] = adjust_framing(v, m, -3, row=True)
-    return out

@@ -10,17 +10,21 @@ letter rightward:
    slots evaluates to zero (the first m slots carry the symbolic n and are
    never range-checked);
 3. with no E letters left, only the empty word survives (value 1);
-4. an E letter at the right end annihilates the idempotent unless its power
-   is zero;
-5. E past an F with a different index commutes freely;
-6. E_r^(b) F_r^(b') with equal indices swap through a binomial sum over t,
+4. E past an F with a different index commutes freely; an E letter that
+   reaches the right end annihilates the idempotent unless its power is
+   zero;
+5. E_r^(b) F_r^(b') with equal indices swap through a binomial sum over t,
    with coefficient the x-shifted binomial exactly when r = m (the slot
    where the symbolic n sits) and a plain quantum binomial otherwise.
 
-Memoization is keyed on the letter tuple alone; the cache is a pure
-accelerator and never changes results.  ``ev_specialized`` runs the same
-recursion with n substituted, which is the engine's internal consistency
-oracle.
+``ev_specialized`` runs the same recursion with n substituted, which is the
+engine's internal consistency oracle.  The specialization changes three
+things, each decided in one place: the ring of values (``XPoly`` or
+``RatQ``), the memo table, and the swap coefficient (``_coeff``, where the
+x-shifted binomial becomes qbinom(n + lin, t)).
+
+Memoization is keyed on the letter tuple alone (with n prepended when
+specialized); the cache is a pure accelerator and never changes results.
 """
 
 from __future__ import annotations
@@ -118,21 +122,18 @@ class Evaluator:
     # -- the recursion
 
     def _ev(self, w: Word, n: int | None):
-        one = XPoly.one() if n is None else RatQ.one()
-        zero = XPoly.zero() if n is None else RatQ.zero()
+        ring, memo, key = ((XPoly, self._memo, w) if n is None
+                           else (RatQ, self._memo_spec, (n, w)))
         if not w:
-            return one
+            return ring.one()
         if any(let.power < 0 for let in w):
-            return zero
+            return ring.zero()
         if self._tail_negative(w):
             if self.trace:
                 self.trace(f"tail-negative: {_dump(w)}")
-            return zero
+            return ring.zero()
         if self.memoize:
-            if n is None:
-                hit = self._memo.get(w)
-            else:
-                hit = self._memo_spec.get((n, w))
+            hit = memo.get(key)
             if hit is not None:
                 return hit
 
@@ -140,19 +141,23 @@ class Evaluator:
         if self._depth > self.max_depth:
             self.max_depth = self._depth
         try:
-            res = self._step(w, n, one, zero)
+            res = self._step(w, n, ring)
         finally:
             self._depth -= 1
 
         if self.memoize:
-            if n is None:
-                self._memo[w] = res
-            else:
-                self._memo_spec[(n, w)] = res
+            memo[key] = res
         return res
 
-    def _step(self, w: Word, n: int | None, one, zero):
-        m = self.m
+    def _coeff(self, r: int, lin: int, t: int, n: int | None):
+        """Coefficient of the t-th swap term: the x-shifted binomial in the
+        slot that carries the rank (r = m), whose value at x = q^n is
+        qbinom(n + lin, t), and a plain quantum binomial elsewhere."""
+        if r != self.m:
+            return qbinom(lin, t)
+        return xbinom(lin, t) if n is None else qbinom(n + lin, t)
+
+    def _step(self, w: Word, n: int | None, ring):
         l = None
         for k in range(len(w) - 1, -1, -1):
             if w[k].kind == "E":
@@ -160,23 +165,18 @@ class Evaluator:
                 break
         if l is None:
             # all F: a positive power cannot return to the highest weight
-            return one if all(let.power == 0 for let in w) else zero
+            return ring.one() if all(let.power == 0 for let in w) else ring.zero()
         let = w[l]
-        if l == len(w) - 1:
-            if let.power != 0:
-                if self.trace:
-                    self.trace(f"annihilate {let.dump()}: {_dump(w)}")
-                return zero
-            return self._ev(w[:l], n)
         # slide right past every F with a different index (free commutation)
         j = l + 1
         while j < len(w) and w[j].index != let.index:
             j += 1
         if j == len(w):
+            # E reached the right end: it annihilates the idempotent
             if let.power != 0:
                 if self.trace:
                     self.trace(f"annihilate {let.dump()}: {_dump(w)}")
-                return zero
+                return ring.zero()
             return self._ev(w[:l] + w[l + 1:], n)
         if j > l + 1 and self.trace:
             self.trace(f"commute {let.dump()} past {j - l - 1}: {_dump(w)}")
@@ -185,16 +185,10 @@ class Evaluator:
         tail = w[j + 1:]
         lin = self._lin_form(tail, r, bl, bl1)
         head = w[:l] + w[l + 1:j]
-        res = zero
+        res = ring.zero()
         for t in range(0, min(bl, bl1) + 1):
-            if n is None:
-                coeff_x = xbinom(lin, t) if r == m else None
-                coeff_q = None if r == m else qbinom(lin, t)
-            else:
-                coeff_x = None
-                coeff_q = qbinom((n if r == m else 0) + lin, t)
-            if (coeff_x is not None and coeff_x.is_zero()) or \
-               (coeff_q is not None and coeff_q.is_zero()):
+            c = self._coeff(r, lin, t, n)
+            if c.is_zero():
                 continue
             mid: list[Letter] = []
             if bl1 - t:
@@ -204,13 +198,8 @@ class Evaluator:
             sub = self._ev(head + tuple(mid) + tail, n)
             if self.trace:
                 self.trace(f"swap E{r}^({bl}) F{r}^({bl1}) t={t} lin={lin}: {_dump(w)}")
-            if n is None:
-                if coeff_x is not None:
-                    res = res + coeff_x * sub
-                else:
-                    res = res + sub.scale(coeff_q)
-            else:
-                res = res + coeff_q * sub
+            # a Q(q) coefficient scales a generic value coefficient-wise
+            res = res + (c * sub if type(c) is type(sub) else sub.scale(c))
         return res
 
 

@@ -64,12 +64,3 @@ def xbinom(s: int, l: int) -> XPoly:
                         -1: -(RatQ.q_power(-s + j - 1) / d)})
         out = out * factor
     return out
-
-
-def heaviside(k: int) -> int:
-    """1 for k >= 0, else 0."""
-    return 1 if k >= 0 else 0
-
-
-def kronecker(a: int, b: int) -> int:
-    return 1 if a == b else 0

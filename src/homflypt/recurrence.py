@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .rings import (LaurentQ, RatQ, XPoly, laurent_divexact, laurent_gcd,
-                    xpoly_divexact, xpoly_gcd)
+                    xpoly_divexact, xpoly_gcd, xpoly_invert)
 
 
 class OperatorError(ValueError):
@@ -411,7 +411,6 @@ def _kernel_reduce(vec: list[XPoly]) -> list[XPoly]:
         if len(g.c) == 1:
             ((e, v),) = g.c.items()
             if e or not v.is_one():
-                from .rings import xpoly_invert
                 inv = xpoly_invert(g)
                 vec = [p * inv for p in vec]
         else:

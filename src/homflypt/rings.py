@@ -146,9 +146,6 @@ class LaurentQ:
     def max_exp(self) -> int:
         return max(self.c)
 
-    def content(self) -> int:
-        return _list_content(list(self.c.values()))
-
     def leading_coeff(self) -> int:
         return self.c[self.max_exp] if self.c else 0
 
@@ -211,21 +208,6 @@ class LaurentQ:
             return _L_ZERO
         r = LaurentQ.__new__(LaurentQ)
         r.c = {e: v * n for e, v in self.c.items()}
-        r._hash = None
-        return r
-
-    def shift(self, k: int) -> "LaurentQ":
-        """Multiply by q^k."""
-        if k == 0:
-            return self
-        r = LaurentQ.__new__(LaurentQ)
-        r.c = {e + k: v for e, v in self.c.items()}
-        r._hash = None
-        return r
-
-    def divexact_int(self, n: int) -> "LaurentQ":
-        r = LaurentQ.__new__(LaurentQ)
-        r.c = {e: v // n for e, v in self.c.items()}
         r._hash = None
         return r
 
@@ -391,10 +373,6 @@ class RatQ:
     def q_power(e: int) -> "RatQ":
         return RatQ(LaurentQ.mono(1, e))
 
-    @staticmethod
-    def from_laurent(p: LaurentQ) -> "RatQ":
-        return RatQ(p)
-
     # -- predicates
 
     def is_zero(self) -> bool:
@@ -402,10 +380,6 @@ class RatQ:
 
     def is_one(self) -> bool:
         return self.num.is_one() and self.den.is_one()
-
-    def is_laurent(self) -> bool:
-        """True iff the value is an integer Laurent polynomial in q."""
-        return self.den.is_one()
 
     # -- arithmetic
 

@@ -33,13 +33,12 @@ def test_eval_specialized_is_integer_laurent(capsys):
     assert out.strip() == "q^5 + q^3 + q - q^-3"
 
 
-def test_eval_determinism_and_jobs(capsys):
+def test_eval_determinism(capsys):
     args = ("eval", "--strands", "2", "--braid", "1 1 1", "--colors", "e2")
     rc1, out1, _ = run(capsys, *args)
     rc2, out2, _ = run(capsys, *args)
-    rc3, out3, _ = run(capsys, *args, "--jobs", "4")
-    assert rc1 == rc2 == rc3 == 0
-    assert out1 == out2 == out3
+    assert rc1 == rc2 == 0
+    assert out1 == out2
 
 
 def _value_from_json(obj):
@@ -85,6 +84,14 @@ def test_eval_partition_color(capsys):
     _, rows_out, _ = run(capsys, "eval", "--strands", "1", "--braid", "",
                          "--colors", "h2")
     assert out == rows_out
+
+
+def test_eval_partition_zero_framing_refused_before_computing(capsys):
+    # the trefoil p2,1 value takes minutes; the refusal must come first
+    rc, out, err = run(capsys, "eval", "--strands", "2", "--braid", "1 1 1",
+                       "--colors", "p2,1", "--framing", "zero")
+    assert rc == 2 and out == ""
+    assert "zero framing is not supported with partition colors" in err
 
 
 def test_oracle_commands(capsys):

@@ -2,7 +2,7 @@ import pytest
 
 from homflypt import (ColoredBraid, Partition, adjust_framing, framing_factor,
                       homfly_columns, homfly_partition, homfly_rows,
-                      is_integral_laurent, parse_braid, qbinom,
+                      invariant, is_integral_laurent, parse_braid, qbinom,
                       torus_reference, trefoil_reference, xbinom)
 from homflypt.rings import LaurentQ, RatQ, XPoly
 
@@ -60,6 +60,25 @@ def test_reference_support_is_finite():
 def test_rows_are_qbar_of_columns(trefoil_cols):
     for a in range(0, 3):
         assert homfly_rows(ColoredBraid(TREFOIL, (a,))) == trefoil_cols[a].q_bar()
+
+
+def test_zero_framing_commutes_with_transpose():
+    # two components, the first with blackboard self-framing 3
+    braid = parse_braid("1 1 1 2 2", 3)
+    for colors in ((1, 1), (2, 1)):
+        cb = ColoredBraid(braid, colors)
+        assert cb.closure.linking == ((3, 1), (1, 0))
+        zero = invariant(cb, "e", "zero")
+        assert invariant(cb, "h", "zero") == zero.q_bar()
+        assert zero != invariant(cb, "e")
+
+
+def test_invariant_rejects_unknown_family_and_framing():
+    cb = ColoredBraid(UNKNOT, (1,))
+    with pytest.raises(ValueError):
+        invariant(cb, "p")
+    with pytest.raises(ValueError):
+        invariant(cb, "e", "zero-framed")
 
 
 def test_unknot_row_color_one_fixed():

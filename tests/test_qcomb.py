@@ -1,7 +1,7 @@
 import pytest
 
-from homflypt import (LaurentQ, RatQ, heaviside, is_integral_laurent, qbinom,
-                      qfactorial, qint, xbinom)
+from homflypt import (LaurentQ, RatQ, is_integral_laurent, qbinom, qfactorial,
+                      qint, xbinom)
 
 
 def test_qint_values():
@@ -53,12 +53,6 @@ def test_gaussian_binomials_are_positive_laurent():
             ok, poly = is_integral_laurent(qbinom(r, s))
             assert ok
             assert all(c > 0 for c in poly.c.values())
-
-
-def test_heaviside():
-    assert heaviside(0) == 1
-    assert heaviside(-1) == 0
-    assert heaviside(5) == 1
 
 
 def test_memoization_returns_identical_values():
