@@ -66,6 +66,8 @@ def _eval_value(args) -> tuple[XPoly, ColoredBraid]:
                 "alongside a partition color the other components take h<k> colors")
         if args.framing == "zero":
             raise UsageError("zero framing is not supported with partition colors")
+        if args.trace:
+            raise UsageError("--trace is not supported with partition colors")
         lam: Partition = colors[0][1]
         rest = tuple(c for _, c in colors[1:])
         cb = ColoredBraid(cb.braid, (0,) + rest)

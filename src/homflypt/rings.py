@@ -10,11 +10,29 @@ Three layers, all immutable and exact (no floating point anywhere):
 * ``XPoly``     -- Laurent polynomials in x with ``RatQ`` coefficients, the
   ring every link invariant lives in.  The substitution x = q^n recovers the
   rank-n specialization.
+
+The only non-integral scalar of the engine is the x-shifted binomial, whose
+denominator prod_{j<=l} (q^j - q^-j) is, up to a power of q, a product of
+factors q^(2j) - 1, hence of cyclotomic polynomials Phi_k.  So every
+denominator the engine produces is a product prod Phi_k^e_k.  When both
+operands have such denominators, ``RatQ`` addition, subtraction and
+multiplication skip the gcd: a product cancels each numerator against the
+other side's Phi_k, a sum works over the elementwise maximum of the two
+exponent vectors, and the only possible cancellations are found by exact
+trial division by those Phi_k.  The result is canonical as it stands.  The
+gcd canonicalization in ``RatQ.__init__`` stays the reference and the path
+for every other denominator (recurrence guessing, parsed operators,
+``xpoly_gcd``).  Large ``LaurentQ`` products go through one big-int multiply
+(Kronecker substitution).
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+from functools import lru_cache
 from math import gcd as _igcd
+from operator import mul as _imul
 from typing import Iterator
 
 
@@ -99,6 +117,131 @@ def _list_divexact(a: list[int], b: list[int]) -> list[int]:
     if any(a[: len(b) - 1]):
         raise ValueError("inexact polynomial division")
     return q
+
+
+# ---------------------------------------------------------------------------
+# cyclotomic polynomials (dense lists, index = degree)
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _phi(k: int) -> tuple[int, ...]:
+    """The cyclotomic polynomial Phi_k: q^k - 1 over prod_{d | k, d < k} Phi_d."""
+    cs = [-1] + [0] * (k - 1) + [1]
+    for d in range(1, k):
+        if k % d == 0:
+            cs = _list_divexact(cs, list(_phi(d)))
+    return tuple(cs)
+
+
+@lru_cache(maxsize=None)
+def _phi_candidates(deg: int) -> tuple[tuple[int, int], ...]:
+    """(k, phi(k)) for every k with Euler phi(k) <= deg, k ascending.
+
+    phi(k) >= sqrt(k) for k > 6, and phi(k) >= k / (r + 1) >= k / bitlen(k)
+    for k with r distinct prime factors, so a totient sieve up to
+    deg * bitlen(max(6, deg^2)) finds them all."""
+    n = max(6, deg * max(6, deg * deg).bit_length())
+    tot = list(range(n + 1))
+    for p in range(2, n + 1):
+        if tot[p] == p:
+            for j in range(p, n + 1, p):
+                tot[j] -= tot[j] // p
+    return tuple((k, tot[k]) for k in range(1, n + 1) if tot[k] <= deg)
+
+
+def _phi_divides(cs: list[int], k: int) -> bool:
+    """Whether Phi_k divides the nonzero polynomial cs.  Phi_k divides
+    q^k - 1, so it is enough to reduce the fold of cs modulo q^k - 1 (k
+    coefficients) by Phi_k."""
+    phi = _phi(k)
+    d = len(phi) - 1
+    if len(cs) <= d:
+        return False
+    folded = [sum(cs[i::k]) for i in range(k)]
+    for i in range(k - 1, d - 1, -1):
+        c = folded[i]
+        if c:
+            for j, p in enumerate(phi):
+                if p:
+                    folded[i - d + j] -= c * p
+    return not any(folded[:d])
+
+
+def _phi_multiplicity(cs: list[int], k: int, most: int) -> int:
+    """The largest c <= most with Phi_k^c dividing cs.  Phi_k is squarefree,
+    so Phi_k^c divides cs exactly when Phi_k divides cs and its first c - 1
+    derivatives; no division is needed."""
+    c = 0
+    while c < most and _phi_divides(cs, k):
+        c += 1
+        cs = list(map(_imul, range(1, len(cs)), cs[1:]))
+    return c
+
+
+# ---------------------------------------------------------------------------
+# Kronecker substitution: integer polynomials as integers at q = 2^(8 w)
+# ---------------------------------------------------------------------------
+
+# below this many terms in the smaller factor the schoolbook loop is faster
+# (measured on the products of the benchmark workloads)
+_KRONECKER_MIN_TERMS = 11
+
+# slots of 1, 2, 4 or 8 bytes pack and unpack through an array, whose bytes
+# are in the host's order; big-endian hosts take the byte-by-byte path
+_SLOT_FORMAT = ({1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little"
+                else {})
+
+
+def _slot_bytes(bits: int) -> int:
+    """Bytes per slot for signed values of magnitude below 2^bits."""
+    w = bits // 8 + 1
+    return 1 << (w - 1).bit_length() if w <= 8 else -(-w // 8) * 8
+
+
+def _pack(cs: list[int], w: int) -> int:
+    """sum cs[i] 2^(8 w i), for |cs[i]| < 2^(8 w - 1); the signed values go
+    in as a positive minus a negative part."""
+    pos = [v if v > 0 else 0 for v in cs]
+    neg = [-v if v < 0 else 0 for v in cs]
+    fmt = _SLOT_FORMAT.get(w)
+    if fmt:
+        return (int.from_bytes(array(fmt, pos).tobytes(), "little")
+                - int.from_bytes(array(fmt, neg).tobytes(), "little"))
+    return (int.from_bytes(b"".join(v.to_bytes(w, "little") for v in pos), "little")
+            - int.from_bytes(b"".join(v.to_bytes(w, "little") for v in neg), "little"))
+
+
+def _unpack(x: int, n: int, w: int) -> list[int]:
+    """The n signed slots of x = sum s_i 2^(8 w i), |s_i| < 2^(8 w - 1).
+    Adding 2^(8 w - 1) to every slot makes them read without borrows."""
+    half = 1 << (8 * w - 1)
+    buf = (x + int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+           ).to_bytes(n * w, "little")
+    fmt = _SLOT_FORMAT.get(w)
+    if fmt:
+        return [v - half for v in memoryview(buf).cast(fmt)]
+    return [int.from_bytes(buf[i:i + w], "little") - half
+            for i in range(0, n * w, w)]
+
+
+def _kronecker_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The product of two coefficient maps of two terms or more, by one
+    big-int multiply.  Exponents are packed with their common stride g.
+    Every product coefficient is at most min(len) max|a| max|b|."""
+    alo, blo = min(a), min(b)
+    g = _igcd(*[e - alo for e in a], *[e - blo for e in b])
+    da, db = [0] * ((max(a) - alo) // g + 1), [0] * ((max(b) - blo) // g + 1)
+    for e, v in a.items():
+        da[(e - alo) // g] = v
+    for e, v in b.items():
+        db[(e - blo) // g] = v
+    bound = (min(len(a), len(b)) * max(map(abs, a.values()))
+             * max(map(abs, b.values())))
+    w = _slot_bytes(bound.bit_length())
+    prod = _unpack(_pack(da, w) * _pack(db, w), len(da) + len(db) - 1, w)
+    lo = alo + blo
+    return {lo + g * i: v for i, v in enumerate(prod) if v}
+
 
 
 class LaurentQ:
@@ -189,6 +332,11 @@ class LaurentQ:
         a, b = self.c, other.c
         if len(a) > len(b):
             a, b = b, a
+        r = LaurentQ.__new__(LaurentQ)
+        r._hash = None
+        if len(a) >= _KRONECKER_MIN_TERMS:
+            r.c = _kronecker_mul(a, b)
+            return r
         out: dict[int, int] = {}
         for ea, va in a.items():
             for eb, vb in b.items():
@@ -198,9 +346,7 @@ class LaurentQ:
                     out[e] = w
                 elif e in out:
                     del out[e]
-        r = LaurentQ.__new__(LaurentQ)
         r.c = out
-        r._hash = None
         return r
 
     def scale(self, n: int) -> "LaurentQ":
@@ -319,6 +465,121 @@ def laurent_divexact(a: LaurentQ, b: LaurentQ) -> LaurentQ:
     return LaurentQ._from_dense(va - vb, _list_divexact(da, db))
 
 
+# -- cyclotomic denominators
+
+_FACTORS: dict[LaurentQ, tuple[tuple[int, int], ...] | None] = {}
+
+
+def _cyclo_exponents(den: LaurentQ) -> tuple[tuple[int, int], ...] | None:
+    """The exponent vector of a canonical denominator, as ascending (k, e)
+    pairs with den = prod Phi_k^e, or None if den is not such a product.
+
+    A product of Phi_k is monic with constant term (-1)^e_1 and coefficients
+    palindromic up to that sign; a denominator failing these checks is
+    rejected without a search and is not cached."""
+    hit = _FACTORS.get(den, _FACTORS)
+    if hit is not _FACTORS:
+        return hit
+    c = den.c
+    d = max(c)
+    sign = c.get(0)
+    if c[d] != 1 or sign not in (1, -1):
+        return None
+    if any(c.get(d - e) != sign * v for e, v in c.items()):
+        return None
+    cs = den._dense()[1]
+    vec, deg = [], 0
+    for k, phik in _phi_candidates(d):
+        if deg == d:
+            break
+        e = _phi_multiplicity(cs, k, (d - deg) // phik)
+        if e:
+            vec.append((k, e))
+            deg += e * phik
+    # den is monic and divisible by the monic prod Phi_k^e of degree deg
+    out = tuple(vec) if deg == d else None
+    _FACTORS[den] = out
+    return out
+
+
+@lru_cache(maxsize=None)
+def _cyclo_product(vec: tuple[tuple[int, int], ...]) -> LaurentQ:
+    """prod Phi_k^e over the (k, e) pairs of vec; registered as factored."""
+    p = _L_ONE
+    for k, e in vec:
+        p = p * LaurentQ._from_dense(0, list(_phi(k))) ** e
+    _FACTORS[p] = vec
+    return p
+
+
+def _cancel(p: LaurentQ, vec: dict[int, int]) -> LaurentQ:
+    """Divide p by prod Phi_k^c_k, c_k <= vec[k] as large as divides p, and
+    lower vec[k] by c_k."""
+    if len(p.c) < 2 or not vec:
+        return p
+    v, cs = p._dense()
+    div = []
+    for k, e in vec.items():
+        c = _phi_multiplicity(cs, k, e)
+        if c:
+            div.append((k, c))
+            vec[k] = e - c
+    if not div:
+        return p
+    d = _cyclo_den(dict(div))._dense()[1]
+    return LaurentQ._from_dense(v, _list_divexact(cs, d))
+
+
+def _cyclo_den(vec: dict[int, int]) -> LaurentQ:
+    return _cyclo_product(tuple(sorted((k, e) for k, e in vec.items() if e)))
+
+
+def _cyclo_mul(x: "RatQ", fa, y: "RatQ", fb) -> "RatQ":
+    """x * y for denominators prod Phi^fa and prod Phi^fb.  A numerator is
+    coprime to its own Phi_k, so it can only cancel the other side's."""
+    ra, rb = dict(fb), dict(fa)
+    a, b = _cancel(x.num, ra), _cancel(y.num, rb)
+    if not fa and a is x.num:
+        den = y.den
+    elif not fb and b is y.num:
+        den = x.den
+    else:
+        for k, e in rb.items():
+            ra[k] = ra.get(k, 0) + e
+        den = _cyclo_den(ra)
+    return _ratq(a * b, den)
+
+
+def _cyclo_sum(x: "RatQ", fa, y: "RatQ", fb, sub: bool) -> "RatQ":
+    """x + y (x - y if sub) over prod Phi^top, top the elementwise max of
+    the exponent vectors; only the Phi_k of top can cancel."""
+    da, db = dict(fa), dict(fb)
+    top = {k: max(da.get(k, 0), db.get(k, 0)) for k in da.keys() | db.keys()}
+    a, b = x.num, y.num
+    if top != da:
+        a = a * _cyclo_den({k: e - da.get(k, 0) for k, e in top.items()})
+    if top != db:
+        b = b * _cyclo_den({k: e - db.get(k, 0) for k, e in top.items()})
+    total = a - b if sub else a + b
+    if total.is_zero():
+        return _R_ZERO
+    num = _cancel(total, top)
+    if num is not total:
+        den = _cyclo_den(top)
+    else:
+        den = x.den if top == da else y.den if top == db else _cyclo_den(top)
+    return _ratq(num, den)
+
+
+def _ratq(num: LaurentQ, den: LaurentQ) -> "RatQ":
+    # num over a product of Phi_k that it is coprime to: canonical as it is
+    r = RatQ.__new__(RatQ)
+    r.num = num
+    r.den = den
+    r._hash = None
+    return r
+
+
 class RatQ:
     """An element of Q(q) in canonical form.
 
@@ -390,6 +651,9 @@ class RatQ:
             r.den = _L_ONE
             r._hash = None
             return r
+        fa, fb = _cyclo_exponents(self.den), _cyclo_exponents(other.den)
+        if fa is not None and fb is not None:
+            return _cyclo_sum(self, fa, other, fb, False)
         if self.den == other.den:
             return RatQ(self.num + other.num, self.den)
         return RatQ(self.num * other.den + other.num * self.den,
@@ -402,6 +666,9 @@ class RatQ:
             r.den = _L_ONE
             r._hash = None
             return r
+        fa, fb = _cyclo_exponents(self.den), _cyclo_exponents(other.den)
+        if fa is not None and fb is not None:
+            return _cyclo_sum(self, fa, other, fb, True)
         if self.den == other.den:
             return RatQ(self.num - other.num, self.den)
         return RatQ(self.num * other.den - other.num * self.den,
@@ -423,6 +690,9 @@ class RatQ:
             r.den = _L_ONE
             r._hash = None
             return r
+        fa, fb = _cyclo_exponents(self.den), _cyclo_exponents(other.den)
+        if fa is not None and fb is not None:
+            return _cyclo_mul(self, fa, other, fb)
         return RatQ(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other: "RatQ") -> "RatQ":
@@ -656,8 +926,6 @@ class XPoly:
             v = self.c[e]
             if v.den.is_one() and len(v.num.c) == 1:
                 coef = v.num.text()
-                if any(s in coef for s in (" ",)):
-                    coef = f"({coef})"
             elif v.den.is_one():
                 coef = f"({v.num.text()})"
             else:

@@ -94,6 +94,17 @@ def test_eval_partition_zero_framing_refused_before_computing(capsys):
     assert "zero framing is not supported with partition colors" in err
 
 
+def test_eval_partition_trace_refused_before_computing(capsys):
+    # the partition pipeline has no rewrite log; --trace must not be ignored
+    rc, out, err = run(capsys, "eval", "--strands", "1", "--braid", "",
+                       "--colors", "p1,1", "--trace")
+    assert rc == 2 and out == ""
+    assert "--trace is not supported with partition colors" in err
+    rc, out, err = run(capsys, "eval", "--strands", "2", "--braid", "1 1 1",
+                       "--colors", "p2,1", "--trace")
+    assert rc == 2 and out == ""
+
+
 def test_oracle_commands(capsys):
     rc, out, _ = run(capsys, "oracle", "trefoil", "--a", "0")
     assert rc == 0 and out.strip() == "1"

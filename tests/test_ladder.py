@@ -1,3 +1,5 @@
+from itertools import product
+
 from homflypt import (ColoredBraid, Evaluator, Letter, build_cap, build_cup,
                       crossing_weights, enumerate_terms, parse_braid,
                       weight_offsets)
@@ -89,19 +91,31 @@ def test_enumerated_words_close_up():
         assert weight_offsets(term.letters, 4) == [0, 0, 0, 0]
 
 
+def _crossing_word(cb, s):
+    """The ladder word of enumerate_terms for the tuple s, built by hand."""
+    m = cb.braid.strands
+    mid = []
+    for c in reversed(crossing_weights(cb)):
+        sj = s[c.position]
+        mid += [Letter("E", c.ladder_index, sj + c.color_right - c.color_left),
+                Letter("F", c.ladder_index, sj)]
+    letters = (build_cap(cb.strand_colors, m).letters + tuple(mid)
+               + build_cup(cb.strand_colors, m).letters)
+    return tuple(l for l in letters if l.power != 0)
+
+
 def test_box_bound_is_sound():
     # pushing one summation variable past the box only adds vanishing terms
     for a in (1, 2):
         cb = ColoredBraid(parse_braid("1 1 1", 2), (a,))
-        cap = build_cap((a, a), 2).letters
-        cup = build_cup((a, a), 2).letters
-        ev = Evaluator(4)
-        s = (a + 1, 0, 0)
-        mid = []
-        for sj in reversed(s):
-            mid.extend([Letter("E", 3, sj), Letter("F", 3, sj)])
-        word = tuple(l for l in cap + tuple(mid) + cup if l.power != 0)
-        assert ev.ev(word).is_zero()
+        assert Evaluator(4).ev(_crossing_word(cb, (a + 1, 0, 0))).is_zero()
+    # unequal colors: every s_j above the color on the crossing's left strand
+    # gives a vanishing word (F^{(s_j)} lowers that strand's slot below zero)
+    cb = ColoredBraid(parse_braid("1 1", 2), (1, 3))
+    ev = Evaluator(4)
+    for s in product(range(5), range(2, 5)):
+        if s[0] > 1 or s[1] > 3:
+            assert ev.ev(_crossing_word(cb, s)).is_zero(), s
 
 
 def test_dump_format():

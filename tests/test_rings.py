@@ -1,9 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homflypt import (LaurentQ, RatQ, XPoly, is_integral_laurent, qint,
                       xpoly_divexact, xpoly_gcd)
+from homflypt import rings
+from homflypt.rings import (_FACTORS, _KRONECKER_MIN_TERMS, _cyclo_exponents,
+                            _kronecker_mul, _phi)
 
 ONE = XPoly.one()
 ZERO = XPoly.zero()
@@ -159,3 +163,116 @@ def test_json_rendering():
     obj = p.json_obj()
     assert list(obj) == ["1", "-2"]
     assert obj["1"] == {"num": [[1, "1"], [-1, "1"]], "den": [[0, "1"]]}
+
+
+# -- gcd-free arithmetic over cyclotomic denominators (against the gcd
+# canonicalization of RatQ.__init__) and Kronecker products (against the
+# schoolbook loop)
+
+def _poly(cs, low=0):
+    return LaurentQ({low + i: c for i, c in enumerate(cs)})
+
+
+def _schoolbook(a, b):
+    out = {}
+    for ea, va in a.c.items():
+        for eb, vb in b.c.items():
+            out[ea + eb] = out.get(ea + eb, 0) + va * vb
+    return LaurentQ(out)
+
+
+def _product(factors):
+    out = LaurentQ.one()
+    for f in factors:
+        out = out * f
+    return out
+
+
+laurents = st.dictionaries(st.integers(-8, 8), st.integers(-50, 50),
+                           max_size=10).map(LaurentQ)
+# a product of Phi_k (k <= 12) and q^(2j) - 1 (j <= 4)
+cyclotomic_dens = st.lists(
+    st.one_of(st.integers(1, 12).map(lambda k: _poly(_phi(k))),
+              st.integers(1, 4).map(lambda j: LaurentQ({2 * j: 1, 0: -1}))),
+    max_size=4).map(_product)
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurents, cyclotomic_dens, laurents, cyclotomic_dens)
+def test_cyclotomic_fast_paths_match_gcd_canonical(a, b, c, d):
+    x, y = RatQ(a, b), RatQ(c, d)
+    assert _cyclo_exponents(x.den) is not None
+    assert _cyclo_exponents(y.den) is not None
+    assert x + y == RatQ(x.num * y.den + y.num * x.den, x.den * y.den)
+    assert x - y == RatQ(x.num * y.den - y.num * x.den, x.den * y.den)
+    assert x * y == RatQ(x.num * y.num, x.den * y.den)
+
+
+coefficient_maps = st.dictionaries(
+    st.integers(-30, 30),
+    st.one_of(st.integers(-3, 3), st.integers(-2 ** 200, 2 ** 200)),
+    min_size=1, max_size=3 * _KRONECKER_MIN_TERMS).map(LaurentQ)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coefficient_maps, coefficient_maps)
+def test_kronecker_matches_schoolbook(a, b):
+    assert a * b == _schoolbook(a, b)
+    if len(a.c) >= 2 and len(b.c) >= 2:
+        small, big = sorted((a.c, b.c), key=len)
+        assert _kronecker_mul(small, big) == _schoolbook(a, b).c
+
+
+def test_kronecker_both_sides_of_threshold():
+    rng = random.Random(9)
+    for n in (2, _KRONECKER_MIN_TERMS - 1, _KRONECKER_MIN_TERMS,
+              3 * _KRONECKER_MIN_TERMS):
+        for stride in (1, 2, 3):
+            for bits in (1, 7, 8, 63, 64, 65, 300):
+                a = LaurentQ({stride * i - 17: rng.randint(-2 ** bits, 2 ** bits)
+                              for i in range(n)})
+                b = LaurentQ({stride * i + 5: rng.randint(-2 ** bits, 2 ** bits)
+                              for i in range(n + 3)})
+                assert a * b == _schoolbook(a, b)
+                assert b * a == _schoolbook(a, b)
+
+
+def test_kronecker_byte_path_matches_array_path(monkeypatch):
+    # big-endian hosts pack every slot width byte by byte
+    rng = random.Random(11)
+    pairs = [(LaurentQ({i: rng.randint(-2 ** bits, 2 ** bits)
+                        for i in range(_KRONECKER_MIN_TERMS + 2)}),
+              LaurentQ({2 * i - 9: rng.randint(-2 ** bits, 2 ** bits)
+                        for i in range(_KRONECKER_MIN_TERMS)}))
+             for bits in (1, 7, 8, 15, 16, 31, 32, 63)]
+    monkeypatch.setattr(rings, "_SLOT_FORMAT", {})
+    for a, b in pairs:
+        assert a * b == _schoolbook(a, b)
+
+
+def test_cyclotomic_products_of_divisors():
+    for k in range(1, 41):
+        prod = [1]
+        for d in range(1, k + 1):
+            if k % d == 0:
+                prod = (_poly(prod) * _poly(_phi(d)))._dense()[1]
+        assert prod == [-1] + [0] * (k - 1) + [1]
+
+
+def test_factorizer_finds_exponents():
+    den = LaurentQ({2: 1, 0: -1}) * LaurentQ({4: 1, 0: -1}) * LaurentQ({6: 1, 0: -1})
+    _FACTORS.pop(den, None)
+    assert _cyclo_exponents(den) == ((1, 3), (2, 3), (3, 1), (4, 1), (6, 1))
+
+
+def test_non_cyclotomic_denominator_takes_gcd_path():
+    den = LaurentQ({2: 1, 0: 3})             # q^2 + 3: fails the cheap checks
+    assert _cyclo_exponents(den) is None
+    assert den not in _FACTORS               # rejected without a search
+    palin = LaurentQ({2: 1, 1: 3, 0: 1})     # q^2 + 3q + 1: searched, no match
+    assert _cyclo_exponents(palin) is None
+    x = RatQ(LaurentQ({3: 2, 0: 1}), den)
+    y = RatQ(LaurentQ({1: 1}), LaurentQ({2: 1, 0: -1}))
+    assert x + y == RatQ(x.num * y.den + y.num * x.den, x.den * y.den)
+    assert x * y == RatQ(x.num * y.num, x.den * y.den)
+    assert (x * y).den == LaurentQ({4: 1, 2: 2, 0: -3})
