@@ -141,8 +141,12 @@ def _cmd_recur(args) -> int:
     lo, hi = _parse_range(args.m_range)
     if args.action == "verify":
         if args.operator_file:
-            with open(args.operator_file, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            try:
+                with open(args.operator_file, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except OSError as e:
+                raise UsageError(f"cannot read operator file {args.operator_file}: "
+                                 f"{e.strerror}") from None
         elif args.operator_text:
             text = args.operator_text
         else:
@@ -155,6 +159,10 @@ def _cmd_recur(args) -> int:
             return 1
         print(f"PASS on m in [{lo},{hi}]")
         return 0
+    if args.max_order < 1:
+        raise UsageError("--max-order must be at least 1")
+    if args.max_m_degree < 0:
+        raise UsageError("--max-m-degree must be nonnegative")
     f = _build_sequence(args, lo, hi)
     op = guess(f, args.max_order, args.max_m_degree)
     if op is None:

@@ -158,15 +158,15 @@ def homfly_partition(cb: ColoredBraid, lam: Partition, ell: int) -> XPoly:
     if ell < 1 or ell < len(lam):
         raise ValueError(f"need ell >= max(1, {len(lam)}) rows for this partition")
     parts = lam.parts + (0,) * (ell - len(lam))
-    evaluators: dict[int, Evaluator] = {}
+    ev = None  # every cable has the same strand count, so one memo serves all
     total = XPoly.zero()
     for sigma in permutations(range(ell)):
         colors = tuple(parts[i] + sigma[i] - i for i in range(ell))
         if any(c < 0 for c in colors):
             continue
         cab = cable_first_component(cb, ell, colors)
-        sides = 2 * cab.braid.strands
-        ev = evaluators.setdefault(sides, Evaluator(sides))
+        if ev is None:
+            ev = Evaluator(2 * cab.braid.strands)
         term = homfly_columns(cab, evaluator=ev)
         total = total + (term if _perm_sign(sigma) > 0 else -term)
     return total.q_bar()

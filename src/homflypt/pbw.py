@@ -2,18 +2,22 @@
 
 ``Evaluator.ev`` computes the unique element of Q(q)[x^{±1}] whose value at
 x = q^n equals the evaluation of the word on the highest-weight idempotent
-of the 2m-sided ladder, for every n.  The recursion moves the rightmost E
-letter rightward:
+of the 2m-sided ladder, for every n.
 
-1. a negative divided power is the zero element;
-2. a word with a suffix whose weight goes negative in one of the last m
+The entry points check the word once: X^(0) letters are the identity and
+are dropped, and a negative divided power is the zero element, so such a
+word evaluates to zero without rewriting.  The recursion then sees positive
+powers only, and it creates no others.  It moves the rightmost E letter
+rightward:
+
+1. a word with a suffix whose weight goes negative in one of the last m
    slots evaluates to zero (the first m slots carry the symbolic n and are
    never range-checked);
-3. with no E letters left, only the empty word survives (value 1);
-4. E past an F with a different index commutes freely; an E letter that
-   reaches the right end annihilates the idempotent unless its power is
-   zero;
-5. E_r^(b) F_r^(b') with equal indices swap through a binomial sum over t,
+2. with no E letters left, only the empty word survives (value 1): F
+   letters lower the weight, which cannot return to the highest weight;
+3. E past an F with a different index commutes freely; an E letter that
+   reaches the right end annihilates the idempotent;
+4. E_r^(b) F_r^(b') with equal indices swap through a binomial sum over t,
    with coefficient the x-shifted binomial exactly when r = m (the slot
    where the symbolic n sits) and a plain quantum binomial otherwise.
 
@@ -61,22 +65,31 @@ class Evaluator:
 
     def ev(self, word: LadderWord | Word) -> XPoly:
         letters = self._letters(word)
-        return self._ev(letters, None)
+        return XPoly.zero() if letters is None else self._ev(letters, None)
 
     def ev_specialized(self, word: LadderWord | Word, n: int) -> RatQ:
         letters = self._letters(word)
-        return self._ev(letters, n)
+        return RatQ.zero() if letters is None else self._ev(letters, n)
 
     # -- helpers
 
-    def _letters(self, word) -> Word:
+    def _letters(self, word) -> Word | None:
+        """The letters of a word with its X^(0) letters dropped, or None if
+        a letter has a negative power (the word is zero).  Every index is
+        checked either way."""
         letters = word.letters if isinstance(word, LadderWord) else tuple(word)
         if isinstance(word, LadderWord) and word.sides != self.sides:
             raise ValueError("word has a different ladder size")
+        kept = []
+        zero = False
         for let in letters:
             if not 1 <= let.index <= self.sides - 1:
                 raise ValueError(f"letter index {let.index} outside [1, {self.sides - 1}]")
-        return letters
+            if let.power > 0:
+                kept.append(let)
+            elif let.power < 0:
+                zero = True
+        return None if zero else tuple(kept)
 
     def _tail_negative(self, w: Word) -> bool:
         # suffix weights, last m slots only (offsets off the zero part of
@@ -126,8 +139,6 @@ class Evaluator:
                            else (RatQ, self._memo_spec, (n, w)))
         if not w:
             return ring.one()
-        if any(let.power < 0 for let in w):
-            return ring.zero()
         if self._tail_negative(w):
             if self.trace:
                 self.trace(f"tail-negative: {_dump(w)}")
@@ -164,8 +175,8 @@ class Evaluator:
                 l = k
                 break
         if l is None:
-            # all F: a positive power cannot return to the highest weight
-            return ring.one() if all(let.power == 0 for let in w) else ring.zero()
+            # F letters only: the weight cannot return to the highest weight
+            return ring.zero()
         let = w[l]
         # slide right past every F with a different index (free commutation)
         j = l + 1
@@ -173,11 +184,9 @@ class Evaluator:
             j += 1
         if j == len(w):
             # E reached the right end: it annihilates the idempotent
-            if let.power != 0:
-                if self.trace:
-                    self.trace(f"annihilate {let.dump()}: {_dump(w)}")
-                return ring.zero()
-            return self._ev(w[:l] + w[l + 1:], n)
+            if self.trace:
+                self.trace(f"annihilate {let.dump()}: {_dump(w)}")
+            return ring.zero()
         if j > l + 1 and self.trace:
             self.trace(f"commute {let.dump()} past {j - l - 1}: {_dump(w)}")
         r = let.index

@@ -362,9 +362,13 @@ def guess(f: Mapping[int, XPoly], max_order: int, max_m_degree: int
     c_j = sum_k c_{j,k} M^k over the fraction field, denominator-cleared and
     content-reduced, and re-verifies the result on every available index
     before returning it.  Returns None when no operator exists within the
-    bounds; raises OperatorError when the sequence window is too small to
+    bounds; raises OperatorError when a bound is out of range (max_order
+    below 1, max_m_degree below 0) or the sequence window is too small to
     pose the problem.
     """
+    if max_order < 1 or max_m_degree < 0:
+        raise OperatorError(f"need max_order >= 1 and max_m_degree >= 0, "
+                            f"got {max_order} and {max_m_degree}")
     g = max_m_degree
     indices = sorted(f)
     for order in range(1, max_order + 1):

@@ -243,6 +243,35 @@ def _kronecker_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return {lo + g * i: v for i, v in enumerate(prod) if v}
 
 
+# ---------------------------------------------------------------------------
+# constructors from values already in canonical form
+# ---------------------------------------------------------------------------
+
+def _laurent(c: dict[int, int]) -> "LaurentQ":
+    # c holds no zero coefficient
+    r = LaurentQ.__new__(LaurentQ)
+    r.c = c
+    r._hash = None
+    return r
+
+
+def _ratq(num: "LaurentQ", den: "LaurentQ") -> "RatQ":
+    # num over a denominator it is coprime to, in the form RatQ.__init__
+    # gives: canonical as it is
+    r = RatQ.__new__(RatQ)
+    r.num = num
+    r.den = den
+    r._hash = None
+    return r
+
+
+def _xpoly(c: dict[int, "RatQ"]) -> "XPoly":
+    # c holds no zero coefficient
+    r = XPoly.__new__(XPoly)
+    r.c = c
+    r._hash = None
+    return r
+
 
 class LaurentQ:
     """A Laurent polynomial in q over Z; no zero coefficients are stored."""
@@ -302,29 +331,13 @@ class LaurentQ:
                 out[e] = w
             elif e in out:
                 del out[e]
-        r = LaurentQ.__new__(LaurentQ)
-        r.c = out
-        r._hash = None
-        return r
+        return _laurent(out)
 
     def __sub__(self, other: "LaurentQ") -> "LaurentQ":
-        out = dict(self.c)
-        for e, v in other.c.items():
-            w = out.get(e, 0) - v
-            if w:
-                out[e] = w
-            elif e in out:
-                del out[e]
-        r = LaurentQ.__new__(LaurentQ)
-        r.c = out
-        r._hash = None
-        return r
+        return self + -other
 
     def __neg__(self) -> "LaurentQ":
-        r = LaurentQ.__new__(LaurentQ)
-        r.c = {e: -v for e, v in self.c.items()}
-        r._hash = None
-        return r
+        return _laurent({e: -v for e, v in self.c.items()})
 
     def __mul__(self, other: "LaurentQ") -> "LaurentQ":
         if not self.c or not other.c:
@@ -332,11 +345,8 @@ class LaurentQ:
         a, b = self.c, other.c
         if len(a) > len(b):
             a, b = b, a
-        r = LaurentQ.__new__(LaurentQ)
-        r._hash = None
         if len(a) >= _KRONECKER_MIN_TERMS:
-            r.c = _kronecker_mul(a, b)
-            return r
+            return _laurent(_kronecker_mul(a, b))
         out: dict[int, int] = {}
         for ea, va in a.items():
             for eb, vb in b.items():
@@ -346,16 +356,12 @@ class LaurentQ:
                     out[e] = w
                 elif e in out:
                     del out[e]
-        r.c = out
-        return r
+        return _laurent(out)
 
     def scale(self, n: int) -> "LaurentQ":
         if n == 0:
             return _L_ZERO
-        r = LaurentQ.__new__(LaurentQ)
-        r.c = {e: v * n for e, v in self.c.items()}
-        r._hash = None
-        return r
+        return _laurent({e: v * n for e, v in self.c.items()})
 
     def __pow__(self, n: int) -> "LaurentQ":
         if n < 0:
@@ -373,17 +379,11 @@ class LaurentQ:
 
     def q_bar(self) -> "LaurentQ":
         """The ring automorphism q -> -q^{-1}."""
-        r = LaurentQ.__new__(LaurentQ)
-        r.c = {-e: (v if e % 2 == 0 else -v) for e, v in self.c.items()}
-        r._hash = None
-        return r
+        return _laurent({-e: (v if e % 2 == 0 else -v) for e, v in self.c.items()})
 
     def q_inv(self) -> "LaurentQ":
         """The ring automorphism q -> q^{-1}."""
-        r = LaurentQ.__new__(LaurentQ)
-        r.c = {-e: v for e, v in self.c.items()}
-        r._hash = None
-        return r
+        return _laurent({-e: v for e, v in self.c.items()})
 
     # -- dense conversion for gcd work
 
@@ -396,10 +396,7 @@ class LaurentQ:
 
     @staticmethod
     def _from_dense(val: int, cs: list[int]) -> "LaurentQ":
-        r = LaurentQ.__new__(LaurentQ)
-        r.c = {val + i: c for i, c in enumerate(cs) if c}
-        r._hash = None
-        return r
+        return _laurent({val + i: c for i, c in enumerate(cs) if c})
 
     # -- comparison / hash / rendering
 
@@ -550,9 +547,9 @@ def _cyclo_mul(x: "RatQ", fa, y: "RatQ", fb) -> "RatQ":
     return _ratq(a * b, den)
 
 
-def _cyclo_sum(x: "RatQ", fa, y: "RatQ", fb, sub: bool) -> "RatQ":
-    """x + y (x - y if sub) over prod Phi^top, top the elementwise max of
-    the exponent vectors; only the Phi_k of top can cancel."""
+def _cyclo_sum(x: "RatQ", fa, y: "RatQ", fb) -> "RatQ":
+    """x + y over prod Phi^top, top the elementwise max of the exponent
+    vectors; only the Phi_k of top can cancel."""
     da, db = dict(fa), dict(fb)
     top = {k: max(da.get(k, 0), db.get(k, 0)) for k in da.keys() | db.keys()}
     a, b = x.num, y.num
@@ -560,7 +557,7 @@ def _cyclo_sum(x: "RatQ", fa, y: "RatQ", fb, sub: bool) -> "RatQ":
         a = a * _cyclo_den({k: e - da.get(k, 0) for k, e in top.items()})
     if top != db:
         b = b * _cyclo_den({k: e - db.get(k, 0) for k, e in top.items()})
-    total = a - b if sub else a + b
+    total = a + b
     if total.is_zero():
         return _R_ZERO
     num = _cancel(total, top)
@@ -569,15 +566,6 @@ def _cyclo_sum(x: "RatQ", fa, y: "RatQ", fb, sub: bool) -> "RatQ":
     else:
         den = x.den if top == da else y.den if top == db else _cyclo_den(top)
     return _ratq(num, den)
-
-
-def _ratq(num: LaurentQ, den: LaurentQ) -> "RatQ":
-    # num over a product of Phi_k that it is coprime to: canonical as it is
-    r = RatQ.__new__(RatQ)
-    r.num = num
-    r.den = den
-    r._hash = None
-    return r
 
 
 class RatQ:
@@ -646,50 +634,24 @@ class RatQ:
 
     def __add__(self, other: "RatQ") -> "RatQ":
         if self.den.is_one() and other.den.is_one():
-            r = RatQ.__new__(RatQ)
-            r.num = self.num + other.num
-            r.den = _L_ONE
-            r._hash = None
-            return r
+            return _ratq(self.num + other.num, _L_ONE)
         fa, fb = _cyclo_exponents(self.den), _cyclo_exponents(other.den)
         if fa is not None and fb is not None:
-            return _cyclo_sum(self, fa, other, fb, False)
-        if self.den == other.den:
-            return RatQ(self.num + other.num, self.den)
+            return _cyclo_sum(self, fa, other, fb)
         return RatQ(self.num * other.den + other.num * self.den,
                     self.den * other.den)
 
     def __sub__(self, other: "RatQ") -> "RatQ":
-        if self.den.is_one() and other.den.is_one():
-            r = RatQ.__new__(RatQ)
-            r.num = self.num - other.num
-            r.den = _L_ONE
-            r._hash = None
-            return r
-        fa, fb = _cyclo_exponents(self.den), _cyclo_exponents(other.den)
-        if fa is not None and fb is not None:
-            return _cyclo_sum(self, fa, other, fb, True)
-        if self.den == other.den:
-            return RatQ(self.num - other.num, self.den)
-        return RatQ(self.num * other.den - other.num * self.den,
-                    self.den * other.den)
+        return self + -other
 
     def __neg__(self) -> "RatQ":
-        r = RatQ.__new__(RatQ)
-        r.num = -self.num
-        r.den = self.den
-        r._hash = None
-        return r
+        return _ratq(-self.num, self.den)
 
     def __mul__(self, other: "RatQ") -> "RatQ":
         if self.num.is_zero() or other.num.is_zero():
             return _R_ZERO
         if self.den.is_one() and other.den.is_one():
-            r = RatQ.__new__(RatQ)
-            r.num = self.num * other.num
-            r.den = _L_ONE
-            r._hash = None
-            return r
+            return _ratq(self.num * other.num, _L_ONE)
         fa, fb = _cyclo_exponents(self.den), _cyclo_exponents(other.den)
         if fa is not None and fb is not None:
             return _cyclo_mul(self, fa, other, fb)
@@ -820,19 +782,13 @@ class XPoly:
                     out[e] = w
             else:
                 out[e] = v
-        r = XPoly.__new__(XPoly)
-        r.c = out
-        r._hash = None
-        return r
+        return _xpoly(out)
 
     def __sub__(self, other: "XPoly") -> "XPoly":
         return self + (-other)
 
     def __neg__(self) -> "XPoly":
-        r = XPoly.__new__(XPoly)
-        r.c = {e: -v for e, v in self.c.items()}
-        r._hash = None
-        return r
+        return _xpoly({e: -v for e, v in self.c.items()})
 
     def __mul__(self, other: "XPoly") -> "XPoly":
         if not self.c or not other.c:
@@ -848,18 +804,12 @@ class XPoly:
                     out.pop(e, None)
                 else:
                     out[e] = w
-        r = XPoly.__new__(XPoly)
-        r.c = out
-        r._hash = None
-        return r
+        return _xpoly(out)
 
     def scale(self, r: RatQ) -> "XPoly":
         if r.is_zero():
             return _X_ZERO
-        out = XPoly.__new__(XPoly)
-        out.c = {e: v * r for e, v in self.c.items()}
-        out._hash = None
-        return out
+        return _xpoly({e: v * r for e, v in self.c.items()})
 
     def __pow__(self, n: int) -> "XPoly":
         if n < 0:
@@ -885,23 +835,14 @@ class XPoly:
 
     def q_bar(self) -> "XPoly":
         """Apply q -> -q^{-1} coefficient-wise (x fixed); an involution."""
-        r = XPoly.__new__(XPoly)
-        r.c = {e: v.q_bar() for e, v in self.c.items()}
-        r._hash = None
-        return r
+        return _xpoly({e: v.q_bar() for e, v in self.c.items()})
 
     def q_inv(self) -> "XPoly":
-        r = XPoly.__new__(XPoly)
-        r.c = {e: v.q_inv() for e, v in self.c.items()}
-        r._hash = None
-        return r
+        return _xpoly({e: v.q_inv() for e, v in self.c.items()})
 
     def x_inv(self) -> "XPoly":
         """Apply x -> x^{-1} (q fixed)."""
-        r = XPoly.__new__(XPoly)
-        r.c = {-e: v for e, v in self.c.items()}
-        r._hash = None
-        return r
+        return _xpoly({-e: v for e, v in self.c.items()})
 
     # -- comparison / hash / rendering
 
@@ -952,32 +893,38 @@ def is_integral_laurent(r: RatQ) -> tuple[bool, LaurentQ | None]:
     return False, None
 
 
-def xpoly_divexact(a: XPoly, b: XPoly) -> XPoly:
-    """Exact quotient in Q(q)[x^{±1}]; raises ValueError if not divisible."""
+def _xpoly_divmod(a: XPoly, b: XPoly) -> tuple[XPoly, XPoly]:
+    """Long division in x over the field Q(q): a = quot * b + rem with rem
+    spanning fewer x-exponents than b.  A nonzero multiple of b spans at
+    least as many, so b divides a exactly when rem is zero."""
     if b.is_zero():
         raise ZeroDivisionError("XPoly division by zero")
-    if a.is_zero():
-        return _X_ZERO
-    rem = dict(a.c)
     bm = b.max_exp
     blead = b.c[bm]
-    qmin = a.min_exp - b.min_exp
-    out: dict[int, RatQ] = {}
-    while rem:
+    span_b = bm - b.min_exp
+    rem = dict(a.c)
+    quot: dict[int, RatQ] = {}
+    while rem and max(rem) - min(rem) >= span_b:
         am = max(rem)
-        qexp = am - bm
-        if qexp < qmin:
-            raise ValueError("inexact XPoly division")
         qc = rem[am] / blead
-        out[qexp] = qc
+        shift = am - bm
+        quot[shift] = qc
         for e, v in b.c.items():
-            t = e + qexp
+            t = e + shift
             w = rem.get(t, _R_ZERO) - v * qc
             if w.is_zero():
                 rem.pop(t, None)
             else:
                 rem[t] = w
-    return XPoly(out)
+    return _xpoly(quot), _xpoly(rem)
+
+
+def xpoly_divexact(a: XPoly, b: XPoly) -> XPoly:
+    """Exact quotient in Q(q)[x^{±1}]; raises ValueError if not divisible."""
+    quot, rem = _xpoly_divmod(a, b)
+    if not rem.is_zero():
+        raise ValueError("inexact XPoly division")
+    return quot
 
 
 def xpoly_invert(p: XPoly) -> XPoly:
@@ -988,31 +935,11 @@ def xpoly_invert(p: XPoly) -> XPoly:
     return XPoly({-e: v.inverse()})
 
 
-def _xpoly_mod(a: XPoly, b: XPoly) -> XPoly:
-    # remainder of division in x over the field Q(q); b nonzero
-    bm = b.max_exp
-    blead = b.c[bm]
-    span_b = bm - b.min_exp
-    rem = dict(a.c)
-    while rem and max(rem) - min(rem) >= span_b:
-        am = max(rem)
-        qc = rem[am] / blead
-        shift = am - bm
-        for e, v in b.c.items():
-            t = e + shift
-            w = rem.get(t, _R_ZERO) - v * qc
-            if w.is_zero():
-                rem.pop(t, None)
-            else:
-                rem[t] = w
-    return XPoly(rem)
-
-
 def xpoly_gcd(a: XPoly, b: XPoly) -> XPoly:
     """A gcd in x over Q(q), normalized to lowest x-exponent 0 with monic
     leading coefficient 1; returns 1 for coprime inputs."""
     while not b.is_zero():
-        a, b = b, _xpoly_mod(a, b)
+        a, b = b, _xpoly_divmod(a, b)[1]
     if a.is_zero():
         return a
     lead = a.c[a.max_exp]

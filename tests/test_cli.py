@@ -138,6 +138,31 @@ def test_recur_verify_pass_and_fail(tmp_path, capsys):
     assert rc == 1 and "FAIL" in out
 
 
+def test_recur_verify_unreadable_operator_file(tmp_path, capsys):
+    for path in (tmp_path / "missing.txt", tmp_path):
+        rc, out, err = run(capsys, "recur", "verify", "--strands", "1",
+                           "--braid", "", "--m-range", "0:1",
+                           "--operator", str(path))
+        assert rc == 2 and out == ""
+        assert err.startswith(f"error: cannot read operator file {path}: ")
+
+
+def test_recur_guess_bounds_refused_before_computing(capsys, monkeypatch):
+    from homflypt import cli
+
+    def no_sequence(*args):
+        raise AssertionError("the sequence must not be built")
+    monkeypatch.setattr(cli, "_build_sequence", no_sequence)
+    base = ("recur", "guess", "--strands", "1", "--braid", "", "--family", "e",
+            "--m-range", "0:8")
+    for flags, msg in ((("--max-order", "0"), "--max-order must be at least 1"),
+                       (("--max-m-degree", "-1"),
+                        "--max-m-degree must be nonnegative")):
+        rc, out, err = run(capsys, *base, *flags)
+        assert rc == 2 and out == ""
+        assert err == f"error: {msg}\n"
+
+
 def test_recur_guess_unknot(capsys):
     rc, out, _ = run(capsys, "recur", "guess", "--strands", "1", "--braid", "",
                      "--family", "e", "--m-range", "0:8", "--max-order", "1",

@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from homflypt import (ColoredBraid, Partition, adjust_framing, framing_factor,
-                      homfly_columns, homfly_partition, homfly_rows,
-                      invariant, is_integral_laurent, parse_braid, qbinom,
-                      torus_reference, trefoil_reference, xbinom)
+from homflypt import (Braid, ColoredBraid, Evaluator, Partition,
+                      adjust_framing, closure_info, enumerate_terms,
+                      framing_factor, homfly_columns, homfly_partition,
+                      homfly_rows, invariant, is_integral_laurent, parse_braid,
+                      qbinom, torus_reference, trefoil_reference, xbinom)
 from homflypt.rings import LaurentQ, RatQ, XPoly
 
 TREFOIL = parse_braid("1 1 1", 2)
@@ -255,3 +257,110 @@ def test_mirror_duality_two_component_link():
         v = homfly_columns(ColoredBraid(hopf, colors))
         w = homfly_columns(ColoredBraid(hopf.mirror(), colors))
         assert w == v.q_inv().x_inv()
+
+
+# -- invariance properties on random colored braids: at most 3 strands, 4
+# crossings and color 2 in every braid evaluated
+
+def _generators(strands):
+    return st.sampled_from([g for i in range(1, strands) for g in (i, -i)])
+
+
+@st.composite
+def _colored_braids(draw, max_strands=3, max_crossings=4):
+    strands = draw(st.integers(1, max_strands))
+    word = ()
+    if strands > 1:
+        word = tuple(draw(st.lists(_generators(strands), max_size=max_crossings)))
+    braid = Braid(strands, word)
+    k = closure_info(braid).component_count
+    return ColoredBraid(braid, draw(st.lists(st.integers(0, 2), min_size=k,
+                                             max_size=k)))
+
+
+def _colored(braid, strand_color):
+    """The braid with the component through bottom position p colored
+    strand_color(p)."""
+    comp = closure_info(braid).component_of_strand
+    colors = [0] * (max(comp) + 1)
+    for p, c in enumerate(comp):
+        colors[c] = strand_color(p)
+    return ColoredBraid(braid, colors)
+
+
+@st.composite
+def _conjugations(draw):
+    """A colored braid beta, a rotation k and a braid gamma such that
+    gamma . rotate_k(beta) . gamma^-1 has at most 4 crossings; rotate_k is
+    conjugation by the first k letters of beta."""
+    cb = draw(_colored_braids())
+    strands, word = cb.braid.strands, cb.braid.word
+    k = draw(st.integers(0, len(word)))
+    room = (4 - len(word)) // 2 if strands > 1 else 0
+    gamma = ()
+    if room:
+        gamma = tuple(draw(st.lists(_generators(strands), min_size=1,
+                                    max_size=room)))
+    return cb, k, gamma
+
+
+_PROPERTY = settings(max_examples=50, deadline=None)
+
+
+@_PROPERTY
+@given(_conjugations())
+# a Hopf link and an unknot, moved between strands by the rotation, by
+# gamma, and by both (where the order of the two relabelings matters)
+@example((ColoredBraid(parse_braid("2 1 1 -2", 3), (1, 0, 2)), 1, ()))
+@example((ColoredBraid(parse_braid("1 1", 3), (1, 2, 0)), 1, (2,)))
+def test_conjugation_invariance(case):
+    cb, k, gamma = case
+    strands, word = cb.braid.strands, cb.braid.word
+    conj = Braid(strands, gamma + word[k:] + word[:k]
+                 + tuple(-g for g in reversed(gamma)))
+    # bottom position p of conj is position via_gamma[p] at the bottom of the
+    # rotated word, which is that position between word[:k] and word[k:]
+    via_gamma = Braid(strands, gamma).permutation()
+    prefix = Braid(strands, word[:k]).permutation()
+    to_bottom = {top: p for p, top in enumerate(prefix)}
+    sc = cb.strand_colors
+    other = _colored(conj, lambda p: sc[to_bottom[via_gamma[p]]])
+    assert homfly_columns(other) == homfly_columns(cb)
+
+
+@_PROPERTY
+@given(_colored_braids(max_strands=2, max_crossings=3), st.sampled_from((1, -1)))
+def test_markov_stabilization_up_to_framing(cb, sign):
+    # beta sigma_s^(+-1) on s + 1 strands: the new strand joins the
+    # component of strand s, whose framing changes by +-1
+    s = cb.braid.strands
+    sc = cb.strand_colors
+    stab = _colored(Braid(s + 1, cb.braid.word + (sign * s,)),
+                    lambda p: sc[min(p, s - 1)])
+    assert homfly_columns(stab) == adjust_framing(homfly_columns(cb),
+                                                  sc[s - 1], sign)
+
+
+@_PROPERTY
+@given(_colored_braids())
+def test_mirror_is_q_and_x_inverted(cb):
+    mirror = ColoredBraid(cb.braid.mirror(), cb.colors)
+    assert homfly_columns(mirror) == homfly_columns(cb).q_inv().x_inv()
+
+
+@_PROPERTY
+@given(_colored_braids())
+def test_integral_at_x_equals_q_power(cb):
+    value = homfly_columns(cb)
+    for n in (1, 2, 3):
+        assert is_integral_laurent(value.subst_x_eq_qn(n))[0]
+
+
+@_PROPERTY
+@given(_colored_braids())
+def test_generic_agrees_with_specialized(cb):
+    ev = Evaluator(2 * cb.braid.strands)
+    for t in enumerate_terms(cb):
+        generic = ev.ev(t)
+        for n in (2, 3):
+            assert generic.subst_x_eq_qn(n) == ev.ev_specialized(t, n)

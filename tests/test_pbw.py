@@ -29,9 +29,37 @@ def test_unknot_word_is_xbinom():
     assert got == qint(3)
 
 
+def _insert(rng, letters, power):
+    at = rng.randint(0, len(letters))
+    return letters[:at] + (Letter(rng.choice("EF"), rng.randint(1, 3), power),) \
+        + letters[at:]
+
+
 def test_negative_power_is_zero():
     assert ev(word(4, ("E", 1, -1))).is_zero()
     assert ev(word(4, ("F", 2, 1), ("E", 2, -2))).is_zero()
+    # anywhere in a word, without rewriting anything
+    rng = random.Random(16)
+    for _ in range(30):
+        letters = _insert(rng, rand_word(rng).letters, -rng.randint(1, 2))
+        e = Evaluator(4)
+        assert e.ev(letters).is_zero()
+        assert e.ev_specialized(letters, 3).is_zero()
+        assert not e._memo and not e._memo_spec
+
+
+def test_zero_powers_are_dropped():
+    rng = random.Random(17)
+    for _ in range(40):
+        w = word(4, *[(rng.choice("EF"), rng.randint(1, 3), rng.randint(1, 2))
+                      for _ in range(rng.randint(0, 6))])
+        padded = w.letters
+        for _ in range(rng.randint(1, 3)):
+            padded = _insert(rng, padded, 0)
+        padded = LadderWord(4, padded, XPoly.one())
+        assert ev(padded) == ev(w)
+        for n in (2, 3):
+            assert ev_specialized(padded, n) == ev_specialized(w, n)
 
 
 def test_annihilation_at_right_end():

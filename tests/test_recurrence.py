@@ -122,6 +122,13 @@ def test_guess_window_too_small():
         guess(f, 2, 3)
 
 
+def test_guess_rejects_empty_bounds():
+    f = {m: XPoly.one() for m in range(8)}
+    for max_order, max_m_degree in ((0, 2), (2, -1)):
+        with pytest.raises(OperatorError, match="max_order >= 1"):
+            guess(f, max_order, max_m_degree)
+
+
 def test_guess_none_when_no_recurrence_fits():
     rng = random.Random(22)
     f = {m: XPoly.from_ratq(RatQ(LaurentQ({m: 1, -m - 1: rng.randint(2, 9)})))

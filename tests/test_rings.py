@@ -139,6 +139,20 @@ def test_divexact_roundtrip():
     with pytest.raises(ValueError):
         xpoly_divexact(ONE + XPoly.x_power(1),
                        XPoly.x_power(1) - XPoly.x_power(-1))
+    # a multiple of a non-monomial plus a nonzero remainder of smaller span
+    x = XPoly.x_power(1)
+    for _ in range(10):
+        a = rand_xpoly(rng, span=2)
+        b = ZERO
+        while len(b.c) < 2:
+            b = rand_xpoly(rng, span=2)
+        r = XPoly.mono(rand_ratq(rng), rng.randint(-3, 3))
+        if r.is_zero():
+            r = x
+        with pytest.raises(ValueError, match="inexact XPoly division"):
+            xpoly_divexact(a * b + r, b)
+    with pytest.raises(ValueError, match="inexact XPoly division"):
+        xpoly_divexact(x * x + ONE, x + ONE)
 
 
 def test_xpoly_gcd():
