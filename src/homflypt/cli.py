@@ -16,7 +16,7 @@ from .braid import BraidError, ColoredBraid, closure_info, parse_braid
 from .invariants import (Partition, homfly_partition, invariant,
                          torus_reference, trefoil_reference)
 from .pbw import Evaluator
-from .recurrence import OperatorError, guess, parse_operator
+from .recurrence import OperatorError, guess, parse_operator, require_window
 from .rings import XPoly, is_integral_laurent
 
 
@@ -144,9 +144,9 @@ def _cmd_recur(args) -> int:
             try:
                 with open(args.operator_file, "r", encoding="utf-8") as fh:
                     text = fh.read()
-            except OSError as e:
+            except (OSError, UnicodeDecodeError) as e:
                 raise UsageError(f"cannot read operator file {args.operator_file}: "
-                                 f"{e.strerror}") from None
+                                 f"{getattr(e, 'strerror', e)}") from None
         elif args.operator_text:
             text = args.operator_text
         else:
@@ -163,6 +163,8 @@ def _cmd_recur(args) -> int:
         raise UsageError("--max-order must be at least 1")
     if args.max_m_degree < 0:
         raise UsageError("--max-m-degree must be nonnegative")
+    # order 1 comes first and has hi - lo usable start indices
+    require_window(hi - lo, 1, args.max_m_degree)
     f = _build_sequence(args, lo, hi)
     op = guess(f, args.max_order, args.max_m_degree)
     if op is None:

@@ -4,7 +4,8 @@ The engine computes the two-variable invariant of a blackboard-framed braid
 closure with column colors natively (``homfly_columns``).  ``invariant`` is
 the one place that turns that value into the invariant of a color family and
 a framing: row colors go through the transpose symmetry q -> -q^{-1}, and
-zero framing removes each component's blackboard self-framing.  General
+zero framing removes each component's blackboard self-framing, a monomial
+q^(a - a^2) x^a per unit for the color e_a (``adjust_framing``).  General
 bounded-row partitions go through the Jacobi-Trudi determinant realized by
 cabling (``homfly_partition``).
 
@@ -17,14 +18,13 @@ sum for the trefoil in column colors, and a one-dimensional sum for the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import permutations
 
-from .braid import Braid, ColoredBraid, cable_first_component
+from .braid import ColoredBraid, cable_first_component
 from .ladder import enumerate_terms
 from .pbw import Evaluator
 from .qcomb import qbinom, qint, xbinom
-from .rings import LaurentQ, RatQ, XPoly, xpoly_divexact
+from .rings import LaurentQ, RatQ, XPoly
 
 
 @dataclass(frozen=True)
@@ -111,31 +111,23 @@ def homfly_rows(cb: ColoredBraid) -> XPoly:
     return invariant(cb, "h")
 
 
-@lru_cache(maxsize=None)
 def framing_factor(a: int) -> XPoly:
-    """Per-unit framing-change factor for a column color e_a, derived from
-    the engine itself: the closure of sigma_1 is the +1-framed unknot, so
-    the factor is its invariant divided by the 0-writhe unknot value.
-    Comes out to the monomial q^(a - a^2) * x^a."""
-    if a < 0:
-        raise ValueError("framing factor needs a nonnegative color")
-    kink = homfly_columns(ColoredBraid(Braid(2, (1,)), (a,)))
-    flat = homfly_columns(ColoredBraid(Braid(1, ()), (a,)))
-    return xpoly_divexact(kink, flat)
+    """Per-unit framing-change factor for a column color e_a, the monomial
+    q^(a - a^2) x^a: the invariant of the closure of sigma_1 (the +1-framed
+    unknot) over that of the 0-framed unknot."""
+    return adjust_framing(XPoly.one(), a, 1)
 
 
 def adjust_framing(value: XPoly, color: int, delta_framing: int, *,
                    row: bool = False) -> XPoly:
-    """Multiply by the framing factor of a single component, delta_framing
-    times; ``row=True`` uses the row-color factor (the column factor under
-    q -> -q^{-1})."""
-    phi = framing_factor(color)
-    if row:
-        phi = phi.q_bar()
-    out = value
-    for _ in range(abs(delta_framing)):
-        out = out * phi if delta_framing > 0 else xpoly_divexact(out, phi)
-    return out
+    """Change the framing of one component of color a by delta_framing
+    units: multiply by q^(+-delta (a - a^2)) x^(delta a), with the minus sign
+    for the row color h_a (``row=True``; q -> -q^{-1}, as a - a^2 is even)."""
+    if color < 0:
+        raise ValueError("framing factor needs a nonnegative color")
+    e = delta_framing * (color - color * color)
+    return value * XPoly.mono(RatQ.q_power(-e if row else e),
+                              delta_framing * color)
 
 
 def _perm_sign(perm: tuple[int, ...]) -> int:
@@ -147,13 +139,13 @@ def _perm_sign(perm: tuple[int, ...]) -> int:
 def homfly_partition(cb: ColoredBraid, lam: Partition, ell: int) -> XPoly:
     """First component colored by the partition ``lam`` (at most ``ell``
     rows), via the dual Jacobi-Trudi pipeline: replace the first component
-    by ``ell`` blackboard parallels, sum signed column-colored invariants
-    with colors lam_i + sigma(i) - i over sigma in Sym_ell, then apply
-    q -> -q^{-1}.
+    by ``ell`` blackboard parallels and sum the signed row invariants
+    ``invariant(cab, "h")`` with colors lam_i + sigma(i) - i over sigma in
+    Sym_ell (q -> -q^{-1} of the signed column sum, a ring automorphism).
 
     The remaining components keep their integer colors inside the signed
-    sum; the final involution therefore reports them as row colors h_a.
-    Column colors with negative subscript contribute nothing.
+    sum, so they are reported as row colors h_a.  Column colors with
+    negative subscript contribute nothing.
     """
     if ell < 1 or ell < len(lam):
         raise ValueError(f"need ell >= max(1, {len(lam)}) rows for this partition")
@@ -167,9 +159,9 @@ def homfly_partition(cb: ColoredBraid, lam: Partition, ell: int) -> XPoly:
         cab = cable_first_component(cb, ell, colors)
         if ev is None:
             ev = Evaluator(2 * cab.braid.strands)
-        term = homfly_columns(cab, evaluator=ev)
+        term = invariant(cab, "h", evaluator=ev)
         total = total + (term if _perm_sign(sigma) > 0 else -term)
-    return total.q_bar()
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -115,29 +115,26 @@ def enumerate_terms(cb: ColoredBraid) -> Iterator[LadderWord]:
     (top to bottom) E^{(s_j + a_{i+1} - a_i)} F^{(s_j)} at the crossing's
     ladder index, then the cup.  The scalar carries
     (-1)^{a_i + a_i a_{i+1}} q^{eps_j a_i} (-q)^{-eps_j s_j} per crossing.
+    Each crossing's factor (letters without zero powers, sign parity and
+    q-exponent per s_j) is built once; a term joins one pick per crossing.
     Terms are yielded in lexicographic s order; summing scalar * ev over all
     of them gives the invariant of the blackboard-framed closure.
     """
     m = cb.braid.strands
-    cap = build_cap(cb.strand_colors, m).letters
-    cup = build_cup(cb.strand_colors, m).letters
-    crossings = crossing_weights(cb)
+    cap = tuple(l for l in build_cap(cb.strand_colors, m).letters if l.power)
+    cup = tuple(l for l in build_cup(cb.strand_colors, m).letters if l.power)
     bound = max(cb.colors, default=0)
-    ranges = [range(max(0, c.color_left - c.color_right), bound + 1)
-              for c in crossings]
-    for s in product(*ranges):
-        mid: list[Letter] = []
-        sign = 1
-        qexp = 0
-        for c in reversed(crossings):
-            sj = s[c.position]
-            mid.append(Letter("E", c.ladder_index,
-                              sj + c.color_right - c.color_left))
-            mid.append(Letter("F", c.ladder_index, sj))
-        for c, sj in zip(crossings, s):
-            if (c.color_left + c.color_left * c.color_right + sj) % 2:
-                sign = -sign
-            qexp += c.eps * (c.color_left - sj)
+    factors = []
+    for c in crossing_weights(cb):
+        al, ar, i = c.color_left, c.color_right, c.ladder_index
+        factors.append([
+            (tuple(l for l in (Letter("E", i, s + ar - al), Letter("F", i, s))
+                   if l.power),
+             al + al * ar + s, c.eps * (al - s))
+            for s in range(max(0, al - ar), bound + 1)])
+    for pick in product(*factors):
+        mid = tuple(l for letters, _, _ in reversed(pick) for l in letters)
+        sign = -1 if sum(f[1] for f in pick) % 2 else 1
+        qexp = sum(f[2] for f in pick)
         scalar = XPoly.from_ratq(RatQ(LaurentQ.mono(sign, qexp)))
-        letters = tuple(l for l in cap + tuple(mid) + cup if l.power != 0)
-        yield LadderWord(2 * m, letters, scalar)
+        yield LadderWord(2 * m, cap + mid + cup, scalar)

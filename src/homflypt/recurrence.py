@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .rings import (LaurentQ, RatQ, XPoly, laurent_divexact, laurent_gcd,
-                    xpoly_divexact, xpoly_gcd, xpoly_invert)
+                    xpoly_divexact, xpoly_gcd)
 
 
 class OperatorError(ValueError):
@@ -212,41 +212,31 @@ def parse_xpoly(text: str) -> XPoly:
 
 @dataclass(frozen=True)
 class RecurrenceOperator:
-    """sum_j c_j(q,x,M) L^j with c_j polynomials in M over Q(q)[x^±1]."""
+    """sum_{j,k} c_{j,k}(q,x) M^k L^j with c_{j,k} in Q(q)[x^±1], built from
+    the parser's dict {(j, k): c_{j,k}} and kept as its nonzero entries in
+    descending (j, k) order; the first entry's j is the order."""
 
-    coeffs: tuple[tuple[tuple[int, XPoly], ...], ...]  # per j: ((k, coeff), ...)
+    terms: tuple[tuple[tuple[int, int], XPoly], ...]  # ((j, k), c), descending
 
-    def __init__(self, table: Mapping[int, Mapping[int, XPoly]]):
-        if not table:
+    def __init__(self, terms: Mapping[tuple[int, int], XPoly]):
+        kept = sorted(((jk, c) for jk, c in terms.items() if not c.is_zero()),
+                      key=lambda t: t[0], reverse=True)
+        if not kept:
             raise OperatorError("empty operator")
-        if min(table) < 0:
+        if kept[-1][0][0] < 0:
             raise OperatorError("negative L powers are not recurrence operators")
-        d = max(table)
-        rows = []
-        for j in range(d + 1):
-            row = tuple(sorted((k, v) for k, v in table.get(j, {}).items()
-                               if not v.is_zero()))
-            rows.append(row)
-        if not rows[-1]:
-            raise OperatorError("leading coefficient c_d is zero")
-        object.__setattr__(self, "coeffs", tuple(rows))
-
-    @staticmethod
-    def from_element(elem: dict[tuple[int, int], XPoly]) -> "RecurrenceOperator":
-        table: dict[int, dict[int, XPoly]] = {}
-        for (j, k), c in elem.items():
-            table.setdefault(j, {})[k] = c
-        return RecurrenceOperator(table)
+        object.__setattr__(self, "terms", tuple(kept))
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return self.terms[0][0][0]
 
     def coefficient(self, j: int, m: int) -> XPoly:
         """c_j with M evaluated at q^m."""
         out = XPoly.zero()
-        for k, c in self.coeffs[j]:
-            out = out + c.scale(RatQ.q_power(m * k))
+        for (i, k), c in self.terms:
+            if i == j:
+                out = out + c.scale(RatQ.q_power(m * k))
         return out
 
     def apply(self, f: Mapping[int, XPoly], m: int) -> XPoly:
@@ -264,19 +254,18 @@ class RecurrenceOperator:
 
     def text(self) -> str:
         parts = []
-        for j in range(self.order, -1, -1):
-            for k, c in sorted(self.coeffs[j], reverse=True):
-                term = f"({c.text()})"
-                if k:
-                    term += f"*M^{k}"
-                if j:
-                    term += f"*L^{j}"
-                parts.append(term)
+        for (j, k), c in self.terms:
+            term = f"({c.text()})"
+            if k:
+                term += f"*M^{k}"
+            if j:
+                term += f"*L^{j}"
+            parts.append(term)
         return " + ".join(parts)
 
 
 def parse_operator(text: str) -> RecurrenceOperator:
-    return RecurrenceOperator.from_element(_Parser(text).parse())
+    return RecurrenceOperator(_Parser(text).parse())
 
 
 def trefoil_recurrence() -> RecurrenceOperator:
@@ -354,6 +343,17 @@ def _nullspace_columns(rows: list[list[XPoly]], ncols: int) -> list[list[XPoly]]
     return kernels
 
 
+def require_window(usable: int, order: int, g: int) -> int:
+    """The number of unknowns c_{j,k} for this order and M-degree g; raises
+    OperatorError when fewer start indices are usable."""
+    ncols = (order + 1) * (g + 1)
+    if usable < ncols:
+        raise OperatorError(
+            f"need at least {ncols} sequence values for order {order}, "
+            f"M-degree {g}; have {usable} usable start indices")
+    return ncols
+
+
 def guess(f: Mapping[int, XPoly], max_order: int, max_m_degree: int
           ) -> RecurrenceOperator | None:
     """Search for a recurrence annihilating f, smallest order first.
@@ -373,11 +373,7 @@ def guess(f: Mapping[int, XPoly], max_order: int, max_m_degree: int
     indices = sorted(f)
     for order in range(1, max_order + 1):
         usable = [m for m in indices if all(m + j in f for j in range(order + 1))]
-        ncols = (order + 1) * (g + 1)
-        if len(usable) < ncols:
-            raise OperatorError(
-                f"need at least {ncols} sequence values for order {order}, "
-                f"M-degree {g}; have {len(usable)} usable start indices")
+        ncols = require_window(len(usable), order, g)
         rows = []
         for m in usable:
             row = []
@@ -390,13 +386,8 @@ def guess(f: Mapping[int, XPoly], max_order: int, max_m_degree: int
             if all(c.is_zero() for c in top):
                 continue
             kernel = _kernel_reduce(kernel)
-            table: dict[int, dict[int, XPoly]] = {}
-            for j in range(order + 1):
-                for k in range(g + 1):
-                    c = kernel[j * (g + 1) + k]
-                    if not c.is_zero():
-                        table.setdefault(j, {})[k] = c
-            op = RecurrenceOperator(table)
+            op = RecurrenceOperator({divmod(i, g + 1): c
+                                     for i, c in enumerate(kernel)})
             if op.verify(f, usable):
                 return op
     return None
@@ -411,14 +402,8 @@ def _kernel_reduce(vec: list[XPoly]) -> list[XPoly]:
         g = p if g.is_zero() else xpoly_gcd(g, p)
         if len(g.c) == 1:
             break
-    if not g.is_zero():
-        if len(g.c) == 1:
-            ((e, v),) = g.c.items()
-            if e or not v.is_one():
-                inv = xpoly_invert(g)
-                vec = [p * inv for p in vec]
-        else:
-            vec = [xpoly_divexact(p, g) if not p.is_zero() else p for p in vec]
+    if not (g.is_zero() or g.is_one()):
+        vec = [xpoly_divexact(p, g) for p in vec]
     vec = _vector_normalize(vec)
     # strip common monomial units q^a x^b
     xs = [p.min_exp for p in vec if not p.is_zero()]

@@ -665,18 +665,6 @@ class RatQ:
     def inverse(self) -> "RatQ":
         return _R_ONE / self
 
-    def __pow__(self, n: int) -> "RatQ":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = _R_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # -- substitutions
 
     def q_bar(self) -> "RatQ":
@@ -811,19 +799,6 @@ class XPoly:
             return _X_ZERO
         return _xpoly({e: v * r for e, v in self.c.items()})
 
-    def __pow__(self, n: int) -> "XPoly":
-        if n < 0:
-            inv = xpoly_invert(self)
-            return inv ** (-n)
-        out = _X_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # -- substitutions
 
     def subst_x_eq_qn(self, n: int) -> RatQ:
@@ -925,14 +900,6 @@ def xpoly_divexact(a: XPoly, b: XPoly) -> XPoly:
     if not rem.is_zero():
         raise ValueError("inexact XPoly division")
     return quot
-
-
-def xpoly_invert(p: XPoly) -> XPoly:
-    """Inverse of a unit (single-term) XPoly."""
-    if len(p.c) != 1:
-        raise ValueError("only monomials are invertible in Q(q)[x^(+/-1)]")
-    ((e, v),) = p.c.items()
-    return XPoly({-e: v.inverse()})
 
 
 def xpoly_gcd(a: XPoly, b: XPoly) -> XPoly:

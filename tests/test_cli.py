@@ -139,12 +139,28 @@ def test_recur_verify_pass_and_fail(tmp_path, capsys):
 
 
 def test_recur_verify_unreadable_operator_file(tmp_path, capsys):
-    for path in (tmp_path / "missing.txt", tmp_path):
+    not_utf8 = tmp_path / "utf16.txt"
+    not_utf8.write_bytes(b"\xff\xfeL\x00")
+    for path in (tmp_path / "missing.txt", tmp_path, not_utf8):
         rc, out, err = run(capsys, "recur", "verify", "--strands", "1",
                            "--braid", "", "--m-range", "0:1",
                            "--operator", str(path))
         assert rc == 2 and out == ""
         assert err.startswith(f"error: cannot read operator file {path}: ")
+    assert "can't decode byte 0xff" in err
+
+
+def test_recur_guess_window_refused_before_computing(capsys, monkeypatch):
+    from homflypt import cli
+
+    def no_invariant(*args, **kwargs):
+        raise AssertionError("no invariant may be computed")
+    monkeypatch.setattr(cli, "invariant", no_invariant)
+    rc, out, err = run(capsys, "recur", "guess", "--strands", "2",
+                       "--braid", "1 1 1", "--m-range", "0:3")
+    assert rc == 2 and out == ""
+    assert err == ("error: need at least 6 sequence values for order 1, "
+                   "M-degree 2; have 3 usable start indices\n")
 
 
 def test_recur_guess_bounds_refused_before_computing(capsys, monkeypatch):

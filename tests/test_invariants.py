@@ -6,7 +6,7 @@ from homflypt import (Braid, ColoredBraid, Evaluator, Partition,
                       framing_factor, homfly_columns, homfly_partition,
                       homfly_rows, invariant, is_integral_laurent, parse_braid,
                       qbinom, torus_reference, trefoil_reference, xbinom)
-from homflypt.rings import LaurentQ, RatQ, XPoly
+from homflypt.rings import LaurentQ, RatQ, XPoly, xpoly_divexact
 
 TREFOIL = parse_braid("1 1 1", 2)
 UNKNOT = parse_braid("", 1)
@@ -93,10 +93,30 @@ def test_framing_factor_closed_form():
         assert framing_factor(a) == XPoly.mono(RatQ.q_power(a - a * a), a)
 
 
+def test_framing_factor_matches_engine():
+    # the closure of sigma_1 is the +1-framed unknot
+    kink_braid = parse_braid("1", 2)
+    for a in range(0, 4):
+        kink = ColoredBraid(kink_braid, (a,))
+        flat = ColoredBraid(UNKNOT, (a,))
+        assert xpoly_divexact(homfly_columns(kink), homfly_columns(flat)) \
+            == framing_factor(a)
+        assert invariant(kink, "h") == adjust_framing(invariant(flat, "h"), a,
+                                                      1, row=True)
+
+
 def test_adjust_framing_group_law():
     v = homfly_columns(ColoredBraid(UNKNOT, (2,)))
     assert adjust_framing(v, 2, 0) == v
-    assert adjust_framing(adjust_framing(v, 2, 1), 2, -1) == v
+    for row in (False, True):
+        for delta in range(-3, 4):
+            there = adjust_framing(v, 2, delta, row=row)
+            assert adjust_framing(there, 2, -delta, row=row) == v
+    for row in (False, True):
+        with pytest.raises(ValueError):
+            adjust_framing(v, -1, 1, row=row)
+    with pytest.raises(ValueError):
+        framing_factor(-1)
 
 
 def test_torus_reference_m0():
@@ -184,7 +204,7 @@ def test_writhe_two_unknot_on_three_strands():
     for a in (1, 2):
         v = homfly_columns(ColoredBraid(parse_braid("1 2", 3), (a,)))
         unknot = homfly_columns(ColoredBraid(UNKNOT, (a,)))
-        assert v == unknot * framing_factor(a) ** 2
+        assert v == unknot * framing_factor(a) * framing_factor(a)
 
 
 def test_figure_eight_jones_value():

@@ -1,9 +1,9 @@
 from itertools import product
 
-from homflypt import (ColoredBraid, Evaluator, Letter, build_cap, build_cup,
-                      crossing_weights, enumerate_terms, parse_braid,
-                      weight_offsets)
-from homflypt.rings import XPoly
+from homflypt import (ColoredBraid, Evaluator, LadderWord, Letter, build_cap,
+                      build_cup, crossing_weights, enumerate_terms,
+                      parse_braid, weight_offsets)
+from homflypt.rings import LaurentQ, RatQ, XPoly
 
 
 def letters(word):
@@ -91,17 +91,44 @@ def test_enumerated_words_close_up():
         assert weight_offsets(term.letters, 4) == [0, 0, 0, 0]
 
 
+def _parity_sign(k):
+    return -1 if k % 2 else 1
+
+
 def _crossing_word(cb, s):
-    """The ladder word of enumerate_terms for the tuple s, built by hand."""
+    """The ladder word of enumerate_terms for the tuple s, built by hand from
+    its docstring: the cap, E^{(s_j + a_r - a_l)} F^{(s_j)} per crossing from
+    top to bottom, the cup, and the scalar
+    prod_j (-1)^{a_l + a_l a_r} q^{eps_j a_l} (-q)^{-eps_j s_j}."""
     m = cb.braid.strands
     mid = []
     for c in reversed(crossing_weights(cb)):
         sj = s[c.position]
         mid += [Letter("E", c.ladder_index, sj + c.color_right - c.color_left),
                 Letter("F", c.ladder_index, sj)]
+    scalar = LaurentQ.one()
+    for c in crossing_weights(cb):
+        al, ar, sj = c.color_left, c.color_right, s[c.position]
+        scalar = (scalar * LaurentQ.mono(_parity_sign(al + al * ar), c.eps * al)
+                  * LaurentQ.mono(_parity_sign(c.eps * sj), -c.eps * sj))
     letters = (build_cap(cb.strand_colors, m).letters + tuple(mid)
                + build_cup(cb.strand_colors, m).letters)
-    return tuple(l for l in letters if l.power != 0)
+    return LadderWord(2 * m, tuple(l for l in letters if l.power != 0),
+                      XPoly.from_ratq(RatQ(scalar)))
+
+
+def test_terms_match_hand_built_words():
+    # unequal colors (Hopf, colors 1 and 3) and both crossing signs
+    # (figure-eight): every term of the box, in lexicographic s order
+    for word, strands, colors in (("1 1", 2, (1, 3)), ("1 -2 1 -2", 3, (2,))):
+        cb = ColoredBraid(parse_braid(word, strands), colors)
+        box = list(product(*(range(max(0, c.color_left - c.color_right),
+                                   max(colors) + 1)
+                             for c in crossing_weights(cb))))
+        terms = list(enumerate_terms(cb))
+        assert len(terms) == len(box)
+        for s, term in zip(box, terms):
+            assert term == _crossing_word(cb, s), s
 
 
 def test_box_bound_is_sound():

@@ -25,9 +25,11 @@ def test_operator_normalization():
     assert parse_operator("L^2*M^3") == parse_operator("q^6*M^3*L^2")
 
 
-def test_operator_text_roundtrip():
+def test_operator_text_roundtrip(unknot_guess):
     op = parse_operator("(q^2*x)*M^2*L^1 + (-x)*L^1 + (q)*M^2 + (-q*x^2)")
     assert parse_operator(op.text()) == op
+    for P in (trefoil_recurrence(), unknot_guess[0]):
+        assert parse_operator(P.text()) == P
 
 
 def test_apply_shift_only():
@@ -61,9 +63,19 @@ def test_apply_out_of_range():
         P.apply({0: XPoly.one()}, 0)
 
 
-def test_leading_coefficient_required():
-    with pytest.raises(OperatorError):
-        RecurrenceOperator({0: {0: XPoly.one()}, 1: {}})
+def test_apply_checks_every_index():
+    # f(1) is missing although L^1 has a zero coefficient
+    with pytest.raises(OperatorError, match="index 1"):
+        parse_operator("L^2 - 1").apply({0: XPoly.one(), 2: XPoly.one()}, 0)
+
+
+def test_zero_operator_refused():
+    with pytest.raises(OperatorError, match="empty operator"):
+        RecurrenceOperator({(1, 0): XPoly.zero(), (0, 0): XPoly.zero()})
+    with pytest.raises(OperatorError, match="empty operator"):
+        parse_operator("L*M - q*M*L")
+    with pytest.raises(OperatorError, match="negative L powers"):
+        parse_operator("L^-1 + 1")
 
 
 def test_trefoil_recurrence_annihilates_engine_sequence(trefoil_rows_zero):
