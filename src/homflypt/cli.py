@@ -31,9 +31,12 @@ def _parse_colors(text: str) -> list[tuple[str, object]]:
         kind = tok[0]
         if kind == "e" or kind == "h":
             try:
-                out.append((kind, int(tok[1:])))
+                k = int(tok[1:])
             except ValueError:
                 raise UsageError(f"bad color token {tok!r}") from None
+            if k < 0:
+                raise UsageError(f"bad color token {tok!r}: colors must be nonnegative")
+            out.append((kind, k))
         elif kind == "p":
             try:
                 parts = tuple(int(s) for s in tok[1:].split(","))

@@ -1,10 +1,13 @@
 """The core evaluator: sorting a ladder word into PBW order.
 
-``Evaluator.ev`` computes the unique element of Q(q)[x^{±1}] whose value at
-x = q^n equals the evaluation of the word on the highest-weight idempotent
-of the 2m-sided ladder, for every n.
+``Evaluator(sides).ev`` computes the unique element of Q(q)[x^{±1}] whose
+value at x = q^n equals the evaluation of the word on the highest-weight
+idempotent of the 2m-sided ladder, for every n.  ``Evaluator(sides, n)``, the
+engine's internal consistency oracle, fixes x = q^n per evaluator, and with
+it the ring of values (``RatQ`` instead of ``XPoly``) and the swap
+coefficient (``_coeff``: the x-shifted binomial becomes qbinom(n + lin, t)).
 
-The entry points check the word once: X^(0) letters are the identity and
+The entry point checks the word once: X^(0) letters are the identity and
 are dropped, and a negative divided power is the zero element, so such a
 word evaluates to zero without rewriting.  The recursion then sees positive
 powers only, and it creates no others.  It moves the rightmost E letter
@@ -21,55 +24,53 @@ rightward:
    with coefficient the x-shifted binomial exactly when r = m (the slot
    where the symbolic n sits) and a plain quantum binomial otherwise.
 
-``ev_specialized`` runs the same recursion with n substituted, which is the
-engine's internal consistency oracle.  The specialization changes three
-things, each decided in one place: the ring of values (``XPoly`` or
-``RatQ``), the memo table, and the swap coefficient (``_coeff``, where the
-x-shifted binomial becomes qbinom(n + lin, t)).
-
-Memoization is keyed on the letter tuple alone (with n prepended when
-specialized); the cache is a pure accelerator and never changes results.
+Each swap moves one E letter right of one F letter with the same index and
+creates no new such pair, so the recursion depth is at most I(w) + 1, where
+I(w) counts the pairs (E_i, F_i) with the E left of the F.  The recursion
+limit of the interpreter is left alone; a word too deep for it is refused
+with ``ValueError``.  The memo is keyed on the letter tuple alone; it is a
+pure accelerator and never changes results.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Callable
 
 from .ladder import LadderWord, Letter, Word
 from .qcomb import qbinom, xbinom
 from .rings import RatQ, XPoly
 
-_MIN_RECURSION = 20000
-
 
 class Evaluator:
-    """Evaluation session for one ladder size; owns the memo tables."""
+    """Evaluation session for one ladder size and specialization; owns the memo."""
 
-    def __init__(self, sides: int, memoize: bool = True,
+    def __init__(self, sides: int, n: int | None = None, *,
+                 memoize: bool = True,
                  trace: Callable[[str], None] | None = None):
         if sides < 2 or sides % 2:
             raise ValueError("sides must be an even integer >= 2")
         self.sides = sides
         self.m = sides // 2
+        self.n = n
+        self.ring = XPoly if n is None else RatQ
         self.memoize = memoize
         self.trace = trace
-        self._memo: dict[Word, XPoly] = {}
-        self._memo_spec: dict[tuple[int, Word], RatQ] = {}
+        self._memo: dict[Word, XPoly | RatQ] = {}
         self.max_depth = 0
         self._depth = 0
-        if sys.getrecursionlimit() < _MIN_RECURSION:
-            sys.setrecursionlimit(_MIN_RECURSION)
 
-    # -- public entry points
+    # -- public entry point
 
-    def ev(self, word: LadderWord | Word) -> XPoly:
+    def ev(self, word: LadderWord | Word) -> XPoly | RatQ:
+        """The value of a word: in Q(q)[x^{±1}], or in Q(q) at x = q^n."""
         letters = self._letters(word)
-        return XPoly.zero() if letters is None else self._ev(letters, None)
-
-    def ev_specialized(self, word: LadderWord | Word, n: int) -> RatQ:
-        letters = self._letters(word)
-        return RatQ.zero() if letters is None else self._ev(letters, n)
+        if letters is None:
+            return self.ring.zero()
+        try:
+            return self._ev(letters)
+        except RecursionError:
+            raise ValueError(f"a word of {len(letters)} letters rewrites too "
+                             "deep for the interpreter's recursion limit") from None
 
     # -- helpers
 
@@ -134,17 +135,15 @@ class Evaluator:
 
     # -- the recursion
 
-    def _ev(self, w: Word, n: int | None):
-        ring, memo, key = ((XPoly, self._memo, w) if n is None
-                           else (RatQ, self._memo_spec, (n, w)))
+    def _ev(self, w: Word):
         if not w:
-            return ring.one()
+            return self.ring.one()
         if self._tail_negative(w):
             if self.trace:
                 self.trace(f"tail-negative: {_dump(w)}")
-            return ring.zero()
+            return self.ring.zero()
         if self.memoize:
-            hit = memo.get(key)
+            hit = self._memo.get(w)
             if hit is not None:
                 return hit
 
@@ -152,23 +151,23 @@ class Evaluator:
         if self._depth > self.max_depth:
             self.max_depth = self._depth
         try:
-            res = self._step(w, n, ring)
+            res = self._step(w)
         finally:
             self._depth -= 1
 
         if self.memoize:
-            memo[key] = res
+            self._memo[w] = res
         return res
 
-    def _coeff(self, r: int, lin: int, t: int, n: int | None):
+    def _coeff(self, r: int, lin: int, t: int):
         """Coefficient of the t-th swap term: the x-shifted binomial in the
         slot that carries the rank (r = m), whose value at x = q^n is
         qbinom(n + lin, t), and a plain quantum binomial elsewhere."""
         if r != self.m:
             return qbinom(lin, t)
-        return xbinom(lin, t) if n is None else qbinom(n + lin, t)
+        return xbinom(lin, t) if self.n is None else qbinom(self.n + lin, t)
 
-    def _step(self, w: Word, n: int | None, ring):
+    def _step(self, w: Word):
         l = None
         for k in range(len(w) - 1, -1, -1):
             if w[k].kind == "E":
@@ -176,7 +175,7 @@ class Evaluator:
                 break
         if l is None:
             # F letters only: the weight cannot return to the highest weight
-            return ring.zero()
+            return self.ring.zero()
         let = w[l]
         # slide right past every F with a different index (free commutation)
         j = l + 1
@@ -186,7 +185,7 @@ class Evaluator:
             # E reached the right end: it annihilates the idempotent
             if self.trace:
                 self.trace(f"annihilate {let.dump()}: {_dump(w)}")
-            return ring.zero()
+            return self.ring.zero()
         if j > l + 1 and self.trace:
             self.trace(f"commute {let.dump()} past {j - l - 1}: {_dump(w)}")
         r = let.index
@@ -194,9 +193,9 @@ class Evaluator:
         tail = w[j + 1:]
         lin = self._lin_form(tail, r, bl, bl1)
         head = w[:l] + w[l + 1:j]
-        res = ring.zero()
+        res = self.ring.zero()
         for t in range(0, min(bl, bl1) + 1):
-            c = self._coeff(r, lin, t, n)
+            c = self._coeff(r, lin, t)
             if c.is_zero():
                 continue
             mid: list[Letter] = []
@@ -204,7 +203,7 @@ class Evaluator:
                 mid.append(Letter("F", r, bl1 - t))
             if bl - t:
                 mid.append(Letter("E", r, bl - t))
-            sub = self._ev(head + tuple(mid) + tail, n)
+            sub = self._ev(head + tuple(mid) + tail)
             if self.trace:
                 self.trace(f"swap E{r}^({bl}) F{r}^({bl1}) t={t} lin={lin}: {_dump(w)}")
             # a Q(q) coefficient scales a generic value coefficient-wise
@@ -223,4 +222,4 @@ def ev(word: LadderWord) -> XPoly:
 
 def ev_specialized(word: LadderWord, n: int) -> RatQ:
     """One-shot evaluation at x = q^n (fresh memo)."""
-    return Evaluator(word.sides).ev_specialized(word, n)
+    return Evaluator(word.sides, n).ev(word)

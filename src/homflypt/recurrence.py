@@ -309,37 +309,31 @@ def _vector_normalize(vec: list[XPoly]) -> list[XPoly]:
 
 def _nullspace_columns(rows: list[list[XPoly]], ncols: int) -> list[list[XPoly]]:
     """Kernel vectors of the homogeneous system, by fraction-free column
-    elimination carrying a tracking block (entries stay in Q(q)[x^±1])."""
+    elimination carrying a tracking block (entries stay in Q(q)[x^±1]).
+    A column is one list: its nrows values, then its tracking block."""
     nrows = len(rows)
-    cols = []
-    for i in range(ncols):
-        vec = [rows[r][i] for r in range(nrows)]
-        track = [XPoly.one() if t == i else XPoly.zero() for t in range(ncols)]
-        cols.append((vec, track))
+    cols = [[rows[r][i] for r in range(nrows)]
+            + [XPoly.one() if t == i else XPoly.zero() for t in range(ncols)]
+            for i in range(ncols)]
     active = list(range(ncols))
     for r in range(nrows):
-        hot = [ci for ci in active if not cols[ci][0][r].is_zero()]
+        hot = [ci for ci in active if not cols[ci][r].is_zero()]
         if not hot:
             continue
         # the smallest column keeps intermediate growth down
-        pi = min(hot, key=lambda ci: sum(len(p.c) for p in cols[ci][0]))
-        pvec, ptrack = cols[pi]
-        pr = pvec[r]
+        pi = min(hot, key=lambda ci: sum(len(p.c) for p in cols[ci][:nrows]))
+        pcol = cols[pi]
+        pr = pcol[r]
         for ci in hot:
-            if ci == pi:
-                continue
-            vec, track = cols[ci]
-            cr = vec[r]
-            new_vec = [pr * a - cr * b for a, b in zip(vec, pvec)]
-            new_track = [pr * a - cr * b for a, b in zip(track, ptrack)]
-            joint = _vector_normalize(new_vec + new_track)
-            cols[ci] = (joint[:nrows], joint[nrows:])
+            if ci != pi:
+                cr = cols[ci][r]
+                cols[ci] = _vector_normalize(
+                    [pr * a - cr * b for a, b in zip(cols[ci], pcol)])
         active.remove(pi)
     kernels = []
     for ci in active:
-        vec, track = cols[ci]
-        assert all(v.is_zero() for v in vec)
-        kernels.append(track)
+        assert all(v.is_zero() for v in cols[ci][:nrows])
+        kernels.append(cols[ci][nrows:])
     return kernels
 
 

@@ -19,9 +19,10 @@ operands have such denominators, ``RatQ`` addition, subtraction and
 multiplication skip the gcd: a product cancels each numerator against the
 other side's Phi_k, a sum works over the elementwise maximum of the two
 exponent vectors, and the only possible cancellations are found by exact
-trial division by those Phi_k.  The result is canonical as it stands.  The
-gcd canonicalization in ``RatQ.__init__`` stays the reference and the path
-for every other denominator (recurrence guessing, parsed operators,
+trial division by those Phi_k.  The result is canonical as it stands; so are
+an inverse and a q-substitution, after a shift and a sign.  The gcd
+canonicalization in ``RatQ.__init__`` stays the reference and the path for
+every other denominator (recurrence guessing, parsed operators,
 ``xpoly_gcd``).  Large ``LaurentQ`` products go through one big-int multiply
 (Kronecker substitution).
 """
@@ -33,7 +34,6 @@ from array import array
 from functools import lru_cache
 from math import gcd as _igcd
 from operator import mul as _imul
-from typing import Iterator
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +358,6 @@ class LaurentQ:
                     del out[e]
         return _laurent(out)
 
-    def scale(self, n: int) -> "LaurentQ":
-        if n == 0:
-            return _L_ZERO
-        return _laurent({e: v * n for e, v in self.c.items()})
-
     def __pow__(self, n: int) -> "LaurentQ":
         if n < 0:
             raise ValueError("negative power of a LaurentQ")
@@ -568,6 +563,17 @@ def _cyclo_sum(x: "RatQ", fa, y: "RatQ", fb) -> "RatQ":
     return _ratq(num, den)
 
 
+def _shift_sign(num: LaurentQ, den: LaurentQ) -> tuple[LaurentQ, LaurentQ]:
+    """num and den shifted to den's lowest exponent 0 and signed to its
+    positive lead: canonical for coprime num, den with coprime contents."""
+    v = den.min_exp
+    s = -1 if den.leading_coeff() < 0 else 1
+    if v == 0 and s == 1:
+        return num, den
+    return (_laurent({e - v: s * c for e, c in num.c.items()}),
+            _laurent({e - v: s * c for e, c in den.c.items()}))
+
+
 class RatQ:
     """An element of Q(q) in canonical form.
 
@@ -597,11 +603,8 @@ class RatQ:
             if c > 1:
                 na = [x // c for x in na]
                 nb = [x // c for x in nb]
-            if nb[-1] < 0:
-                na = [-x for x in na]
-                nb = [-x for x in nb]
-            self.num = LaurentQ._from_dense(va - vb, na)
-            self.den = LaurentQ._from_dense(0, nb)
+            self.num, self.den = _shift_sign(LaurentQ._from_dense(va, na),
+                                             LaurentQ._from_dense(vb, nb))
         self._hash = None
 
     # -- constructors
@@ -658,20 +661,20 @@ class RatQ:
         return RatQ(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other: "RatQ") -> "RatQ":
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero RatQ")
-        return RatQ(self.num * other.den, self.den * other.num)
+        return self * other.inverse()
 
     def inverse(self) -> "RatQ":
-        return _R_ONE / self
+        if self.num.is_zero():
+            raise ZeroDivisionError("division by zero RatQ")
+        return _ratq(*_shift_sign(self.den, self.num))
 
-    # -- substitutions
+    # -- substitutions (automorphisms: num and den stay coprime)
 
     def q_bar(self) -> "RatQ":
-        return RatQ(self.num.q_bar(), self.den.q_bar())
+        return _ratq(*_shift_sign(self.num.q_bar(), self.den.q_bar()))
 
     def q_inv(self) -> "RatQ":
-        return RatQ(self.num.q_inv(), self.den.q_inv())
+        return _ratq(*_shift_sign(self.num.q_inv(), self.den.q_inv()))
 
     # -- comparison / hash / rendering
 
@@ -753,9 +756,6 @@ class XPoly:
 
     def coeff(self, k: int) -> RatQ:
         return self.c.get(k, _R_ZERO)
-
-    def items(self) -> Iterator[tuple[int, RatQ]]:
-        return iter(self.c.items())
 
     # -- arithmetic
 

@@ -1,14 +1,8 @@
 import pytest
 
-from homflypt import (ColoredBraid, Evaluator, adjust_framing, homfly_columns,
-                      parse_braid)
+from homflypt import ColoredBraid, adjust_framing, homfly_columns, parse_braid
 
 TREFOIL = parse_braid("1 1 1", 2)
-
-# The first Evaluator raises the interpreter's recursion limit for the whole
-# process.  Raise it before any test runs, so that hypothesis does not see it
-# change inside a property test and warn that it cannot restore it.
-Evaluator(2)
 
 
 @pytest.fixture(scope="session")

@@ -85,11 +85,11 @@ def test_criterion_5_integrality(trefoil_cols, trefoil_rows_zero):
 def test_criterion_6_internal_consistency():
     ok = True
     for a in range(0, 4):
-        ev = Evaluator(4)
+        ev, spec = Evaluator(4), {n: Evaluator(4, n) for n in (2, 3)}
         for term in enumerate_terms(ColoredBraid(TREFOIL, (a,))):
             generic = ev.ev(term)
-            for n in (2, 3):
-                if generic.subst_x_eq_qn(n) != ev.ev_specialized(term, n):
+            for n, ev_n in spec.items():
+                if generic.subst_x_eq_qn(n) != ev_n.ev(term):
                     ok = False
     _report(6, "generic and specialized evaluation agree on all trefoil words", ok)
 

@@ -77,6 +77,15 @@ def test_eval_usage_errors(capsys):
     assert rc == 2
 
 
+def test_eval_negative_color_refused(capsys):
+    for colors in ("e-1", "h-2", "h1 h-1"):
+        for framing in ("blackboard", "zero"):
+            rc, out, err = run(capsys, "eval", "--strands", "2", "--braid", "1 1",
+                               "--colors", colors, "--framing", framing)
+            assert rc == 2 and out == ""
+            assert "bad color token" in err and "nonnegative" in err
+
+
 def test_eval_partition_color(capsys):
     rc, out, _ = run(capsys, "eval", "--strands", "1", "--braid", "",
                      "--colors", "p2")

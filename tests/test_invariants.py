@@ -379,8 +379,9 @@ def test_integral_at_x_equals_q_power(cb):
 @_PROPERTY
 @given(_colored_braids())
 def test_generic_agrees_with_specialized(cb):
-    ev = Evaluator(2 * cb.braid.strands)
+    sides = 2 * cb.braid.strands
+    ev, spec = Evaluator(sides), {n: Evaluator(sides, n) for n in (2, 3)}
     for t in enumerate_terms(cb):
         generic = ev.ev(t)
-        for n in (2, 3):
-            assert generic.subst_x_eq_qn(n) == ev.ev_specialized(t, n)
+        for n, ev_n in spec.items():
+            assert generic.subst_x_eq_qn(n) == ev_n.ev(t)

@@ -1,4 +1,9 @@
+import inspect
 import random
+import sys
+from itertools import combinations
+
+import pytest
 
 from homflypt import (Evaluator, LadderWord, Letter, ev, ev_specialized,
                       qbinom, qint, xbinom)
@@ -42,10 +47,9 @@ def test_negative_power_is_zero():
     rng = random.Random(16)
     for _ in range(30):
         letters = _insert(rng, rand_word(rng).letters, -rng.randint(1, 2))
-        e = Evaluator(4)
-        assert e.ev(letters).is_zero()
-        assert e.ev_specialized(letters, 3).is_zero()
-        assert not e._memo and not e._memo_spec
+        for e in (Evaluator(4), Evaluator(4, 3)):
+            assert e.ev(letters).is_zero()
+            assert not e._memo
 
 
 def test_zero_powers_are_dropped():
@@ -128,13 +132,46 @@ def test_merge_consistency():
         assert ev(split) == ev(merged).scale(qbinom(r + s, r))
 
 
+def _inversions(letters):
+    """The pairs (E_i, F_i) of nonzero powers with the E left of the F."""
+    return sum(1 for a, b in combinations(letters, 2)
+               if a.kind == "E" and b.kind == "F" and a.index == b.index
+               and a.power > 0 and b.power > 0)
+
+
 def test_recursion_depth_in_bound():
     rng = random.Random(15)
-    for _ in range(20):
-        w = rand_word(rng, max_len=8)
-        e = Evaluator(4)
-        e.ev(w)
-        assert e.max_depth <= (len(w.letters) + 1) ** 2
+    for _ in range(40):
+        for sides in (2, 4):
+            w = rand_word(rng, sides=sides, max_len=10).letters
+            # with the E letters first, most words rewrite to full depth
+            for letters in (w, tuple(sorted(w, key=lambda let: let.kind))):
+                e = Evaluator(sides)
+                e.ev(letters)
+                assert e.max_depth <= _inversions(letters) + 1
+
+
+def test_recursion_limit_left_alone():
+    old = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(1000)
+        Evaluator(2).ev(word(2, ("E", 1, 2), ("F", 1, 2)))
+        Evaluator(4, 3)
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def test_too_deep_word_is_refused():
+    deep = word(2, *[("E", 1, 1)] * 12, *[("F", 1, 1)] * 12)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        with pytest.raises(ValueError, match="recursion limit"):
+            Evaluator(2).ev(deep)
+    finally:
+        sys.setrecursionlimit(old)
+    assert not Evaluator(2).ev(deep).is_zero()
 
 
 def test_index_validation():

@@ -222,6 +222,28 @@ def test_cyclotomic_fast_paths_match_gcd_canonical(a, b, c, d):
     assert x * y == RatQ(x.num * y.num, x.den * y.den)
 
 
+# products of Phi_k, and denominators that are not: q^2 + 3, 2q - 1 and
+# 2q^2 + 6, whose content can cancel against a numerator's
+mixed_dens = st.one_of(cyclotomic_dens, st.sampled_from(
+    [LaurentQ({2: 1, 0: 3}), LaurentQ({1: 2, 0: -1}), LaurentQ({2: 2, 0: 6})]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurents, mixed_dens, laurents, mixed_dens)
+def test_inverse_and_substitutions_match_gcd_canonical(a, b, c, d):
+    x, y = RatQ(a, b), RatQ(c, d)
+    assert x.q_bar() == RatQ(x.num.q_bar(), x.den.q_bar())
+    assert x.q_inv() == RatQ(x.num.q_inv(), x.den.q_inv())
+    if y.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            y.inverse()
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    else:
+        assert y.inverse() == RatQ(y.den, y.num)
+        assert x / y == RatQ(x.num * y.den, x.den * y.num)
+
+
 coefficient_maps = st.dictionaries(
     st.integers(-30, 30),
     st.one_of(st.integers(-3, 3), st.integers(-2 ** 200, 2 ** 200)),
