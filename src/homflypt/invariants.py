@@ -90,12 +90,15 @@ def invariant(cb: ColoredBraid, family: str = "e",
     Row colors are the column invariant under q -> -q^{-1}, because
     transposing every partition acts on the invariant by that involution and
     (h_a)^t = e_a.  Zero framing removes each component's blackboard
-    self-framing, the signed count of its self-crossings.
+    self-framing, the signed count of its self-crossings.  Any negative
+    color gives 0, in either family and framing.
     """
     if family not in ("e", "h"):
         raise ValueError(f"unknown color family {family!r} (want 'e' or 'h')")
     if framing not in ("blackboard", "zero"):
         raise ValueError(f"unknown framing {framing!r} (want 'blackboard' or 'zero')")
+    if any(a < 0 for a in cb.colors):
+        return XPoly.zero()
     row = family == "h"
     value = homfly_columns(cb, evaluator=evaluator)
     if row:

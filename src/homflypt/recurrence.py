@@ -8,7 +8,9 @@ q^m before shifting, which realizes the relation L M = q M L.
 ``+``-separated terms; products, parentheses, integer powers of q, x, M, L
 and division by q-scalars are accepted, and noncommutative products are
 normalized with L^j M^k = q^{jk} M^k L^j.  ``guess`` finds a recurrence for
-a computed sequence by an exact fraction-free nullspace over Q(q)[x^{±1}].
+a computed sequence by an exact fraction-free nullspace: each row of the
+linear system is normalized once, denominators cleared and content over Z
+divided out, so the elimination runs in Z[q^{±1}][x^{±1}].
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import re
 from dataclasses import dataclass
 from typing import Mapping
 
-from .rings import (LaurentQ, RatQ, XPoly, laurent_divexact, laurent_gcd,
-                    xpoly_divexact, xpoly_gcd)
+from .rings import (LaurentQ, RatQ, XPoly, laurent_gcd, xpoly_divexact,
+                    xpoly_gcd)
 
 
 class OperatorError(ValueError):
@@ -63,7 +65,10 @@ class _Parser:
         return tok
 
     def parse(self) -> dict[tuple[int, int], XPoly]:
-        e = self.expr()
+        try:
+            e = self.expr()
+        except RecursionError:
+            raise OperatorError("operator text is nested too deeply") from None
         if self.peek() is not None:
             raise OperatorError(f"trailing input at token {self.peek()!r}")
         return e
@@ -283,15 +288,13 @@ def trefoil_recurrence() -> RecurrenceOperator:
 # ---------------------------------------------------------------------------
 
 def _vector_normalize(vec: list[XPoly]) -> list[XPoly]:
-    """Clear denominators and divide out the common numerator content."""
-    lcm = LaurentQ.one()
-    for p in vec:
-        for r in p.c.values():
-            if not r.den.is_one():
-                g = laurent_gcd(lcm, r.den)
-                lcm = laurent_divexact(lcm * r.den, g)
-    if not lcm.is_one():
-        s = RatQ(lcm)
+    """The vector times a scalar in Q(q) that puts it in Z[q^±1][x^±1] with
+    content 1 over Z[q^±1].  Scaling by one remaining denominator d at a
+    time multiplies the factor so far by d / gcd(d, factor), because the
+    ring cancels; so denominators are cleared by their lcm."""
+    while (den := next((r.den for p in vec for r in p.c.values()
+                        if not r.den.is_one()), None)) is not None:
+        s = RatQ(den)
         vec = [p.scale(s) for p in vec]
     content = LaurentQ.zero()
     for p in vec:
@@ -302,15 +305,17 @@ def _vector_normalize(vec: list[XPoly]) -> list[XPoly]:
         if content.is_one():
             break
     if not (content.is_zero() or content.is_one()):
-        inv = RatQ.one() / RatQ(content)
+        inv = RatQ(content).inverse()
         vec = [p.scale(inv) for p in vec]
     return vec
 
 
 def _nullspace_columns(rows: list[list[XPoly]], ncols: int) -> list[list[XPoly]]:
     """Kernel vectors of the homogeneous system, by fraction-free column
-    elimination carrying a tracking block (entries stay in Q(q)[x^±1]).
-    A column is one list: its nrows values, then its tracking block."""
+    elimination carrying a tracking block.  The rows come normalized, so
+    every entry stays in Z[q^±1][x^±1]; each updated column is divided by
+    its content.  A column is one list: its nrows values, then its
+    tracking block."""
     nrows = len(rows)
     cols = [[rows[r][i] for r in range(nrows)]
             + [XPoly.one() if t == i else XPoly.zero() for t in range(ncols)]
@@ -353,9 +358,12 @@ def guess(f: Mapping[int, XPoly], max_order: int, max_m_degree: int
     """Search for a recurrence annihilating f, smallest order first.
 
     Solves the exact homogeneous system for the coefficients c_{j,k} of
-    c_j = sum_k c_{j,k} M^k over the fraction field, denominator-cleared and
-    content-reduced, and re-verifies the result on every available index
-    before returning it.  Returns None when no operator exists within the
+    c_j = sum_k c_{j,k} M^k.  Each row is normalized once as it is built
+    (denominators cleared, content over Z[q^±1] divided out), so the
+    elimination runs in Z[q^±1][x^±1]; the kernel vector is reduced to a
+    canonical form, so scaling f by a constant of Q(q) gives the same
+    operator.  The result is re-verified on every available index before
+    it is returned.  Returns None when no operator exists within the
     bounds; raises OperatorError when a bound is out of range (max_order
     below 1, max_m_degree below 0) or the sequence window is too small to
     pose the problem.
@@ -374,7 +382,7 @@ def guess(f: Mapping[int, XPoly], max_order: int, max_m_degree: int
             for j in range(order + 1):
                 for k in range(g + 1):
                     row.append(f[m + j].scale(RatQ.q_power(m * k)))
-            rows.append(row)
+            rows.append(_vector_normalize(row))
         for kernel in _nullspace_columns(rows, ncols):
             top = kernel[order * (g + 1):]
             if all(c.is_zero() for c in top):

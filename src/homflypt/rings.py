@@ -22,9 +22,11 @@ exponent vectors, and the only possible cancellations are found by exact
 trial division by those Phi_k.  The result is canonical as it stands; so are
 an inverse and a q-substitution, after a shift and a sign.  The gcd
 canonicalization in ``RatQ.__init__`` stays the reference and the path for
-every other denominator (recurrence guessing, parsed operators,
-``xpoly_gcd``).  Large ``LaurentQ`` products go through one big-int multiply
-(Kronecker substitution).
+every other denominator.  The polynomial gcd is left to three users: parsed
+operators (division by a q-scalar), ``xpoly_gcd``, and the content gcd of
+recurrence guessing (``laurent_gcd``, taken over Z[q^{±1}]).  Large
+``LaurentQ`` products go through one big-int multiply (Kronecker
+substitution).
 """
 
 from __future__ import annotations
@@ -358,18 +360,6 @@ class LaurentQ:
                     del out[e]
         return _laurent(out)
 
-    def __pow__(self, n: int) -> "LaurentQ":
-        if n < 0:
-            raise ValueError("negative power of a LaurentQ")
-        out = _L_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # -- substitutions
 
     def q_bar(self) -> "LaurentQ":
@@ -435,26 +425,19 @@ _L_ONE = LaurentQ({0: 1})
 
 
 def laurent_gcd(a: LaurentQ, b: LaurentQ) -> LaurentQ:
-    """Primitive positive-lead gcd over Q[q] (lowest exponent 0)."""
+    """The gcd over Z[q^±1], shifted to lowest exponent 0 with a positive
+    leading coefficient: the primitive gcd over Q[q] times the gcd of the
+    integer contents.  gcd(0, b) is b so normalized."""
     if a.is_zero():
-        if b.is_zero():
+        a, b = b, a
+        if a.is_zero():
             return _L_ZERO
-        _, db = b._dense()
-        return LaurentQ._from_dense(0, _list_primitive(db))
-    if b.is_zero():
-        _, da = a._dense()
-        return LaurentQ._from_dense(0, _list_primitive(da))
     _, da = a._dense()
+    if b.is_zero():
+        return LaurentQ._from_dense(0, da if da[-1] > 0 else [-c for c in da])
     _, db = b._dense()
-    return LaurentQ._from_dense(0, _list_gcd(da, db))
-
-
-def laurent_divexact(a: LaurentQ, b: LaurentQ) -> LaurentQ:
-    if a.is_zero():
-        return _L_ZERO
-    va, da = a._dense()
-    vb, db = b._dense()
-    return LaurentQ._from_dense(va - vb, _list_divexact(da, db))
+    c = _igcd(_list_content(da), _list_content(db))
+    return LaurentQ._from_dense(0, [c * v for v in _list_gcd(da, db)])
 
 
 # -- cyclotomic denominators
@@ -499,7 +482,9 @@ def _cyclo_product(vec: tuple[tuple[int, int], ...]) -> LaurentQ:
     """prod Phi_k^e over the (k, e) pairs of vec; registered as factored."""
     p = _L_ONE
     for k, e in vec:
-        p = p * LaurentQ._from_dense(0, list(_phi(k))) ** e
+        phik = LaurentQ._from_dense(0, list(_phi(k)))
+        for _ in range(e):
+            p = p * phik
     _FACTORS[p] = vec
     return p
 

@@ -147,6 +147,14 @@ def test_recur_verify_pass_and_fail(tmp_path, capsys):
     assert rc == 1 and "FAIL" in out
 
 
+def test_recur_verify_too_deeply_nested_operator(capsys):
+    text = "(" * 2000 + "L-1" + ")" * 2000
+    rc, out, err = run(capsys, "recur", "verify", "--strands", "1",
+                       "--braid", "", "--m-range", "0:1", "--operator-text", text)
+    assert (rc, out) == (2, "")
+    assert err == "error: operator text is nested too deeply\n"
+
+
 def test_recur_verify_unreadable_operator_file(tmp_path, capsys):
     not_utf8 = tmp_path / "utf16.txt"
     not_utf8.write_bytes(b"\xff\xfeL\x00")
@@ -189,15 +197,15 @@ def test_recur_guess_bounds_refused_before_computing(capsys, monkeypatch):
 
 
 def test_recur_guess_unknot(capsys):
-    rc, out, _ = run(capsys, "recur", "guess", "--strands", "1", "--braid", "",
-                     "--family", "e", "--m-range", "0:8", "--max-order", "1",
-                     "--max-m-degree", "2")
-    assert rc == 0
-    from homflypt import parse_operator, xbinom
-    op = parse_operator(out.strip())
-    assert op.order == 1
-    f = {a: xbinom(0, a) for a in range(9)}
-    assert op.verify(f, range(0, 8))
+    expected = {
+        "e": "(q^2 * x^1)*M^2*L^1 + (-1 * x^1)*L^1 + (q)*M^2 + (-q * x^2)\n",
+        "h": "(q^2 * x^1)*M^2*L^1 + (-1 * x^1)*L^1 + (-q * x^2)*M^2 + (q)\n",
+    }
+    for family, text in expected.items():
+        rc, out, err = run(capsys, "recur", "guess", "--strands", "1",
+                           "--braid", "", "--family", family, "--m-range", "0:8",
+                           "--max-order", "1", "--max-m-degree", "2")
+        assert (rc, out, err) == (0, text, "")
 
 
 def test_recur_guess_window_too_small(capsys):

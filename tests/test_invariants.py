@@ -40,6 +40,11 @@ def test_color_zero_is_one():
 
 def test_negative_color_vanishes():
     assert homfly_columns(ColoredBraid(TREFOIL, (-1,))).is_zero()
+    hopf = parse_braid("1 1", 2)
+    for cb in (ColoredBraid(TREFOIL, (-1,)), ColoredBraid(hopf, (2, -1))):
+        for family in ("e", "h"):
+            for framing in ("blackboard", "zero"):
+                assert invariant(cb, family, framing) == XPoly.zero()
 
 
 def test_trefoil_matches_reference(trefoil_cols):

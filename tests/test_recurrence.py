@@ -5,7 +5,8 @@ import pytest
 from homflypt import (OperatorError, RecurrenceOperator, guess, parse_operator,
                       parse_xpoly, qint, torus_reference, trefoil_recurrence,
                       xbinom)
-from homflypt.rings import LaurentQ, RatQ, XPoly
+from homflypt.recurrence import _vector_normalize
+from homflypt.rings import LaurentQ, RatQ, XPoly, laurent_gcd
 
 
 def test_parse_xpoly_roundtrip():
@@ -30,6 +31,13 @@ def test_operator_text_roundtrip(unknot_guess):
     assert parse_operator(op.text()) == op
     for P in (trefoil_recurrence(), unknot_guess[0]):
         assert parse_operator(P.text()) == P
+
+
+def test_parse_refuses_deep_nesting():
+    text = "(" * 2000 + "L-1" + ")" * 2000
+    with pytest.raises(OperatorError, match="nested too deeply"):
+        parse_operator(text)
+    assert parse_operator("(" * 50 + "L-1" + ")" * 50) == parse_operator("L-1")
 
 
 def test_apply_shift_only():
@@ -126,6 +134,35 @@ def test_guess_reverifies_on_all_indices(unknot_guess):
     extended = dict(f)
     extended[9] = xbinom(0, 9)
     assert op.verify(extended, range(0, 9))
+
+
+def test_guess_is_invariant_under_scaling():
+    # the smallest window for order 1, M-degree 2: six start indices
+    f = {a: xbinom(0, a) for a in range(7)}
+    op = guess(f, 1, 2)
+    assert op is not None
+    one, L = LaurentQ.one(), LaurentQ
+    for c in (RatQ.from_int(2), RatQ(one, L.from_int(2)),
+              RatQ(L.mono(1, 3), L({0: 1, 4: -1}) * L({0: 1, 4: -1})),
+              RatQ(one, L({2: 1, 0: 3})), RatQ(L({1: 2, 0: 2}), L.from_int(3))):
+        assert guess({m: v.scale(c) for m, v in f.items()}, 1, 2) == op
+
+
+def test_vector_normalize_clears_every_denominator():
+    L = LaurentQ
+    dens = (L({2: 1, 0: -1}), L({2: 1, 0: 3}), L.from_int(2), L({4: 1, 0: -1}))
+    rng = random.Random(23)
+    vec = [XPoly({e: RatQ(L({rng.randint(-2, 2): rng.choice((-6, 4, 10))}),
+                          rng.choice(dens))
+                  for e in range(3)}) for _ in range(4)]
+    out = _vector_normalize(vec)
+    assert all(r.den.is_one() for p in out for r in p.c.values())
+    content = L.zero()
+    for p in out:
+        for r in p.c.values():
+            content = laurent_gcd(content, r.num)
+    assert content.is_one()
+    assert all(out[0] * v == out[i] * vec[0] for i, v in enumerate(vec))
 
 
 def test_guess_window_too_small():

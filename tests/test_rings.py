@@ -1,13 +1,14 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homflypt import (LaurentQ, RatQ, XPoly, is_integral_laurent, qint,
-                      xpoly_divexact, xpoly_gcd)
+from homflypt import (LaurentQ, RatQ, XPoly, is_integral_laurent,
+                      laurent_gcd, qint, xpoly_divexact, xpoly_gcd)
 from homflypt import rings
 from homflypt.rings import (_FACTORS, _KRONECKER_MIN_TERMS, _cyclo_exponents,
-                            _kronecker_mul, _phi)
+                            _kronecker_mul, _list_content, _list_gcd, _phi)
 
 ONE = XPoly.one()
 ZERO = XPoly.zero()
@@ -153,6 +154,20 @@ def test_divexact_roundtrip():
             xpoly_divexact(a * b + r, b)
     with pytest.raises(ValueError, match="inexact XPoly division"):
         xpoly_divexact(x * x + ONE, x + ONE)
+
+
+def test_laurent_gcd_is_over_the_integers():
+    def dense(p):
+        return p._dense()[1] if not p.is_zero() else []
+    rng = random.Random(9)
+    for _ in range(200):
+        g = rand_laurent(rng, span=2) * LaurentQ.from_int(rng.choice((1, 2, 6)))
+        a, b = (g * rand_laurent(rng, span=2) if rng.random() < 0.8
+                else LaurentQ.zero() for _ in range(2))
+        da, db = dense(a), dense(b)
+        c = gcd(_list_content(da), _list_content(db))
+        expected = LaurentQ({i: c * v for i, v in enumerate(_list_gcd(da, db))})
+        assert laurent_gcd(a, b) == laurent_gcd(b, a) == expected
 
 
 def test_xpoly_gcd():
