@@ -39,7 +39,11 @@ def _parse_colors(text: str) -> list[tuple[str, object]]:
             out.append((kind, k))
         elif kind == "p":
             try:
-                parts = tuple(int(s) for s in tok[1:].split(","))
+                parts = [int(s) for s in tok[1:].split(",")]
+            except ValueError:
+                raise UsageError(f"bad partition color {tok!r}: parts must be "
+                                 "nonnegative integers separated by commas") from None
+            try:
                 out.append(("p", Partition(parts)))
             except ValueError as e:
                 raise UsageError(f"bad partition color {tok!r}: {e}") from None

@@ -24,7 +24,7 @@ from .braid import ColoredBraid, cable_first_component
 from .ladder import enumerate_terms
 from .pbw import Evaluator
 from .qcomb import qbinom, qint, xbinom
-from .rings import LaurentQ, RatQ, XPoly
+from .rings import LaurentQ, RatQ, XPoly, xpoly_sum
 
 
 @dataclass(frozen=True)
@@ -67,17 +67,16 @@ class Partition:
 def homfly_columns(cb: ColoredBraid, *,
                    evaluator: Evaluator | None = None) -> XPoly:
     """The invariant of the blackboard-framed closure with component i
-    colored by the one-column partition e_{a_i}.
+    colored by the one-column partition e_{a_i}: the sum over the ladder
+    terms of each term's scalar times its PBW value.  The sum cancels once
+    per power of x (``xpoly_sum``), not once per term.
 
     Any negative color gives 0.
     """
     if any(a < 0 for a in cb.colors):
         return XPoly.zero()
     ev = evaluator or Evaluator(2 * cb.braid.strands)
-    total = XPoly.zero()
-    for t in enumerate_terms(cb):
-        total = total + t.scalar * ev.ev(t)
-    return total
+    return xpoly_sum(t.scalar * ev.ev(t) for t in enumerate_terms(cb))
 
 
 def invariant(cb: ColoredBraid, family: str = "e",

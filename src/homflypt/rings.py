@@ -20,7 +20,11 @@ multiplication skip the gcd: a product cancels each numerator against the
 other side's Phi_k, a sum works over the elementwise maximum of the two
 exponent vectors, and the only possible cancellations are found by exact
 trial division by those Phi_k.  The result is canonical as it stands; so are
-an inverse and a q-substitution, after a shift and a sign.  The gcd
+an inverse and a q-substitution, after a shift and a sign.  ``xpoly_sum``
+adds many values at once, as the term sum of ``homfly_columns`` needs: per
+power of x it adds the numerators that share a denominator, lifts the
+distinct denominators once to the elementwise maximum of their exponent
+vectors and cancels once, instead of once per binary ``+``.  The gcd
 canonicalization in ``RatQ.__init__`` stays the reference and the path for
 every other denominator.  The polynomial gcd is left to three users: parsed
 operators (division by a q-scalar), ``xpoly_gcd``, and the content gcd of
@@ -546,6 +550,65 @@ def _cyclo_sum(x: "RatQ", fa, y: "RatQ", fb) -> "RatQ":
     else:
         den = x.den if top == da else y.den if top == db else _cyclo_den(top)
     return _ratq(num, den)
+
+
+def _accumulate(into: dict[int, int], c: dict[int, int]) -> None:
+    for e, v in c.items():
+        into[e] = into.get(e, 0) + v
+
+
+def _ratq_sum(parts: dict[LaurentQ, dict[int, int]]) -> "RatQ":
+    """The sum of num / den over the canonical denominators den of parts,
+    each with its numerator's coefficient map.  Cyclotomic denominators are
+    lifted once to prod Phi^top, top the elementwise max of their exponent
+    vectors, and the total is cancelled once; any other denominator sends
+    the sum through ``RatQ +``."""
+    nums = {}
+    for den, c in parts.items():
+        c = {e: v for e, v in c.items() if v}
+        if c:
+            nums[den] = _laurent(c)
+    vecs = [_cyclo_exponents(den) for den in nums]
+    if None in vecs:
+        out = _R_ZERO
+        for den, num in nums.items():
+            out = out + RatQ(num, den)
+        return out
+    top: dict[int, int] = {}
+    for vec in vecs:
+        for k, e in vec:
+            if e > top.get(k, 0):
+                top[k] = e
+    total: dict[int, int] = {}
+    for num, vec in zip(nums.values(), vecs):
+        lift = dict(top)
+        for k, e in vec:
+            lift[k] -= e
+        _accumulate(total, (num * _cyclo_den(lift)).c)
+    total = {e: v for e, v in total.items() if v}
+    if not total:
+        return _R_ZERO
+    num = _cancel(_laurent(total), top)
+    return _ratq(num, _cyclo_den(top))
+
+
+def xpoly_sum(values) -> "XPoly":
+    """The sum of an iterable of ``XPoly`` values.  Per power of x, the
+    numerators that share a denominator are added as integer polynomials,
+    and the distinct denominators are brought together once
+    (``_ratq_sum``): one cancellation per power of x instead of one per
+    binary ``+``."""
+    groups: dict[int, dict[LaurentQ, dict[int, int]]] = {}
+    for value in values:
+        for e, r in value.c.items():
+            parts = groups.setdefault(e, {})
+            _accumulate(parts.setdefault(r.den, {}), r.num.c)
+    out = {}
+    for e, parts in groups.items():
+        r = _ratq_sum(parts)
+        if not r.is_zero():
+            out[e] = r
+    return _xpoly(out)
 
 
 def _shift_sign(num: LaurentQ, den: LaurentQ) -> tuple[LaurentQ, LaurentQ]:

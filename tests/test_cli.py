@@ -95,6 +95,20 @@ def test_eval_partition_color(capsys):
     assert out == rows_out
 
 
+def test_eval_bad_partition_color(capsys):
+    for tok in ("p", "p1,,1", "px", "p2,1.5"):
+        rc, out, err = run(capsys, "eval", "--strands", "2", "--braid", "1 1 1",
+                           "--colors", tok)
+        assert rc == 2 and out == ""
+        assert err == (f"error: bad partition color {tok!r}: parts must be "
+                       "nonnegative integers separated by commas\n")
+    rc, out, err = run(capsys, "eval", "--strands", "2", "--braid", "1 1 1",
+                       "--colors", "p1,2")
+    assert rc == 2 and out == ""
+    assert err == ("error: bad partition color 'p1,2': partition parts must "
+                   "be weakly decreasing\n")
+
+
 def test_eval_partition_zero_framing_refused_before_computing(capsys):
     # the trefoil p2,1 value takes minutes; the refusal must come first
     rc, out, err = run(capsys, "eval", "--strands", "2", "--braid", "1 1 1",

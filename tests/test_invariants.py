@@ -2,10 +2,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from homflypt import (Braid, ColoredBraid, Evaluator, Partition,
-                      adjust_framing, closure_info, enumerate_terms,
-                      framing_factor, homfly_columns, homfly_partition,
-                      homfly_rows, invariant, is_integral_laurent, parse_braid,
-                      qbinom, torus_reference, trefoil_reference, xbinom)
+                      adjust_framing, cable_first_component, closure_info,
+                      enumerate_terms, framing_factor, homfly_columns,
+                      homfly_partition, homfly_rows, invariant,
+                      is_integral_laurent, parse_braid, qbinom,
+                      torus_reference, trefoil_reference, xbinom)
 from homflypt.rings import LaurentQ, RatQ, XPoly, xpoly_divexact
 
 TREFOIL = parse_braid("1 1 1", 2)
@@ -108,6 +109,22 @@ def test_framing_factor_matches_engine():
             == framing_factor(a)
         assert invariant(kink, "h") == adjust_framing(invariant(flat, "h"), a,
                                                       1, row=True)
+
+
+def test_columns_match_binary_fold():
+    # the reference adds one term at a time; the last two cases are the
+    # cables that the trefoil colored by p(1,1) evaluates
+    cases = [ColoredBraid(TREFOIL, (a,)) for a in (1, 2, 3)] + [
+        ColoredBraid(parse_braid("1 -2 1 -2", 3), (2,)),
+        ColoredBraid(parse_braid("1 1", 2), (1, 3))] + [
+        cable_first_component(ColoredBraid(TREFOIL, (0,)), 2, colors)
+        for colors in ((1, 1), (2, 0))]
+    for cb in cases:
+        ev = Evaluator(2 * cb.braid.strands)
+        fold = XPoly.zero()
+        for t in enumerate_terms(cb):
+            fold = fold + t.scalar * ev.ev(t)
+        assert homfly_columns(cb, evaluator=ev) == fold
 
 
 def test_adjust_framing_group_law():

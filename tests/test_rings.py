@@ -1,4 +1,6 @@
+import operator
 import random
+from functools import reduce
 from math import gcd
 
 import pytest
@@ -8,7 +10,8 @@ from homflypt import (LaurentQ, RatQ, XPoly, is_integral_laurent,
                       laurent_gcd, qint, xpoly_divexact, xpoly_gcd)
 from homflypt import rings
 from homflypt.rings import (_FACTORS, _KRONECKER_MIN_TERMS, _cyclo_exponents,
-                            _kronecker_mul, _list_content, _list_gcd, _phi)
+                            _kronecker_mul, _list_content, _list_gcd, _phi,
+                            xpoly_sum)
 
 ONE = XPoly.one()
 ZERO = XPoly.zero()
@@ -257,6 +260,47 @@ def test_inverse_and_substitutions_match_gcd_canonical(a, b, c, d):
     else:
         assert y.inverse() == RatQ(y.den, y.num)
         assert x / y == RatQ(x.num * y.den, x.den * y.num)
+
+
+@st.composite
+def _term_lists(draw, dens):
+    """0 to 8 values, the last up to 3 drawn from the first ones: a repeat
+    (shared denominators), a negation (cancels to zero) or w - v for a w on
+    the powers of x of v (the lcm of the denominators is more than the sum
+    needs)."""
+    coeffs = st.builds(RatQ, laurents, dens)
+    vs = draw(st.lists(st.dictionaries(st.integers(-1, 1), coeffs, max_size=3)
+                       .map(XPoly), max_size=5))
+    for v in draw(st.lists(st.sampled_from(vs), max_size=3)) if vs else ():
+        w = XPoly({e: draw(coeffs) for e in v.c})
+        vs.append(draw(st.sampled_from([v, -v, w - v])))
+    return draw(st.permutations(vs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_term_lists(cyclotomic_dens), _term_lists(mixed_dens)))
+def test_xpoly_sum_matches_binary_fold(vs):
+    assert xpoly_sum(iter(vs)) == reduce(operator.add, vs, XPoly.zero())
+
+
+def test_xpoly_sum_cancels_once_over_the_lcm(monkeypatch):
+    # 1/(q^2 - 1) + 1/(q^4 - 1) + q^2/(q^4 - 1): lcm Phi_1 Phi_2 Phi_4, and
+    # the total 2/(q^2 - 1) cancels Phi_4
+    a = RatQ(LaurentQ.one(), _poly([-1, 0, 1]))
+    b = RatQ(LaurentQ.one(), _poly([-1, 0, 0, 0, 1]))
+    c = RatQ(LaurentQ.mono(1, 2), _poly([-1, 0, 0, 0, 1]))
+    seen = []
+    cancel = rings._cancel
+
+    def spy(p, vec):
+        seen.append(dict(vec))
+        return cancel(p, vec)
+    monkeypatch.setattr(rings, "_cancel", spy)
+    total = xpoly_sum(XPoly.mono(r, 1) for r in (a, b, c))
+    assert total == XPoly.mono(RatQ(LaurentQ.from_int(2), _poly([-1, 0, 1])), 1)
+    assert seen == [{1: 1, 2: 1, 4: 1}]
+    assert xpoly_sum([]) == XPoly.zero()
+    assert xpoly_sum([XPoly.mono(a, 0), XPoly.mono(-a, 0)]) == XPoly.zero()
 
 
 coefficient_maps = st.dictionaries(
