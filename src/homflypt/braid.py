@@ -9,6 +9,7 @@ numbered by their smallest strand.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 
@@ -47,10 +48,9 @@ def parse_braid(text: str, strands: int) -> Braid:
     """Parse a whitespace-separated word of signed generator indices."""
     word = []
     for tok in text.split():
-        try:
-            g = int(tok)
-        except ValueError:
-            raise BraidError(f"braid token {tok!r} is not an integer") from None
+        if not re.fullmatch(r"-?[0-9]+", tok):
+            raise BraidError(f"braid token {tok!r} is not an integer")
+        g = int(tok)
         if g == 0:
             raise BraidError(f"braid token {tok!r}: generator index 0 is invalid")
         if abs(g) >= strands:

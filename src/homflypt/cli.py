@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .braid import BraidError, ColoredBraid, closure_info, parse_braid
@@ -24,6 +25,17 @@ class UsageError(Exception):
     pass
 
 
+def _int(text: str) -> int:
+    """An integer in ASCII digits with an optional minus sign; ``int`` alone
+    would also take '+', '_', surrounding spaces and non-ASCII digits."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"invalid int value: {text!r}")
+    return int(text)
+
+
+_int.__name__ = "int"  # argparse names the type when it refuses a value
+
+
 def _parse_colors(text: str) -> list[tuple[str, object]]:
     """Tokens like ``e1``, ``h2``, ``p2,1`` (whitespace separated)."""
     out: list[tuple[str, object]] = []
@@ -31,7 +43,7 @@ def _parse_colors(text: str) -> list[tuple[str, object]]:
         kind = tok[0]
         if kind == "e" or kind == "h":
             try:
-                k = int(tok[1:])
+                k = _int(tok[1:])
             except ValueError:
                 raise UsageError(f"bad color token {tok!r}") from None
             if k < 0:
@@ -39,7 +51,7 @@ def _parse_colors(text: str) -> list[tuple[str, object]]:
             out.append((kind, k))
         elif kind == "p":
             try:
-                parts = [int(s) for s in tok[1:].split(",")]
+                parts = [_int(s) for s in tok[1:].split(",")]
             except ValueError:
                 raise UsageError(f"bad partition color {tok!r}: parts must be "
                                  "nonnegative integers separated by commas") from None
@@ -127,7 +139,7 @@ def _cmd_oracle(args) -> int:
 def _parse_range(text: str) -> tuple[int, int]:
     try:
         lo, hi = text.split(":")
-        lo, hi = int(lo), int(hi)
+        lo, hi = _int(lo), _int(hi)
     except ValueError:
         raise UsageError(f"bad range {text!r}; want lo:hi") from None
     if hi < lo or lo < 0:
@@ -188,12 +200,12 @@ def main(argv=None) -> int:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     def common(p):
-        p.add_argument("--specialize", type=int, default=None, metavar="N",
+        p.add_argument("--specialize", type=_int, default=None, metavar="N",
                        help="substitute x = q^N and print the Q(q) value")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     pe = sub.add_parser("eval", help="invariant of a colored braid closure")
-    pe.add_argument("--strands", type=int, required=True)
+    pe.add_argument("--strands", type=_int, required=True)
     pe.add_argument("--braid", default="",
                     help="whitespace-separated signed generators, bottom to top")
     pe.add_argument("--colors", required=True,
@@ -207,15 +219,15 @@ def main(argv=None) -> int:
 
     po = sub.add_parser("oracle", help="closed-form reference values")
     po.add_argument("which", choices=("trefoil", "torus"))
-    po.add_argument("--a", type=int, default=None, help="trefoil column color")
-    po.add_argument("--s", type=int, default=None, help="torus braid exponent")
-    po.add_argument("--m", type=int, default=None, help="torus row color")
+    po.add_argument("--a", type=_int, default=None, help="trefoil column color")
+    po.add_argument("--s", type=_int, default=None, help="torus braid exponent")
+    po.add_argument("--m", type=_int, default=None, help="torus row color")
     po.add_argument("--zero-framed", action="store_true")
     common(po)
 
     pr = sub.add_parser("recur", help="verify or guess recurrences")
     pr.add_argument("action", choices=("verify", "guess"))
-    pr.add_argument("--strands", type=int, required=True)
+    pr.add_argument("--strands", type=_int, required=True)
     pr.add_argument("--braid", default="")
     pr.add_argument("--family", choices=("e", "h"), default="h",
                     help="color family for the sequence index")
@@ -224,8 +236,8 @@ def main(argv=None) -> int:
                     help="verify window / guess data window")
     pr.add_argument("--operator", dest="operator_file", default=None)
     pr.add_argument("--operator-text", default=None)
-    pr.add_argument("--max-order", type=int, default=2)
-    pr.add_argument("--max-m-degree", type=int, default=2)
+    pr.add_argument("--max-order", type=_int, default=2)
+    pr.add_argument("--max-m-degree", type=_int, default=2)
 
     args = ap.parse_args(argv)
     try:

@@ -143,7 +143,8 @@ def homfly_partition(cb: ColoredBraid, lam: Partition, ell: int) -> XPoly:
     rows), via the dual Jacobi-Trudi pipeline: replace the first component
     by ``ell`` blackboard parallels and sum the signed row invariants
     ``invariant(cab, "h")`` with colors lam_i + sigma(i) - i over sigma in
-    Sym_ell (q -> -q^{-1} of the signed column sum, a ring automorphism).
+    Sym_ell (q -> -q^{-1} of the signed column sum, a ring automorphism),
+    in one ``xpoly_sum``.
 
     The remaining components keep their integer colors inside the signed
     sum, so they are reported as row colors h_a.  Column colors with
@@ -153,7 +154,7 @@ def homfly_partition(cb: ColoredBraid, lam: Partition, ell: int) -> XPoly:
         raise ValueError(f"need ell >= max(1, {len(lam)}) rows for this partition")
     parts = lam.parts + (0,) * (ell - len(lam))
     ev = None  # every cable has the same strand count, so one memo serves all
-    total = XPoly.zero()
+    terms = []
     for sigma in permutations(range(ell)):
         colors = tuple(parts[i] + sigma[i] - i for i in range(ell))
         if any(c < 0 for c in colors):
@@ -162,8 +163,8 @@ def homfly_partition(cb: ColoredBraid, lam: Partition, ell: int) -> XPoly:
         if ev is None:
             ev = Evaluator(2 * cab.braid.strands)
         term = invariant(cab, "h", evaluator=ev)
-        total = total + (term if _perm_sign(sigma) > 0 else -term)
-    return total
+        terms.append(term if _perm_sign(sigma) > 0 else -term)
+    return xpoly_sum(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ class OperatorError(ValueError):
 # parsing
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(\d+|[qxML()+\-*/^]|$)")
+_TOKEN = re.compile(r"\s*([0-9]+|[qxML()+\-*/^]|$)")
 
 
 class _Parser:

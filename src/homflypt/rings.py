@@ -14,23 +14,23 @@ Three layers, all immutable and exact (no floating point anywhere):
 The only non-integral scalar of the engine is the x-shifted binomial, whose
 denominator prod_{j<=l} (q^j - q^-j) is, up to a power of q, a product of
 factors q^(2j) - 1, hence of cyclotomic polynomials Phi_k.  So every
-denominator the engine produces is a product prod Phi_k^e_k.  When both
-operands have such denominators, ``RatQ`` addition, subtraction and
-multiplication skip the gcd: a product cancels each numerator against the
-other side's Phi_k, a sum works over the elementwise maximum of the two
-exponent vectors, and the only possible cancellations are found by exact
-trial division by those Phi_k.  The result is canonical as it stands; so are
-an inverse and a q-substitution, after a shift and a sign.  ``xpoly_sum``
-adds many values at once, as the term sum of ``homfly_columns`` needs: per
-power of x it adds the numerators that share a denominator, lifts the
-distinct denominators once to the elementwise maximum of their exponent
-vectors and cancels once, instead of once per binary ``+``.  The gcd
-canonicalization in ``RatQ.__init__`` stays the reference and the path for
-every other denominator.  The polynomial gcd is left to three users: parsed
-operators (division by a q-scalar), ``xpoly_gcd``, and the content gcd of
-recurrence guessing (``laurent_gcd``, taken over Z[q^{±1}]).  Large
-``LaurentQ`` products go through one big-int multiply (Kronecker
-substitution).
+denominator the engine produces is a product prod Phi_k^e_k, and such
+fractions are multiplied and added without a gcd.  A product cancels each
+numerator against the other side's Phi_k.  Every sum goes through one
+kernel, ``_ratq_sum``: the binary ``RatQ +`` (and ``-``), the n-ary
+``xpoly_sum`` (the term sum of ``homfly_columns`` and the Jacobi-Trudi sum
+of ``homfly_partition``, which add the numerators that share a denominator
+first) and the substitution x = q^n.  It lifts the numerators once to the
+elementwise maximum of the exponent vectors and cancels once, by exact trial
+division by those Phi_k: one cancellation per sum, or per power of x.  The
+result is canonical as it stands; so are an inverse and a q-substitution,
+after a shift and a sign.  The gcd canonicalization in ``RatQ.__init__``
+stays the reference and is the one path for every other denominator: once
+per product, and once for a whole sum.  The polynomial gcd is left to three
+users: parsed operators (division by a q-scalar), ``xpoly_gcd``, and the
+content gcd of recurrence guessing (``laurent_gcd``, taken over
+Z[q^{±1}]).  Large ``LaurentQ`` products go through one big-int multiply
+(Kronecker substitution).
 """
 
 from __future__ import annotations
@@ -531,81 +531,59 @@ def _cyclo_mul(x: "RatQ", fa, y: "RatQ", fb) -> "RatQ":
     return _ratq(a * b, den)
 
 
-def _cyclo_sum(x: "RatQ", fa, y: "RatQ", fb) -> "RatQ":
-    """x + y over prod Phi^top, top the elementwise max of the exponent
-    vectors; only the Phi_k of top can cancel."""
-    da, db = dict(fa), dict(fb)
-    top = {k: max(da.get(k, 0), db.get(k, 0)) for k in da.keys() | db.keys()}
-    a, b = x.num, y.num
-    if top != da:
-        a = a * _cyclo_den({k: e - da.get(k, 0) for k, e in top.items()})
-    if top != db:
-        b = b * _cyclo_den({k: e - db.get(k, 0) for k, e in top.items()})
-    total = a + b
-    if total.is_zero():
-        return _R_ZERO
-    num = _cancel(total, top)
-    if num is not total:
-        den = _cyclo_den(top)
-    else:
-        den = x.den if top == da else y.den if top == db else _cyclo_den(top)
-    return _ratq(num, den)
-
-
 def _accumulate(into: dict[int, int], c: dict[int, int]) -> None:
     for e, v in c.items():
         into[e] = into.get(e, 0) + v
 
 
-def _ratq_sum(parts: dict[LaurentQ, dict[int, int]]) -> "RatQ":
-    """The sum of num / den over the canonical denominators den of parts,
-    each with its numerator's coefficient map.  Cyclotomic denominators are
-    lifted once to prod Phi^top, top the elementwise max of their exponent
-    vectors, and the total is cancelled once; any other denominator sends
-    the sum through ``RatQ +``."""
-    nums = {}
-    for den, c in parts.items():
-        c = {e: v for e, v in c.items() if v}
-        if c:
-            nums[den] = _laurent(c)
-    vecs = [_cyclo_exponents(den) for den in nums]
-    if None in vecs:
-        out = _R_ZERO
-        for den, num in nums.items():
-            out = out + RatQ(num, den)
-        return out
+def _ratq_sum(terms) -> "RatQ":
+    """The sum of num / den over (num, den) pairs, each den canonical; every
+    sum of non-integral ``RatQ`` values comes here.  Products of Phi_k are
+    lifted to prod Phi^top, top the elementwise max of their exponent
+    vectors (no product for a term already at top), and the total is
+    cancelled once.  Any other denominator gets one gcd canonicalization of
+    sum n_i prod_{j != i} d_j over prod d_j."""
+    terms = [(num, den, _cyclo_exponents(den)) for num, den in terms]
+    if any(vec is None for _, _, vec in terms):
+        total, prod = _L_ZERO, _L_ONE
+        for num, den, _ in terms:
+            total, prod = total * den + num * prod, prod * den
+        return RatQ(total, prod)
     top: dict[int, int] = {}
-    for vec in vecs:
+    for _, _, vec in terms:
         for k, e in vec:
             if e > top.get(k, 0):
                 top[k] = e
-    total: dict[int, int] = {}
-    for num, vec in zip(nums.values(), vecs):
-        lift = dict(top)
-        for k, e in vec:
-            lift[k] -= e
-        _accumulate(total, (num * _cyclo_den(lift)).c)
-    total = {e: v for e, v in total.items() if v}
-    if not total:
+    total, at_top = _L_ZERO, None
+    for num, den, vec in terms:
+        have = dict(vec)
+        if have == top:
+            at_top = den
+        else:
+            num = num * _cyclo_den({k: e - have.get(k, 0)
+                                    for k, e in top.items()})
+        total = total + num if total.c else num
+    if total.is_zero():
         return _R_ZERO
-    num = _cancel(_laurent(total), top)
+    num = _cancel(total, top)  # lowers top by the Phi_k it divides out
+    if num is total and at_top is not None:
+        return _ratq(num, at_top)
     return _ratq(num, _cyclo_den(top))
 
 
 def xpoly_sum(values) -> "XPoly":
     """The sum of an iterable of ``XPoly`` values.  Per power of x, the
-    numerators that share a denominator are added as integer polynomials,
-    and the distinct denominators are brought together once
-    (``_ratq_sum``): one cancellation per power of x instead of one per
+    numerators that share a denominator are added as integer coefficient
+    maps, and the (numerator, denominator) pairs go through one
+    ``_ratq_sum``: one cancellation per power of x instead of one per
     binary ``+``."""
     groups: dict[int, dict[LaurentQ, dict[int, int]]] = {}
     for value in values:
         for e, r in value.c.items():
-            parts = groups.setdefault(e, {})
-            _accumulate(parts.setdefault(r.den, {}), r.num.c)
+            _accumulate(groups.setdefault(e, {}).setdefault(r.den, {}), r.num.c)
     out = {}
     for e, parts in groups.items():
-        r = _ratq_sum(parts)
+        r = _ratq_sum((LaurentQ(c), den) for den, c in parts.items())
         if not r.is_zero():
             out[e] = r
     return _xpoly(out)
@@ -686,11 +664,7 @@ class RatQ:
     def __add__(self, other: "RatQ") -> "RatQ":
         if self.den.is_one() and other.den.is_one():
             return _ratq(self.num + other.num, _L_ONE)
-        fa, fb = _cyclo_exponents(self.den), _cyclo_exponents(other.den)
-        if fa is not None and fb is not None:
-            return _cyclo_sum(self, fa, other, fb)
-        return RatQ(self.num * other.den + other.num * self.den,
-                    self.den * other.den)
+        return _ratq_sum(((self.num, self.den), (other.num, other.den)))
 
     def __sub__(self, other: "RatQ") -> "RatQ":
         return self + -other
@@ -850,11 +824,11 @@ class XPoly:
     # -- substitutions
 
     def subst_x_eq_qn(self, n: int) -> RatQ:
-        """Evaluate at x = q^n; a ring homomorphism Q(q)[x^±1] -> Q(q)."""
-        out = _R_ZERO
-        for e, v in self.c.items():
-            out = out + v * RatQ.q_power(n * e)
-        return out
+        """Evaluate at x = q^n; a ring homomorphism Q(q)[x^±1] -> Q(q).  The
+        coefficient of x^e becomes its numerator shifted by n e over its
+        denominator, and the terms are added by one ``_ratq_sum``."""
+        return _ratq_sum((_laurent({k + n * e: v for k, v in r.num.c.items()}),
+                          r.den) for e, r in self.c.items())
 
     def q_bar(self) -> "XPoly":
         """Apply q -> -q^{-1} coefficient-wise (x fixed); an involution."""

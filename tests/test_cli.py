@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from homflypt import parse_xpoly, trefoil_reference
 from homflypt.cli import main
 from homflypt.rings import LaurentQ, RatQ, XPoly
@@ -227,3 +229,73 @@ def test_recur_guess_window_too_small(capsys):
                      "--family", "e", "--m-range", "0:2", "--max-order", "2",
                      "--max-m-degree", "3")
     assert rc == 2
+
+
+# integers on the command line are ASCII digits with an optional minus sign;
+# int() alone also reads '+', '_', spaces and non-ASCII digits
+
+def test_malformed_color_numbers_refused(capsys):
+    for tok in ("e1_0", "e+1", "e١", "h+2", "e1.0"):
+        rc, out, err = run(capsys, "eval", "--strands", "1", "--braid", "",
+                           "--colors", tok, "--specialize", "2")
+        assert (rc, out) == (2, "")
+        assert err == f"error: bad color token {tok!r}\n"
+    for tok in ("p1_0", "p2,+1", "p٢", "p2,1_0"):
+        rc, out, err = run(capsys, "eval", "--strands", "2", "--braid", "1",
+                           "--colors", tok, "--specialize", "2")
+        assert (rc, out) == (2, "")
+        assert err == (f"error: bad partition color {tok!r}: parts must be "
+                       "nonnegative integers separated by commas\n")
+
+
+def test_malformed_braid_tokens_refused(capsys):
+    for tok in ("+1", "١", "1_0"):
+        rc, out, err = run(capsys, "eval", "--strands", "2", "--braid",
+                           f"1 {tok} 1", "--colors", "e1", "--specialize", "2")
+        assert (rc, out) == (2, "")
+        assert err == f"error: braid token {tok!r} is not an integer\n"
+
+
+def test_malformed_range_bounds_refused(capsys, monkeypatch):
+    from homflypt import cli
+
+    def no_sequence(*args):
+        raise AssertionError("the sequence must not be built")
+    monkeypatch.setattr(cli, "_build_sequence", no_sequence)
+    for text in ("0:1_0", "+0:8", "0:٨", " 0:8"):
+        rc, out, err = run(capsys, "recur", "guess", "--strands", "1",
+                           "--braid", "", "--family", "e", "--m-range", text,
+                           "--max-order", "1")
+        assert (rc, out) == (2, "")
+        assert err == f"error: bad range {text!r}; want lo:hi\n"
+
+
+def test_malformed_integer_options_refused(capsys):
+    base = {"eval": ("eval", "--strands", "2", "--braid", "1 1 1",
+                     "--colors", "e1"),
+            "oracle": ("oracle", "torus", "--s", "3", "--m", "1"),
+            "recur": ("recur", "guess", "--strands", "1", "--braid", "",
+                      "--family", "e", "--m-range", "0:8")}
+    cases = [("eval", "--strands", "2_0"), ("eval", "--specialize", "+2"),
+             ("eval", "--specialize", " 2"), ("oracle", "--s", "٣"),
+             ("oracle", "--m", "1_0"), ("recur", "--strands", "+1"),
+             ("recur", "--max-order", "1_0"), ("recur", "--max-m-degree", "+2")]
+    for cmd, flag, value in cases:
+        argv = list(base[cmd])
+        if flag in argv:
+            argv[argv.index(flag) + 1] = value
+        else:
+            argv += [flag, value]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert f"argument {flag}: invalid int value: {value!r}" in out.err
+
+
+def test_operator_exponent_digits_are_ascii(capsys):
+    rc, out, err = run(capsys, "recur", "verify", "--strands", "1", "--braid", "",
+                       "--family", "e", "--m-range", "0:2",
+                       "--operator-text", "q^١*L - 1")
+    assert (rc, out) == (2, "")
+    assert err == "error: bad character at: '١*L - 1'\n"

@@ -1,10 +1,8 @@
-import operator
 import random
-from functools import reduce
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from homflypt import (LaurentQ, RatQ, XPoly, is_integral_laurent,
                       laurent_gcd, qint, xpoly_divexact, xpoly_gcd)
@@ -229,8 +227,14 @@ cyclotomic_dens = st.lists(
     max_size=4).map(_product)
 
 
+# equal non-unit denominators: x + x, x + (-x), two numerators over one
+# denominator whose sum cancels Phi_2, and a zero operand
 @settings(max_examples=150, deadline=None)
 @given(laurents, cyclotomic_dens, laurents, cyclotomic_dens)
+@example(_poly([1]), _poly([-1, 0, 1]), _poly([1]), _poly([-1, 0, 1]))
+@example(_poly([1]), _poly([-1, 0, 1]), _poly([-1]), _poly([-1, 0, 1]))
+@example(_poly([1]), _poly([-1, 0, 1]), _poly([0, 1]), _poly([-1, 0, 1]))
+@example(LaurentQ.zero(), _poly([-1, 0, 1]), _poly([2, 1]), _poly([-1, 0, 1]))
 def test_cyclotomic_fast_paths_match_gcd_canonical(a, b, c, d):
     x, y = RatQ(a, b), RatQ(c, d)
     assert _cyclo_exponents(x.den) is not None
@@ -277,10 +281,31 @@ def _term_lists(draw, dens):
     return draw(st.permutations(vs))
 
 
+def _gcd_canonical_sum(pairs):
+    """sum n_i / d_i as RatQ(sum n_i prod_{j != i} d_j, prod d_j): one gcd
+    canonicalization, no cyclotomic arithmetic."""
+    total = LaurentQ.zero()
+    for i, (num, _) in enumerate(pairs):
+        total = total + _product([num] + [d for j, (_, d) in enumerate(pairs)
+                                          if j != i])
+    return RatQ(total, _product(d for _, d in pairs))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(_term_lists(cyclotomic_dens), _term_lists(mixed_dens)))
-def test_xpoly_sum_matches_binary_fold(vs):
-    assert xpoly_sum(iter(vs)) == reduce(operator.add, vs, XPoly.zero())
+def test_xpoly_sum_matches_gcd_canonical(vs):
+    got = xpoly_sum(iter(vs))
+    for e in {e for v in vs for e in v.c} | set(got.c):
+        assert got.coeff(e) == _gcd_canonical_sum(
+            [(v.c[e].num, v.c[e].den) for v in vs if e in v.c])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.integers(-3, 3), st.builds(RatQ, laurents, mixed_dens),
+                       max_size=4).map(XPoly), st.integers(-3, 3))
+def test_subst_x_matches_gcd_canonical(p, n):
+    assert p.subst_x_eq_qn(n) == _gcd_canonical_sum(
+        [(r.num * LaurentQ.mono(1, n * e), r.den) for e, r in p.c.items()])
 
 
 def test_xpoly_sum_cancels_once_over_the_lcm(monkeypatch):
