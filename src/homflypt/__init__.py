@@ -10,7 +10,8 @@ from .invariants import (Partition, adjust_framing, framing_factor,
                          homfly_columns, homfly_partition, homfly_rows,
                          invariant, torus_reference, trefoil_reference)
 from .ladder import (LadderWord, Letter, build_cap, build_cup,
-                     crossing_weights, enumerate_terms, weight_offsets)
+                     crossing_sums, crossing_weights, enumerate_terms,
+                     weight_offsets)
 from .pbw import Evaluator, ev, ev_specialized
 from .qcomb import qbinom, qfactorial, qint, xbinom
 from .recurrence import (OperatorError, RecurrenceOperator, guess,
@@ -25,7 +26,7 @@ __all__ = [
     "LadderWord", "LaurentQ", "Letter", "OperatorError", "Partition",
     "RatQ", "RecurrenceOperator", "XPoly", "adjust_framing",
     "build_cap", "build_cup", "cable_first_component", "closure_info",
-    "crossing_weights", "enumerate_terms", "ev", "ev_specialized",
+    "crossing_sums", "crossing_weights", "enumerate_terms", "ev", "ev_specialized",
     "framing_factor", "guess", "homfly_columns", "homfly_partition",
     "homfly_rows", "invariant", "is_integral_laurent", "laurent_gcd",
     "parse_braid", "parse_operator", "parse_xpoly", "qbinom", "qfactorial",

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .braid import ColoredBraid, cable_first_component
-from .ladder import enumerate_terms
+from .ladder import build_cap, build_cup, crossing_sums
 from .pbw import Evaluator
 from .qcomb import qbinom, qint, xbinom
 from .rings import LaurentQ, RatQ, XPoly, xpoly_sum
@@ -67,16 +67,19 @@ class Partition:
 def homfly_columns(cb: ColoredBraid, *,
                    evaluator: Evaluator | None = None) -> XPoly:
     """The invariant of the blackboard-framed closure with component i
-    colored by the one-column partition e_{a_i}: the sum over the ladder
-    terms of each term's scalar times its PBW value.  The sum cancels once
-    per power of x (``xpoly_sum``), not once per term.
+    colored by the one-column partition e_{a_i}: the cup, each crossing's
+    sum of letters (``crossing_sums``) and the cap, contracted crossing by
+    crossing from the bottom (``Evaluator.contract``).
 
     Any negative color gives 0.
     """
     if any(a < 0 for a in cb.colors):
         return XPoly.zero()
-    ev = evaluator or Evaluator(2 * cb.braid.strands)
-    return xpoly_sum(t.scalar * ev.ev(t) for t in enumerate_terms(cb))
+    m = cb.braid.strands
+    ev = evaluator or Evaluator(2 * m)
+    return ev.contract(build_cap(cb.strand_colors, m).letters,
+                       crossing_sums(cb),
+                       build_cup(cb.strand_colors, m).letters)
 
 
 def invariant(cb: ColoredBraid, family: str = "e",

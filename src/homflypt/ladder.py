@@ -3,8 +3,9 @@
 An m-strand colored braid closure is evaluated on a ladder with 2m sides at
 the highest weight (n^m, 0^m), n symbolic.  This module emits the cup word
 (all F letters), the cap word (its mirror in E letters), the per-crossing
-data, and the terminating top-level multisum of ladder words whose summed
-evaluation is the invariant.
+data, and each crossing's terminating sum of letters.  The engine contracts
+these sums crossing by crossing (``crossing_sums``); ``enumerate_terms``
+expands their product into ladder words, the test suite's oracle.
 
 Letters apply right to left: the rightmost letter of a word acts first on
 the highest-weight idempotent.  E_i adds the root alpha_i = e_i - e_{i+1} to
@@ -107,16 +108,39 @@ def crossing_weights(cb: ColoredBraid) -> list[CrossingTerm]:
     return out
 
 
-def enumerate_terms(cb: ColoredBraid) -> Iterator[LadderWord]:
-    """The terminating top-level sum.
+def _crossing_sum(c: CrossingTerm, top: int) -> list[tuple[Word, int, int]]:
+    """One crossing's E^{(s + a_r - a_l)} F^{(s)} at its ladder index (zero
+    powers dropped), sign parity a_l + a_l a_r + s and q-exponent
+    eps (a_l - s), for max(0, a_l - a_r) <= s <= top."""
+    al, ar, i = c.color_left, c.color_right, c.ladder_index
+    return [(tuple(l for l in (Letter("E", i, s + ar - al), Letter("F", i, s))
+                   if l.power),
+             al + al * ar + s, c.eps * (al - s))
+            for s in range(max(0, al - ar), top + 1)]
 
-    Yields one ladder word per tuple s = (s_1,...,s_t) in the box
-    max(0, a_i - a_{i+1}) <= s_j <= max(colors): the cap, then per crossing
-    (top to bottom) E^{(s_j + a_{i+1} - a_i)} F^{(s_j)} at the crossing's
-    ladder index, then the cup.  The scalar carries
-    (-1)^{a_i + a_i a_{i+1}} q^{eps_j a_i} (-q)^{-eps_j s_j} per crossing.
-    Each crossing's factor (letters without zero powers, sign parity and
-    q-exponent per s_j) is built once; a term joins one pick per crossing.
+
+def crossing_sums(cb: ColoredBraid) -> list[list[tuple[Word, RatQ]]]:
+    """Per crossing, bottom to top, the sum over s_j of
+    (-1)^{a_l + a_l a_r + s_j} q^{eps_j (a_l - s_j)}
+    E^{(s_j + a_r - a_l)} F^{(s_j)} as (letters, scalar) pairs, with s_j in
+    the tight box max(0, a_l - a_r) <= s_j <= a_l: above a_l, F^{(s_j)}
+    lowers the slot of the crossing's left strand below zero.  Applied
+    between the cup and the cap, their product is the invariant of the
+    blackboard-framed closure."""
+    return [[(letters, RatQ(LaurentQ.mono(-1 if parity % 2 else 1, qexp)))
+             for letters, parity, qexp in _crossing_sum(c, c.color_left)]
+            for c in crossing_weights(cb)]
+
+
+def enumerate_terms(cb: ColoredBraid) -> Iterator[LadderWord]:
+    """The product of the crossing sums as ladder words, over the wide box
+    max(0, a_l - a_r) <= s_j <= max(colors); the test suite's oracle for
+    ``Evaluator.contract`` and for the tight box of ``crossing_sums``.
+
+    Yields one ladder word per tuple s = (s_1,...,s_t): the cap, then per
+    crossing (top to bottom) E^{(s_j + a_r - a_l)} F^{(s_j)} at the
+    crossing's ladder index, then the cup.  The scalar carries
+    (-1)^{a_l + a_l a_r} q^{eps_j a_l} (-q)^{-eps_j s_j} per crossing.
     Terms are yielded in lexicographic s order; summing scalar * ev over all
     of them gives the invariant of the blackboard-framed closure.
     """
@@ -124,14 +148,7 @@ def enumerate_terms(cb: ColoredBraid) -> Iterator[LadderWord]:
     cap = tuple(l for l in build_cap(cb.strand_colors, m).letters if l.power)
     cup = tuple(l for l in build_cup(cb.strand_colors, m).letters if l.power)
     bound = max(cb.colors, default=0)
-    factors = []
-    for c in crossing_weights(cb):
-        al, ar, i = c.color_left, c.color_right, c.ladder_index
-        factors.append([
-            (tuple(l for l in (Letter("E", i, s + ar - al), Letter("F", i, s))
-                   if l.power),
-             al + al * ar + s, c.eps * (al - s))
-            for s in range(max(0, al - ar), bound + 1)])
+    factors = [_crossing_sum(c, bound) for c in crossing_weights(cb)]
     for pick in product(*factors):
         mid = tuple(l for letters, _, _ in reversed(pick) for l in letters)
         sign = -1 if sum(f[1] for f in pick) % 2 else 1

@@ -1,23 +1,29 @@
 """The core evaluator: sorting a ladder word into PBW order.
 
-``Evaluator(sides).ev`` computes the unique element of Q(q)[x^{±1}] whose
-value at x = q^n equals the evaluation of the word on the highest-weight
-idempotent of the 2m-sided ladder, for every n.  ``Evaluator(sides, n)``, the
-engine's internal consistency oracle, fixes x = q^n per evaluator, and with
-it the ring of values (``RatQ`` instead of ``XPoly``) and the swap
-coefficient (``_coeff``: the x-shifted binomial becomes qbinom(n + lin, t)).
+``Evaluator(sides).state`` rewrites a word, applied to the highest-weight
+idempotent of the 2m-sided ladder, into a linear combination of F-only
+words: its state, with coefficients in Q(q)[x^{±1}] that hold for every
+value x = q^n of the symbolic rank.  ``ev`` is the coefficient of the empty
+word in the state.  Rewriting preserves weight, so a weight-zero word
+reduces to a multiple of the empty word or to nothing, and for any other
+word ``ev`` is zero.  ``Evaluator(sides, n)``, the engine's internal
+consistency oracle, fixes x = q^n per evaluator, and with it the ring of
+values (``RatQ`` instead of ``XPoly``) and the swap coefficient
+(``_coeff``: the x-shifted binomial becomes qbinom(n + lin, t)).
 
 The entry point checks the word once: X^(0) letters are the identity and
 are dropped, and a negative divided power is the zero element, so such a
-word evaluates to zero without rewriting.  The recursion then sees positive
-powers only, and it creates no others.  It moves the rightmost E letter
-rightward:
+word has the empty state without rewriting.  The recursion then sees
+positive powers only, and it creates no others.  It moves the rightmost E
+letter rightward:
 
 1. a word with a suffix whose weight goes negative in one of the last m
-   slots evaluates to zero (the first m slots carry the symbolic n and are
-   never range-checked);
-2. with no E letters left, only the empty word survives (value 1): F
-   letters lower the weight, which cannot return to the highest weight;
+   slots is zero (the first m slots carry the symbolic n and are never
+   range-checked);
+2. with no E letters left, the word is its own state, kept in a normal
+   form (``_normal``): F_i F_j = F_j F_i for |i - j| >= 2 puts it in the
+   lexicographically least order, and F_i^(a) F_i^(b) = [a+b, a] F_i^(a+b)
+   merges what meets;
 3. E past an F with a different index commutes freely; an E letter that
    reaches the right end annihilates the idempotent;
 4. E_r^(b) F_r^(b') with equal indices swap through a binomial sum over t,
@@ -30,6 +36,11 @@ I(w) counts the pairs (E_i, F_i) with the E left of the F.  The recursion
 limit of the interpreter is left alone; a word too deep for it is refused
 with ``ValueError``.  The memo is keyed on the letter tuple alone; it is a
 pure accelerator and never changes results.
+
+``contract`` evaluates a sum of words that factors crossing by crossing:
+it carries the state of the cup up through each crossing's sum of letters
+and pairs the final state with the cap, instead of rewriting every product
+word from scratch.
 """
 
 from __future__ import annotations
@@ -38,7 +49,9 @@ from typing import Callable
 
 from .ladder import LadderWord, Letter, Word
 from .qcomb import qbinom, xbinom
-from .rings import RatQ, XPoly
+from .rings import RatQ, XPoly, xpoly_sum
+
+State = dict  # F-only word (normal form) -> nonzero coefficient
 
 
 class Evaluator:
@@ -55,24 +68,62 @@ class Evaluator:
         self.ring = XPoly if n is None else RatQ
         self.memoize = memoize
         self.trace = trace
-        self._memo: dict[Word, XPoly | RatQ] = {}
+        self._memo: dict[Word, State] = {}
+        self._unit: State = {(): self.ring.one()}
         self.max_depth = 0
         self._depth = 0
 
-    # -- public entry point
+    # -- public entry points
 
     def ev(self, word: LadderWord | Word) -> XPoly | RatQ:
         """The value of a word: in Q(q)[x^{±1}], or in Q(q) at x = q^n."""
+        return self.state(word).get((), self.ring.zero())
+
+    def state(self, word: LadderWord | Word) -> State:
+        """The word applied to the highest-weight idempotent, as F-only
+        words in normal form with their nonzero coefficients.  The returned
+        dict may be shared with the memo; do not change it."""
         letters = self._letters(word)
         if letters is None:
-            return self.ring.zero()
+            return {}
         try:
             return self._ev(letters)
         except RecursionError:
-            raise ValueError(f"a word of {len(letters)} letters rewrites too "
-                             "deep for the interpreter's recursion limit") from None
+            raise _too_deep(len(letters)) from None
+
+    def contract(self, cap: Word, sums: list[list[tuple[Word, RatQ]]],
+                 cup: Word) -> XPoly | RatQ:
+        """The sum, over one (letters, scalar) pick from each entry of
+        ``sums``, of the product of the scalars times
+        ev(cap + picks + cup), with the picks of later entries further left.
+        The state of the cup takes each entry in turn: the entry's sum is
+        applied to every state word, and equal words are merged.  The final
+        state is paired with the cap through ``ev``.  Each state word is
+        rewritten once per pick, not once per product word."""
+        state = self.state(cup)
+        try:
+            for picks in sums:
+                parts: dict[Word, list] = {}
+                for letters, c in picks:
+                    for w, v in state.items():
+                        cv = _times(c, v)
+                        word = letters + w
+                        for u, x in self._ev(word).items():
+                            parts.setdefault(u, []).append(cv * x)
+                state = {}
+                for u, vs in parts.items():
+                    total = self._sum(vs)
+                    if not total.is_zero():
+                        state[u] = total
+        except RecursionError:
+            raise _too_deep(len(word)) from None
+        return self._sum(v * self.ev(cap + w) for w, v in state.items())
 
     # -- helpers
+
+    def _sum(self, values):
+        # generic values cancel once per power of x
+        return xpoly_sum(values) if self.n is None else sum(values, RatQ.zero())
 
     def _letters(self, word) -> Word | None:
         """The letters of a word with its X^(0) letters dropped, or None if
@@ -135,17 +186,18 @@ class Evaluator:
 
     # -- the recursion
 
-    def _ev(self, w: Word):
+    def _ev(self, w: Word) -> State:
         if not w:
-            return self.ring.one()
-        if self._tail_negative(w):
-            if self.trace:
-                self.trace(f"tail-negative: {_dump(w)}")
-            return self.ring.zero()
+            return self._unit
+        # a stored word is never tail-negative, so the memo goes first
         if self.memoize:
             hit = self._memo.get(w)
             if hit is not None:
                 return hit
+        if self._tail_negative(w):
+            if self.trace:
+                self.trace(f"tail-negative: {_dump(w)}")
+            return {}
 
         self._depth += 1
         if self._depth > self.max_depth:
@@ -174,8 +226,9 @@ class Evaluator:
                 l = k
                 break
         if l is None:
-            # F letters only: the weight cannot return to the highest weight
-            return self.ring.zero()
+            # F letters only: the word is its own state
+            c, nf = _normal(w)
+            return {nf: _times(c, self.ring.one())}
         let = w[l]
         # slide right past every F with a different index (free commutation)
         j = l + 1
@@ -185,7 +238,7 @@ class Evaluator:
             # E reached the right end: it annihilates the idempotent
             if self.trace:
                 self.trace(f"annihilate {let.dump()}: {_dump(w)}")
-            return self.ring.zero()
+            return {}
         if j > l + 1 and self.trace:
             self.trace(f"commute {let.dump()} past {j - l - 1}: {_dump(w)}")
         r = let.index
@@ -193,7 +246,7 @@ class Evaluator:
         tail = w[j + 1:]
         lin = self._lin_form(tail, r, bl, bl1)
         head = w[:l] + w[l + 1:j]
-        res = self.ring.zero()
+        res: State = {}
         for t in range(0, min(bl, bl1) + 1):
             c = self._coeff(r, lin, t)
             if c.is_zero():
@@ -206,9 +259,47 @@ class Evaluator:
             sub = self._ev(head + tuple(mid) + tail)
             if self.trace:
                 self.trace(f"swap E{r}^({bl}) F{r}^({bl1}) t={t} lin={lin}: {_dump(w)}")
-            # a Q(q) coefficient scales a generic value coefficient-wise
-            res = res + (c * sub if type(c) is type(sub) else sub.scale(c))
-        return res
+            for u, v in sub.items():
+                v = _times(c, v)
+                if u in res:
+                    v = res[u] + v
+                res[u] = v
+        return {u: v for u, v in res.items() if not v.is_zero()}
+
+
+def _too_deep(size: int) -> ValueError:
+    return ValueError(f"a word of {size} letters rewrites too deep for the "
+                      "interpreter's recursion limit")
+
+
+def _times(c, v):
+    # a Q(q) coefficient scales a generic value coefficient-wise
+    return c * v if type(c) is type(v) else v.scale(c)
+
+
+def _normal(w: Word) -> tuple[RatQ, Word]:
+    """An F-only word as c times its normal form.  Each letter is inserted
+    into the normal form of the letters before it: it commutes left past
+    letters two or more indices away, merges with a letter of its own index
+    that it meets (F_i^(a) F_i^(b) = [a+b, a] F_i^(a+b)), and otherwise
+    stops at the first place where the result is lexicographically least.
+    Words equal up to commutation get one normal form."""
+    out: list[Letter] = []
+    c = RatQ.one()
+    for let in w:
+        i = let.index
+        k = len(out)
+        while k and abs(out[k - 1].index - i) >= 2:
+            k -= 1
+        if k and out[k - 1].index == i:
+            a = out[k - 1].power
+            out[k - 1] = Letter("F", i, a + let.power)
+            c = c * qbinom(a + let.power, a)
+            continue
+        while k < len(out) and out[k].index < i:
+            k += 1
+        out.insert(k, let)
+    return c, tuple(out)
 
 
 def _dump(w: Word) -> str:

@@ -2,12 +2,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from homflypt import (Braid, ColoredBraid, Evaluator, Partition,
-                      adjust_framing, cable_first_component, closure_info,
+                      adjust_framing, build_cap, build_cup,
+                      cable_first_component, closure_info, crossing_sums,
                       enumerate_terms, framing_factor, homfly_columns,
                       homfly_partition, homfly_rows, invariant,
                       is_integral_laurent, parse_braid, qbinom,
                       torus_reference, trefoil_reference, xbinom)
-from homflypt.rings import LaurentQ, RatQ, XPoly, xpoly_divexact
+from homflypt.rings import LaurentQ, RatQ, XPoly, xpoly_divexact, xpoly_sum
 
 TREFOIL = parse_braid("1 1 1", 2)
 UNKNOT = parse_braid("", 1)
@@ -407,3 +408,23 @@ def test_generic_agrees_with_specialized(cb):
         generic = ev.ev(t)
         for n, ev_n in spec.items():
             assert generic.subst_x_eq_qn(n) == ev_n.ev(t)
+
+
+@_PROPERTY
+@given(_colored_braids())
+# both crossing signs with unequal colors, on three and on two components
+@example(ColoredBraid(parse_braid("2 -1 -1 2", 3), (2, 1, 0)))
+@example(ColoredBraid(parse_braid("1 -2 -2 1 1", 3), (2, 1)))
+def test_columns_match_product_oracle(cb):
+    # the crossing-by-crossing contraction over the tight box equals the sum
+    # of the expanded product words over the wide box, generically and at
+    # x = q^2
+    sides = 2 * cb.braid.strands
+    ev = Evaluator(sides)
+    value = homfly_columns(cb)
+    assert value == xpoly_sum(t.scalar * ev.ev(t) for t in enumerate_terms(cb))
+    m = cb.braid.strands
+    at_two = Evaluator(sides, 2).contract(build_cap(cb.strand_colors, m).letters,
+                                          crossing_sums(cb),
+                                          build_cup(cb.strand_colors, m).letters)
+    assert at_two == value.subst_x_eq_qn(2)

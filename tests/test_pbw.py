@@ -5,9 +5,10 @@ from itertools import combinations
 
 import pytest
 
-from homflypt import (Evaluator, LadderWord, Letter, ev, ev_specialized,
-                      qbinom, qint, xbinom)
-from homflypt.rings import XPoly
+from homflypt import (Evaluator, LadderWord, Letter, build_cap, build_cup,
+                      ev, ev_specialized, qbinom, qint, xbinom)
+from homflypt.pbw import _normal
+from homflypt.rings import RatQ, XPoly
 
 
 def word(sides, *letters):
@@ -172,6 +173,67 @@ def test_too_deep_word_is_refused():
     finally:
         sys.setrecursionlimit(old)
     assert not Evaluator(2).ev(deep).is_zero()
+
+
+def test_too_deep_contraction_is_refused():
+    deep = tuple(Letter(k, 1, 1) for k in "E" * 12 + "F" * 12)
+    sums = [[(deep, RatQ.one())]]
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        with pytest.raises(ValueError, match="recursion limit"):
+            Evaluator(2).contract((), sums, ())
+    finally:
+        sys.setrecursionlimit(old)
+    assert Evaluator(2).contract((), sums, ()) == ev(word(2, *deep))
+
+
+def _split_shuffle(rng, e, letters):
+    """The letters with each divided power split into random parts, in a
+    random order built from the right that keeps every suffix of the word
+    off the zero test of ``e`` where it can."""
+    parts = []
+    for let in letters:
+        p = let.power
+        while p:
+            a = rng.randint(1, p)
+            parts.append(Letter(let.kind, let.index, a))
+            p -= a
+    word = ()
+    while parts:
+        rng.shuffle(parts)
+        k = next((k for k, let in enumerate(parts)
+                  if not e._tail_negative((let,) + word)), 0)
+        word = (parts.pop(k),) + word
+    return word
+
+
+def test_f_word_normal_form():
+    # F-words of the cup's weight under the cap: the normal form keeps the
+    # value, and every commuting order of a word has the same normal form
+    rng = random.Random(18)
+    colors = (1, 2, 1)
+    cap = build_cap(colors, 3).letters
+    cup = build_cup(colors, 3).letters
+    e = Evaluator(6)
+    nonzero = 0
+    for _ in range(60):
+        u = _split_shuffle(rng, e, cup)
+        c, nf = _normal(u)
+        value = e.ev(cap + u)
+        assert value == e.ev(cap + nf).scale(c)
+        assert e.state(u) in ({}, {nf: XPoly.from_ratq(c)})
+        assert _normal(nf) == (RatQ.one(), nf)
+        nonzero += not value.is_zero()
+        w = list(u)
+        for _ in range(20):
+            spots = [i for i in range(len(w) - 1)
+                     if abs(w[i].index - w[i + 1].index) >= 2]
+            if spots:
+                i = rng.choice(spots)
+                w[i], w[i + 1] = w[i + 1], w[i]
+        assert _normal(tuple(w)) == (c, nf)
+    assert nonzero >= 10
 
 
 def test_index_validation():
