@@ -9,8 +9,11 @@ q^m before shifting, which realizes the relation L M = q M L.
 and division by q-scalars are accepted, and noncommutative products are
 normalized with L^j M^k = q^{jk} M^k L^j.  ``guess`` finds a recurrence for
 a computed sequence by an exact fraction-free nullspace: each row of the
-linear system is normalized once, denominators cleared and content over Z
-divided out, so the elimination runs in Z[q^{±1}][x^{±1}].
+linear system is normalized once, denominators cleared and content over
+Z[q^{±1}] divided out, so the elimination runs in Z[q^{±1}][x^{±1}].  There
+a large x-polynomial product is one integer-polynomial product (``XPoly *``),
+and an updated column is divided by its content exactly, with a gcd only
+where a coefficient is not a multiple of the content so far.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ import re
 from dataclasses import dataclass
 from typing import Mapping
 
-from .rings import (LaurentQ, RatQ, XPoly, laurent_gcd, xpoly_divexact,
-                    xpoly_gcd)
+from .rings import (LaurentQ, RatQ, XPoly, laurent_divexact, laurent_gcd,
+                    xpoly_divexact, xpoly_gcd)
 
 
 class OperatorError(ValueError):
@@ -169,6 +172,8 @@ def _mul(a, b):
 
 
 def _div(a, b):
+    if not b:
+        raise OperatorError("division by zero")
     if list(b) != [(0, 0)]:
         raise OperatorError("can only divide by scalars in Q(q)")
     p = b[(0, 0)]
@@ -180,6 +185,8 @@ def _div(a, b):
 
 def _pow(a, n: int):
     if n < 0:
+        if not a:
+            raise OperatorError("division by zero")
         if list(a) == [(0, 0)] and len(a[(0, 0)].c) == 1:
             ((e, v),) = a[(0, 0)].c.items()
             base = _scalar(XPoly({-e: v.inverse()}))
@@ -289,33 +296,47 @@ def trefoil_recurrence() -> RecurrenceOperator:
 
 def _vector_normalize(vec: list[XPoly]) -> list[XPoly]:
     """The vector times a scalar in Q(q) that puts it in Z[q^±1][x^±1] with
-    content 1 over Z[q^±1].  Scaling by one remaining denominator d at a
-    time multiplies the factor so far by d / gcd(d, factor), because the
-    ring cancels; so denominators are cleared by their lcm."""
+    content 1 over Z[q^±1].
+
+    Denominators are cleared one at a time: scaling by a remaining
+    denominator d multiplies the factor so far by d / gcd(d, factor),
+    because the ring cancels, so the factor is the lcm of the denominators.
+    The content starts as the coefficient of smallest q-span and is lowered
+    by ``laurent_gcd`` only at a coefficient it does not divide exactly (for
+    a normalized g, g | s exactly when gcd(g, s) = g); every coefficient is
+    then divided by it exactly."""
     while (den := next((r.den for p in vec for r in p.c.values()
                         if not r.den.is_one()), None)) is not None:
         s = RatQ(den)
         vec = [p.scale(s) for p in vec]
-    content = LaurentQ.zero()
-    for p in vec:
-        for r in p.c.values():
-            content = laurent_gcd(content, r.num)
-            if content.is_one():
+    nums = [r.num for p in vec for r in p.c.values()]
+    if nums:
+        g = laurent_gcd(min(nums, key=lambda n: n.max_exp - n.min_exp),
+                        LaurentQ.zero())
+        quots: list[LaurentQ] = []
+        for n in nums:
+            if g.is_one():
                 break
-        if content.is_one():
-            break
-    if not (content.is_zero() or content.is_one()):
-        inv = RatQ(content).inverse()
-        vec = [p.scale(inv) for p in vec]
-    return vec
+            try:
+                quots.append(laurent_divexact(n, g))
+            except ValueError:
+                g = laurent_gcd(g, n)
+                quots = [laurent_divexact(m, g)
+                         for m in nums[:len(quots) + 1]]
+        else:
+            nums = quots
+    it = iter(nums)
+    return [XPoly({e: RatQ(next(it)) for e in p.c}) for p in vec]
 
 
 def _nullspace_columns(rows: list[list[XPoly]], ncols: int) -> list[list[XPoly]]:
     """Kernel vectors of the homogeneous system, by fraction-free column
     elimination carrying a tracking block.  The rows come normalized, so
-    every entry stays in Z[q^±1][x^±1]; each updated column is divided by
-    its content.  A column is one list: its nrows values, then its
-    tracking block."""
+    every entry stays in Z[q^±1][x^±1], where a product of two large
+    entries is one packed integer-polynomial product.  Each updated column is
+    divided exactly by its content (``_vector_normalize``), which keeps the
+    entries from growing.  A column is one list: its nrows values, then
+    its tracking block."""
     nrows = len(rows)
     cols = [[rows[r][i] for r in range(nrows)]
             + [XPoly.one() if t == i else XPoly.zero() for t in range(ncols)]

@@ -21,16 +21,21 @@ kernel, ``_ratq_sum``: the binary ``RatQ +`` (and ``-``), the n-ary
 ``xpoly_sum`` (the term sum of ``homfly_columns`` and the Jacobi-Trudi sum
 of ``homfly_partition``, which add the numerators that share a denominator
 first) and the substitution x = q^n.  It lifts the numerators once to the
-elementwise maximum of the exponent vectors and cancels once, by exact trial
-division by those Phi_k: one cancellation per sum, or per power of x.  The
+elementwise maximum of the exponent vectors and cancels once: the terms
+folded modulo q^k - 1 tell which Phi_k divide, however sparse the numerator
+is, and only those are divided out exactly.  That is one cancellation per
+sum, or per power of x.  The
 result is canonical as it stands; so are an inverse and a q-substitution,
 after a shift and a sign.  The gcd canonicalization in ``RatQ.__init__``
 stays the reference and is the one path for every other denominator: once
 per product, and once for a whole sum.  The polynomial gcd is left to three
 users: parsed operators (division by a q-scalar), ``xpoly_gcd``, and the
-content gcd of recurrence guessing (``laurent_gcd``, taken over
-Z[q^{±1}]).  Large ``LaurentQ`` products go through one big-int multiply
-(Kronecker substitution).
+content of a vector in recurrence guessing (``laurent_gcd``, taken over
+Z[q^{±1}]), which needs it only at a coefficient that the content so far
+does not divide exactly.  Large ``LaurentQ`` products go through one big-int
+multiply (Kronecker substitution), unless the operands are so sparse that
+the packed slots would outnumber half the term pairs.  A large ``XPoly``
+product over Z[q^{±1}] is one such ``LaurentQ`` product, at x = q^s.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ import sys
 from array import array
 from functools import lru_cache
 from math import gcd as _igcd
-from operator import mul as _imul
 
 
 # ---------------------------------------------------------------------------
@@ -155,33 +159,36 @@ def _phi_candidates(deg: int) -> tuple[tuple[int, int], ...]:
     return tuple((k, tot[k]) for k in range(1, n + 1) if tot[k] <= deg)
 
 
-def _phi_divides(cs: list[int], k: int) -> bool:
-    """Whether Phi_k divides the nonzero polynomial cs.  Phi_k divides
-    q^k - 1, so it is enough to reduce the fold of cs modulo q^k - 1 (k
-    coefficients) by Phi_k."""
+def _phi_divides(c: dict[int, int], k: int) -> bool:
+    """Whether Phi_k divides the nonzero Laurent polynomial with coefficient
+    map c.  Phi_k divides q^k - 1, so it is enough to reduce the fold of c
+    modulo q^k - 1 (k coefficients, however sparse c is) by Phi_k."""
     phi = _phi(k)
     d = len(phi) - 1
-    if len(cs) <= d:
+    if max(c) - min(c) < d:
         return False
-    folded = [sum(cs[i::k]) for i in range(k)]
+    folded = [0] * k
+    for e, v in c.items():
+        folded[e % k] += v
     for i in range(k - 1, d - 1, -1):
-        c = folded[i]
-        if c:
+        v = folded[i]
+        if v:
             for j, p in enumerate(phi):
                 if p:
-                    folded[i - d + j] -= c * p
+                    folded[i - d + j] -= v * p
     return not any(folded[:d])
 
 
-def _phi_multiplicity(cs: list[int], k: int, most: int) -> int:
-    """The largest c <= most with Phi_k^c dividing cs.  Phi_k is squarefree,
-    so Phi_k^c divides cs exactly when Phi_k divides cs and its first c - 1
-    derivatives; no division is needed."""
-    c = 0
-    while c < most and _phi_divides(cs, k):
-        c += 1
-        cs = list(map(_imul, range(1, len(cs)), cs[1:]))
-    return c
+def _phi_multiplicity(c: dict[int, int], k: int, most: int) -> int:
+    """The largest n <= most with Phi_k^n dividing the Laurent polynomial
+    c.  Phi_k is squarefree and its roots are not 0, so Phi_k^n divides c
+    exactly when Phi_k divides c and its first n - 1 derivatives; no
+    division is needed."""
+    n = 0
+    while n < most and _phi_divides(c, k):
+        n += 1
+        c = {e - 1: e * v for e, v in c.items() if e}
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +237,33 @@ def _unpack(x: int, n: int, w: int) -> list[int]:
             for i in range(0, n * w, w)]
 
 
+def _schoolbook_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The product of two coefficient maps, term pair by term pair."""
+    out: dict[int, int] = {}
+    for ea, va in a.items():
+        for eb, vb in b.items():
+            e = ea + eb
+            w = out.get(e, 0) + va * vb
+            if w:
+                out[e] = w
+            elif e in out:
+                del out[e]
+    return out
+
+
 def _kronecker_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     """The product of two coefficient maps of two terms or more, by one
     big-int multiply.  Exponents are packed with their common stride g.
-    Every product coefficient is at most min(len) max|a| max|b|."""
+    Every product coefficient is at most min(len) max|a| max|b|.  Operands
+    so sparse that the packed slots outnumber half the term pairs go
+    through the schoolbook loop: packing is linear in the slots, whatever
+    their number."""
     alo, blo = min(a), min(b)
     g = _igcd(*[e - alo for e in a], *[e - blo for e in b])
-    da, db = [0] * ((max(a) - alo) // g + 1), [0] * ((max(b) - blo) // g + 1)
+    na, nb = (max(a) - alo) // g + 1, (max(b) - blo) // g + 1
+    if 2 * (na + nb) > len(a) * len(b):
+        return _schoolbook_mul(a, b)
+    da, db = [0] * na, [0] * nb
     for e, v in a.items():
         da[(e - alo) // g] = v
     for e, v in b.items():
@@ -244,7 +271,7 @@ def _kronecker_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     bound = (min(len(a), len(b)) * max(map(abs, a.values()))
              * max(map(abs, b.values())))
     w = _slot_bytes(bound.bit_length())
-    prod = _unpack(_pack(da, w) * _pack(db, w), len(da) + len(db) - 1, w)
+    prod = _unpack(_pack(da, w) * _pack(db, w), na + nb - 1, w)
     lo = alo + blo
     return {lo + g * i: v for i, v in enumerate(prod) if v}
 
@@ -353,16 +380,7 @@ class LaurentQ:
             a, b = b, a
         if len(a) >= _KRONECKER_MIN_TERMS:
             return _laurent(_kronecker_mul(a, b))
-        out: dict[int, int] = {}
-        for ea, va in a.items():
-            for eb, vb in b.items():
-                e = ea + eb
-                w = out.get(e, 0) + va * vb
-                if w:
-                    out[e] = w
-                elif e in out:
-                    del out[e]
-        return _laurent(out)
+        return _laurent(_schoolbook_mul(a, b))
 
     # -- substitutions
 
@@ -444,6 +462,14 @@ def laurent_gcd(a: LaurentQ, b: LaurentQ) -> LaurentQ:
     return LaurentQ._from_dense(0, [c * v for v in _list_gcd(da, db)])
 
 
+def laurent_divexact(n: LaurentQ, g: LaurentQ) -> LaurentQ:
+    """The exact quotient n / g in Z[q^±1]; raises ValueError unless g
+    divides n there."""
+    v, d = n._dense()
+    w, gd = g._dense()
+    return LaurentQ._from_dense(v - w, _list_divexact(d, gd))
+
+
 # -- cyclotomic denominators
 
 _FACTORS: dict[LaurentQ, tuple[tuple[int, int], ...] | None] = {}
@@ -466,12 +492,11 @@ def _cyclo_exponents(den: LaurentQ) -> tuple[tuple[int, int], ...] | None:
         return None
     if any(c.get(d - e) != sign * v for e, v in c.items()):
         return None
-    cs = den._dense()[1]
     vec, deg = [], 0
     for k, phik in _phi_candidates(d):
         if deg == d:
             break
-        e = _phi_multiplicity(cs, k, (d - deg) // phik)
+        e = _phi_multiplicity(c, k, (d - deg) // phik)
         if e:
             vec.append((k, e))
             deg += e * phik
@@ -498,17 +523,15 @@ def _cancel(p: LaurentQ, vec: dict[int, int]) -> LaurentQ:
     lower vec[k] by c_k."""
     if len(p.c) < 2 or not vec:
         return p
-    v, cs = p._dense()
     div = []
     for k, e in vec.items():
-        c = _phi_multiplicity(cs, k, e)
+        c = _phi_multiplicity(p.c, k, e)
         if c:
             div.append((k, c))
             vec[k] = e - c
     if not div:
         return p
-    d = _cyclo_den(dict(div))._dense()[1]
-    return LaurentQ._from_dense(v, _list_divexact(cs, d))
+    return laurent_divexact(p, _cyclo_den(dict(div)))
 
 
 def _cyclo_den(vec: dict[int, int]) -> LaurentQ:
@@ -803,6 +826,11 @@ class XPoly:
     def __mul__(self, other: "XPoly") -> "XPoly":
         if not self.c or not other.c:
             return _X_ZERO
+        # the packed product pays off where its LaurentQ product is a
+        # Kronecker one (measured on the integral products of the workloads)
+        if (_integral_terms(self.c) >= _KRONECKER_MIN_TERMS
+                and _integral_terms(other.c) >= _KRONECKER_MIN_TERMS):
+            return _xpoly_mul_integral(self.c, other.c)
         out: dict[int, RatQ] = {}
         for ea, va in self.c.items():
             for eb, vb in other.c.items():
@@ -877,6 +905,46 @@ class XPoly:
 
 _X_ZERO = XPoly()
 _X_ONE = XPoly({0: _R_ONE})
+
+
+def _integral_terms(c: dict[int, RatQ]) -> int:
+    """The number of q-terms of a coefficient map over Z[q^±1]; 0 if some
+    coefficient has a denominator."""
+    n = 0
+    for r in c.values():
+        if not r.den.is_one():
+            return 0
+        n += len(r.num.c)
+    return n
+
+
+def _q_range(c: dict[int, RatQ]) -> tuple[int, int]:
+    exps = [k for r in c.values() for k in r.num.c]
+    return min(exps), max(exps)
+
+
+def _xpoly_pack(c: dict[int, RatQ], s: int, qlo: int) -> LaurentQ:
+    """The integral coefficient map c at x = q^s, with x shifted to its
+    lowest exponent and q by qlo."""
+    xlo = min(c)
+    return _laurent({(e - xlo) * s + k - qlo: v
+                     for e, r in c.items() for k, v in r.num.c.items()})
+
+
+def _xpoly_mul_integral(a: dict[int, RatQ], b: dict[int, RatQ]) -> XPoly:
+    """The product of two ``XPoly`` coefficient maps over Z[q^±1] by one
+    ``LaurentQ`` product (Kronecker substitution x = q^s).  With q shifted
+    to its lowest exponent, every coefficient of the product spans fewer
+    than s = span_a + span_b + 1 powers of q, so divmod by s splits the
+    product back into its powers of x and of q."""
+    (alo, ahi), (blo, bhi) = _q_range(a), _q_range(b)
+    s = ahi - alo + bhi - blo + 1
+    out: dict[int, dict[int, int]] = {}
+    x0, q0 = min(a) + min(b), alo + blo
+    for k, v in (_xpoly_pack(a, s, alo) * _xpoly_pack(b, s, blo)).c.items():
+        i, j = divmod(k, s)
+        out.setdefault(x0 + i, {})[q0 + j] = v
+    return _xpoly({e: _ratq(_laurent(c), _L_ONE) for e, c in out.items()})
 
 
 def is_integral_laurent(r: RatQ) -> tuple[bool, LaurentQ | None]:

@@ -171,6 +171,34 @@ def test_recur_verify_too_deeply_nested_operator(capsys):
     assert err == "error: operator text is nested too deeply\n"
 
 
+def test_recur_verify_zero_divisor_refused(capsys):
+    for text in ("1/(q-q)", "0^-1", "(q-q)^-1", "L - 1/0"):
+        rc, out, err = run(capsys, "recur", "verify", "--strands", "1",
+                           "--braid", "", "--m-range", "0:1",
+                           "--operator-text", text)
+        assert (rc, out, err) == (2, "", "error: division by zero\n")
+    # a nonzero divisor that is not a q-scalar keeps its own message
+    rc, _, err = run(capsys, "recur", "verify", "--strands", "1", "--braid", "",
+                     "--m-range", "0:1", "--operator-text", "1/L")
+    assert (rc, err) == (2, "error: can only divide by scalars in Q(q)\n")
+
+
+def test_recur_verify_sparse_operator_stays_sparse(capsys, monkeypatch):
+    # T has 11 terms spanning 10^6 powers of q; its square meets the
+    # sequence's cyclotomic denominators, which must not densify it
+    dense = LaurentQ._dense
+
+    def bounded(self):
+        assert self.max_exp - self.min_exp < 10 ** 4, "densified a sparse map"
+        return dense(self)
+    monkeypatch.setattr(LaurentQ, "_dense", bounded)
+    t = "+".join(["1", "q"] + [f"q^{i}" for i in range(2, 10)] + ["q^1000000"])
+    rc, out, err = run(capsys, "recur", "verify", "--strands", "1",
+                       "--braid", "", "--m-range", "0:1",
+                       "--operator-text", f"({t})*({t})")
+    assert (rc, out, err) == (1, "FAIL at m=0\n", "")
+
+
 def test_recur_verify_unreadable_operator_file(tmp_path, capsys):
     not_utf8 = tmp_path / "utf16.txt"
     not_utf8.write_bytes(b"\xff\xfeL\x00")

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from homflypt import (OperatorError, RecurrenceOperator, guess, parse_operator,
-                      parse_xpoly, qint, torus_reference, trefoil_recurrence,
-                      xbinom)
-from homflypt.recurrence import _vector_normalize
+from homflypt import (ColoredBraid, OperatorError, RecurrenceOperator, guess,
+                      invariant, parse_braid, parse_operator, parse_xpoly, qint,
+                      rings, torus_reference, trefoil_recurrence, xbinom)
+from homflypt.recurrence import _nullspace_columns, _vector_normalize
 from homflypt.rings import LaurentQ, RatQ, XPoly, laurent_gcd
 
 
@@ -163,6 +163,74 @@ def test_vector_normalize_clears_every_denominator():
             content = laurent_gcd(content, r.num)
     assert content.is_one()
     assert all(out[0] * v == out[i] * vec[0] for i, v in enumerate(vec))
+
+
+def _normalize_reference(vec):
+    """Clear one denominator at a time, then scale by the inverse of the
+    gcd of every coefficient."""
+    while (den := next((r.den for p in vec for r in p.c.values()
+                        if not r.den.is_one()), None)) is not None:
+        vec = [p.scale(RatQ(den)) for p in vec]
+    content = LaurentQ.zero()
+    for p in vec:
+        for r in p.c.values():
+            content = laurent_gcd(content, r.num)
+    if not (content.is_zero() or content.is_one()):
+        vec = [p.scale(RatQ(content).inverse()) for p in vec]
+    return vec
+
+
+def test_vector_normalize_matches_reference():
+    L = LaurentQ
+    cyclotomic = (L({2: 1, 0: -1}), L({4: 1, 0: -1}),
+                  L({2: 1, 0: -1}) * L({6: 1, 0: -1}), L({2: 1, 1: 1, 0: 1}))
+    other = (L({2: 1, 0: 3}), L.from_int(2), L.from_int(3), L({1: 2, 0: -1}))
+    contents = (L.one(), L.from_int(2), L.from_int(6), L({1: 2, 0: 3}),
+                L({3: -1, 1: 1}) * L.from_int(2), L({2: 1, 0: -1}))
+    rng = random.Random(24)
+    for trial in range(120):
+        dens = [L.one()] + list(rng.choice((cyclotomic, cyclotomic + other)))
+        content = rng.choice(contents)
+
+        def entry():
+            if rng.random() < 0.25:
+                return XPoly.zero()
+            return XPoly({e: RatQ(L({k: rng.randint(-5, 5) or 1
+                                     for k in rng.sample(range(-3, 4), 3)})
+                                  * content, rng.choice(dens))
+                          for e in rng.sample(range(-2, 3), rng.randint(1, 3))})
+        vec = [entry() for _ in range(rng.randint(1, 5))]
+        assert _vector_normalize(vec) == _normalize_reference(vec)
+
+
+@pytest.mark.parametrize("family", "eh")
+def test_elimination_takes_at_most_one_gcd_per_column_update(monkeypatch,
+                                                            family):
+    # the linear system of `recur guess` on the unknot, m 0:8, order 1,
+    # M-degree 2: eight rows, six unknowns
+    unknot = parse_braid("", 1)
+    f = {m: invariant(ColoredBraid(unknot, (m,)), family) for m in range(9)}
+    rows = [_vector_normalize([f[m + j].scale(RatQ.q_power(m * k))
+                               for j in range(2) for k in range(3)])
+            for m in range(8)]
+    gcds, per_update = [0], []
+    list_gcd, normalize = rings._list_gcd, _vector_normalize
+
+    def counted_gcd(a, b):
+        gcds[0] += 1
+        return list_gcd(a, b)
+
+    def counted_normalize(vec):
+        before = gcds[0]
+        out = normalize(vec)
+        per_update.append(gcds[0] - before)
+        return out
+    monkeypatch.setattr(rings, "_list_gcd", counted_gcd)
+    monkeypatch.setattr("homflypt.recurrence._vector_normalize",
+                        counted_normalize)
+    assert len(_nullspace_columns(rows, 6)) == 1
+    assert len(per_update) == 14
+    assert max(per_update) <= 1
 
 
 def test_guess_window_too_small():

@@ -9,7 +9,7 @@ from homflypt import (LaurentQ, RatQ, XPoly, is_integral_laurent,
 from homflypt import rings
 from homflypt.rings import (_FACTORS, _KRONECKER_MIN_TERMS, _cyclo_exponents,
                             _kronecker_mul, _list_content, _list_gcd, _phi,
-                            xpoly_sum)
+                            _phi_multiplicity, laurent_divexact, xpoly_sum)
 
 ONE = XPoly.one()
 ZERO = XPoly.zero()
@@ -385,6 +385,31 @@ def test_factorizer_finds_exponents():
     assert _cyclo_exponents(den) == ((1, 3), (2, 3), (3, 1), (4, 1), (6, 1))
 
 
+def test_phi_multiplicity_of_sparse_laurent_maps():
+    # folding modulo q^k - 1 reads the terms, not the 10^6-long span
+    tail = LaurentQ({0: 1, 10 ** 6: 1})     # 1 + q^(2^6 5^6)
+    p = (LaurentQ({-3: 1}) * _poly(_phi(1)) * _poly(_phi(1)) * _poly(_phi(3))
+         * tail)
+    assert [_phi_multiplicity(p.c, k, 5) for k in (1, 2, 3)] == [2, 0, 1]
+    assert _phi_multiplicity(p.c, 1, 1) == 1
+    # Phi_k | 1 + q^(10^6) exactly when 2^7 | k and k | 2 * 10^6
+    assert [_phi_multiplicity(tail.c, k, 3) for k in (64, 128, 640)] == [0, 1, 1]
+    assert _phi_multiplicity(LaurentQ({-2: 5}).c, 1, 3) == 0
+
+
+def test_laurent_divexact():
+    rng = random.Random(12)
+    for _ in range(50):
+        a, b = rand_laurent(rng), rand_laurent(rng)
+        if b.is_zero():
+            continue
+        assert laurent_divexact(a * b, b) == a
+    with pytest.raises(ValueError):
+        laurent_divexact(LaurentQ({2: 1, 0: 1}), LaurentQ({1: 1, 0: -1}))
+    with pytest.raises(ValueError):
+        laurent_divexact(LaurentQ({0: 3}), LaurentQ({0: 2}))
+
+
 def test_non_cyclotomic_denominator_takes_gcd_path():
     den = LaurentQ({2: 1, 0: 3})             # q^2 + 3: fails the cheap checks
     assert _cyclo_exponents(den) is None
@@ -396,3 +421,76 @@ def test_non_cyclotomic_denominator_takes_gcd_path():
     assert x + y == RatQ(x.num * y.den + y.num * x.den, x.den * y.den)
     assert x * y == RatQ(x.num * y.num, x.den * y.den)
     assert (x * y).den == LaurentQ({4: 1, 2: 2, 0: -3})
+
+
+def test_sparse_operands_skip_the_packing(monkeypatch):
+    # 11 terms spanning 10^6 powers of q: packing would fill ~2 * 10^6
+    # slots for 121 term pairs
+    def no_pack(cs, w):
+        raise AssertionError("packed a sparse product")
+    sparse = LaurentQ({**{i: 1 for i in range(10)}, 10 ** 6: 1})
+    dense = LaurentQ({i: 1 for i in range(_KRONECKER_MIN_TERMS)})
+    monkeypatch.setattr(rings, "_pack", no_pack)
+    assert sparse * sparse == _schoolbook(sparse, sparse)
+    assert sparse * dense == _schoolbook(sparse, dense)
+    with pytest.raises(AssertionError, match="packed"):
+        dense * dense
+
+
+# -- XPoly products over Z[q^±1] (one packed LaurentQ product, against the
+# per-term loop over RatQ)
+
+def _per_term(a, b):
+    out = {}
+    for ea, va in a.c.items():
+        for eb, vb in b.c.items():
+            out[ea + eb] = out.get(ea + eb, RatQ.zero()) + va * vb
+    return XPoly(out)
+
+
+# coefficients on both sides of the 8-byte slot: a product coefficient of
+# 11 to 30 terms of magnitude 2^29..2^31 needs 62 to 67 bits
+slot_edge = st.sampled_from([2 ** 29, -(2 ** 30), 2 ** 31 - 1, -(2 ** 31)])
+integral_xpolys = st.dictionaries(
+    st.integers(-4, 4),
+    st.dictionaries(st.integers(-12, 12),
+                    st.one_of(st.integers(-9, 9), slot_edge), max_size=8)
+    .map(lambda c: RatQ(LaurentQ(c))),
+    max_size=6).map(XPoly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(integral_xpolys, integral_xpolys)
+@example(XPoly.zero(), XPoly.x_power(-3))
+@example(XPoly.mono(RatQ(LaurentQ({e: 2 ** 31 - 1 for e in range(-5, 8)})), -2),
+         XPoly({e: RatQ(LaurentQ({e - k: -(2 ** 31) for k in range(12)}))
+                for e in (-1, 3)}))
+def test_integral_xpoly_product_matches_per_term_loop(a, b):
+    assert a * b == _per_term(a, b)
+    assert b * a == _per_term(a, b)
+
+
+def test_integral_xpoly_product_is_one_laurent_product(monkeypatch):
+    rng = random.Random(12)
+    a = XPoly({e: RatQ(LaurentQ({k: rng.randint(-9, 9) or 1
+                                 for k in range(-3 * e, 8)}))
+               for e in (-2, 0, 1)})
+    b = XPoly({e: RatQ(LaurentQ({k: rng.randint(-9, 9) or 1
+                                 for k in range(e, e + 6)}))
+               for e in (-1, 4)})
+    calls = []
+    mul = LaurentQ.__mul__
+
+    def counted(x, y):
+        calls.append((len(x.c), len(y.c)))
+        return mul(x, y)
+    monkeypatch.setattr(LaurentQ, "__mul__", counted)
+    product = a * b
+    assert calls == [(sum(len(r.num.c) for r in a.c.values()),
+                      sum(len(r.num.c) for r in b.c.values()))]
+    assert product == _per_term(a, b)
+    # a denominator anywhere takes the per-term loop
+    c = XPoly({**b.c, 2: RatQ(LaurentQ.one(), LaurentQ({2: 1, 0: -1}))})
+    calls.clear()
+    assert a * c == _per_term(a, c)
+    assert len(calls) > 1
