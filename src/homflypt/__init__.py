@@ -6,30 +6,27 @@ quantum invariant in its integral normalization.  All arithmetic is exact.
 
 from .braid import (Braid, BraidError, ClosureInfo, ColoredBraid,
                     cable_first_component, closure_info, parse_braid)
-from .invariants import (Partition, adjust_framing, framing_factor,
-                         homfly_columns, homfly_partition, homfly_rows,
-                         invariant, torus_reference, trefoil_reference)
-from .ladder import (LadderWord, Letter, build_cap, build_cup,
-                     crossing_sums, crossing_weights, enumerate_terms,
-                     weight_offsets)
-from .pbw import Evaluator, ev, ev_specialized
+from .invariants import (Partition, adjust_framing, homfly_columns,
+                         homfly_partition, invariant, torus_reference,
+                         trefoil_reference)
+from .ladder import (Letter, build_cap, build_cup, crossing_sums,
+                     crossing_weights, enumerate_terms, weight_offsets)
+from .pbw import Evaluator
 from .qcomb import qbinom, qfactorial, qint, xbinom
 from .recurrence import (OperatorError, RecurrenceOperator, guess,
                          parse_operator, parse_xpoly, trefoil_recurrence)
-from .rings import (LaurentQ, RatQ, XPoly, is_integral_laurent, laurent_gcd,
-                    xpoly_divexact, xpoly_gcd)
+from .rings import LaurentQ, RatQ, XPoly, laurent_gcd, xpoly_divexact, xpoly_gcd
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Braid", "BraidError", "ClosureInfo", "ColoredBraid", "Evaluator",
-    "LadderWord", "LaurentQ", "Letter", "OperatorError", "Partition",
-    "RatQ", "RecurrenceOperator", "XPoly", "adjust_framing",
-    "build_cap", "build_cup", "cable_first_component", "closure_info",
-    "crossing_sums", "crossing_weights", "enumerate_terms", "ev", "ev_specialized",
-    "framing_factor", "guess", "homfly_columns", "homfly_partition",
-    "homfly_rows", "invariant", "is_integral_laurent", "laurent_gcd",
-    "parse_braid", "parse_operator", "parse_xpoly", "qbinom", "qfactorial",
-    "qint", "torus_reference", "trefoil_recurrence", "trefoil_reference",
+    "LaurentQ", "Letter", "OperatorError", "Partition", "RatQ",
+    "RecurrenceOperator", "XPoly", "adjust_framing", "build_cap",
+    "build_cup", "cable_first_component", "closure_info", "crossing_sums",
+    "crossing_weights", "enumerate_terms", "guess", "homfly_columns",
+    "homfly_partition", "invariant", "laurent_gcd", "parse_braid",
+    "parse_operator", "parse_xpoly", "qbinom", "qfactorial", "qint",
+    "torus_reference", "trefoil_recurrence", "trefoil_reference",
     "weight_offsets", "xbinom", "xpoly_divexact", "xpoly_gcd",
 ]

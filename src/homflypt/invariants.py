@@ -45,23 +45,11 @@ class Partition:
     def __len__(self) -> int:
         return len(self.parts)
 
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
     def transpose(self) -> "Partition":
         if not self.parts:
             return self
         return Partition(tuple(sum(1 for p in self.parts if p > j)
                                for j in range(self.parts[0])))
-
-    @staticmethod
-    def column(a: int) -> "Partition":
-        return Partition((1,) * a)
-
-    @staticmethod
-    def row(a: int) -> "Partition":
-        return Partition((a,) if a else ())
 
 
 def homfly_columns(cb: ColoredBraid, *,
@@ -77,9 +65,8 @@ def homfly_columns(cb: ColoredBraid, *,
         return XPoly.zero()
     m = cb.braid.strands
     ev = evaluator or Evaluator(2 * m)
-    return ev.contract(build_cap(cb.strand_colors, m).letters,
-                       crossing_sums(cb),
-                       build_cup(cb.strand_colors, m).letters)
+    return ev.contract(build_cap(cb.strand_colors, m), crossing_sums(cb),
+                       build_cup(cb.strand_colors, m))
 
 
 def invariant(cb: ColoredBraid, family: str = "e",
@@ -111,23 +98,13 @@ def invariant(cb: ColoredBraid, family: str = "e",
     return value
 
 
-def homfly_rows(cb: ColoredBraid) -> XPoly:
-    """Row colors h_{a_i} in the blackboard framing: ``invariant(cb, "h")``."""
-    return invariant(cb, "h")
-
-
-def framing_factor(a: int) -> XPoly:
-    """Per-unit framing-change factor for a column color e_a, the monomial
-    q^(a - a^2) x^a: the invariant of the closure of sigma_1 (the +1-framed
-    unknot) over that of the 0-framed unknot."""
-    return adjust_framing(XPoly.one(), a, 1)
-
-
 def adjust_framing(value: XPoly, color: int, delta_framing: int, *,
                    row: bool = False) -> XPoly:
     """Change the framing of one component of color a by delta_framing
     units: multiply by q^(+-delta (a - a^2)) x^(delta a), with the minus sign
-    for the row color h_a (``row=True``; q -> -q^{-1}, as a - a^2 is even)."""
+    for the row color h_a (``row=True``; q -> -q^{-1}, as a - a^2 is even).
+    ``adjust_framing(XPoly.one(), a, 1)`` is the unit factor for e_a: the
+    +1-framed unknot (closure of sigma_1) over the 0-framed one."""
     if color < 0:
         raise ValueError("framing factor needs a nonnegative color")
     e = delta_framing * (color - color * color)

@@ -1,11 +1,13 @@
 """Ladder words for braid closures.
 
 An m-strand colored braid closure is evaluated on a ladder with 2m sides at
-the highest weight (n^m, 0^m), n symbolic.  This module emits the cup word
-(all F letters), the cap word (its mirror in E letters), the per-crossing
-data, and each crossing's terminating sum of letters.  The engine contracts
-these sums crossing by crossing (``crossing_sums``); ``enumerate_terms``
-expands their product into ladder words, the test suite's oracle.
+the highest weight (n^m, 0^m), n symbolic.  A word is a tuple of letters
+(``Word``); X^(0) letters, the identity, are never emitted.  This module
+emits the cup word (all F letters), the cap word (its mirror in E letters),
+the per-crossing data, and each crossing's terminating sum of letters.  The
+engine contracts these sums crossing by crossing (``crossing_sums``);
+``enumerate_terms`` expands their product into (scalar, word) pairs, the
+test suite's oracle.
 
 Letters apply right to left: the rightmost letter of a word acts first on
 the highest-weight idempotent.  E_i adds the root alpha_i = e_i - e_{i+1} to
@@ -15,12 +17,11 @@ pinned to the first m slots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, NamedTuple
 
 from .braid import ColoredBraid
-from .rings import LaurentQ, RatQ, XPoly
+from .rings import LaurentQ, RatQ
 
 
 class Letter(NamedTuple):
@@ -33,17 +34,6 @@ class Letter(NamedTuple):
 
 
 Word = tuple[Letter, ...]
-
-
-@dataclass(frozen=True)
-class LadderWord:
-    sides: int
-    letters: Word
-    scalar: XPoly
-
-    def dump(self) -> str:
-        body = " ".join(let.dump() for let in self.letters) or "1"
-        return f"{body} @ {self.scalar.text()}"
 
 
 def weight_offsets(letters: Word, sides: int) -> list[int]:
@@ -59,9 +49,9 @@ def weight_offsets(letters: Word, sides: int) -> list[int]:
     return d
 
 
-def build_cup(colors, m: int) -> LadderWord:
+def build_cup(colors, m: int) -> Word:
     """The cup word: F letters carrying the strand colors from the highest
-    weight down to (n-b_m,...,n-b_1, b_1,...,b_m)."""
+    weight down to (n-b_m,...,n-b_1, b_1,...,b_m); a color 0 emits none."""
     colors = tuple(colors)
     if len(colors) != m:
         raise ValueError("need one color per strand")
@@ -70,18 +60,18 @@ def build_cup(colors, m: int) -> LadderWord:
     letters: list[Letter] = []
     for k in range(1, m + 1):
         b = colors[k - 1]
+        if not b:
+            continue
         for i in range(k - 1, 0, -1):
             letters.append(Letter("F", m + i, b))
             letters.append(Letter("F", m - i, b))
         letters.append(Letter("F", m, b))
-    return LadderWord(2 * m, tuple(letters), XPoly.one())
+    return tuple(letters)
 
 
-def build_cap(colors, m: int) -> LadderWord:
+def build_cap(colors, m: int) -> Word:
     """The cap word: the mirror of the cup (reversed order, F -> E)."""
-    cup = build_cup(colors, m)
-    letters = tuple(Letter("E", i, p) for _, i, p in reversed(cup.letters))
-    return LadderWord(2 * m, letters, XPoly.one())
+    return tuple(Letter("E", i, p) for _, i, p in reversed(build_cup(colors, m)))
 
 
 class CrossingTerm(NamedTuple):
@@ -132,26 +122,26 @@ def crossing_sums(cb: ColoredBraid) -> list[list[tuple[Word, RatQ]]]:
             for c in crossing_weights(cb)]
 
 
-def enumerate_terms(cb: ColoredBraid) -> Iterator[LadderWord]:
-    """The product of the crossing sums as ladder words, over the wide box
-    max(0, a_l - a_r) <= s_j <= max(colors); the test suite's oracle for
-    ``Evaluator.contract`` and for the tight box of ``crossing_sums``.
+def enumerate_terms(cb: ColoredBraid) -> Iterator[tuple[RatQ, Word]]:
+    """The product of the crossing sums as (scalar, word) pairs, over the
+    wide box max(0, a_l - a_r) <= s_j <= max(colors); the test suite's
+    oracle for ``Evaluator.contract`` and for the tight box of
+    ``crossing_sums``.
 
-    Yields one ladder word per tuple s = (s_1,...,s_t): the cap, then per
-    crossing (top to bottom) E^{(s_j + a_r - a_l)} F^{(s_j)} at the
-    crossing's ladder index, then the cup.  The scalar carries
-    (-1)^{a_l + a_l a_r} q^{eps_j a_l} (-q)^{-eps_j s_j} per crossing.
-    Terms are yielded in lexicographic s order; summing scalar * ev over all
-    of them gives the invariant of the blackboard-framed closure.
+    Yields one pair per tuple s = (s_1,...,s_t).  The word is the cap, then
+    per crossing (top to bottom) E^{(s_j + a_r - a_l)} F^{(s_j)} at the
+    crossing's ladder index, then the cup.  The scalar is the product of
+    (-1)^{a_l + a_l a_r} q^{eps_j a_l} (-q)^{-eps_j s_j} over the crossings.
+    Pairs are yielded in lexicographic s order; summing scalar * ev(word)
+    over all of them gives the invariant of the blackboard-framed closure.
     """
     m = cb.braid.strands
-    cap = tuple(l for l in build_cap(cb.strand_colors, m).letters if l.power)
-    cup = tuple(l for l in build_cup(cb.strand_colors, m).letters if l.power)
+    cap = build_cap(cb.strand_colors, m)
+    cup = build_cup(cb.strand_colors, m)
     bound = max(cb.colors, default=0)
     factors = [_crossing_sum(c, bound) for c in crossing_weights(cb)]
     for pick in product(*factors):
         mid = tuple(l for letters, _, _ in reversed(pick) for l in letters)
         sign = -1 if sum(f[1] for f in pick) % 2 else 1
         qexp = sum(f[2] for f in pick)
-        scalar = XPoly.from_ratq(RatQ(LaurentQ.mono(sign, qexp)))
-        yield LadderWord(2 * m, cap + mid + cup, scalar)
+        yield RatQ(LaurentQ.mono(sign, qexp)), cap + mid + cup

@@ -1,5 +1,6 @@
 """The core evaluator: sorting a ladder word into PBW order.
 
+A word is a sequence of letters (``ladder.Letter``), rightmost first to act.
 ``Evaluator(sides).state`` rewrites a word, applied to the highest-weight
 idempotent of the 2m-sided ladder, into a linear combination of F-only
 words: its state, with coefficients in Q(q)[x^{±1}] that hold for every
@@ -45,9 +46,9 @@ word from scratch.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterable
 
-from .ladder import LadderWord, Letter, Word
+from .ladder import Letter, Word
 from .qcomb import qbinom, xbinom
 from .rings import RatQ, XPoly, xpoly_sum
 
@@ -75,11 +76,11 @@ class Evaluator:
 
     # -- public entry points
 
-    def ev(self, word: LadderWord | Word) -> XPoly | RatQ:
+    def ev(self, word: Iterable[Letter]) -> XPoly | RatQ:
         """The value of a word: in Q(q)[x^{±1}], or in Q(q) at x = q^n."""
         return self.state(word).get((), self.ring.zero())
 
-    def state(self, word: LadderWord | Word) -> State:
+    def state(self, word: Iterable[Letter]) -> State:
         """The word applied to the highest-weight idempotent, as F-only
         words in normal form with their nonzero coefficients.  The returned
         dict may be shared with the memo; do not change it."""
@@ -125,16 +126,13 @@ class Evaluator:
         # generic values cancel once per power of x
         return xpoly_sum(values) if self.n is None else sum(values, RatQ.zero())
 
-    def _letters(self, word) -> Word | None:
+    def _letters(self, word: Iterable[Letter]) -> Word | None:
         """The letters of a word with its X^(0) letters dropped, or None if
         a letter has a negative power (the word is zero).  Every index is
         checked either way."""
-        letters = word.letters if isinstance(word, LadderWord) else tuple(word)
-        if isinstance(word, LadderWord) and word.sides != self.sides:
-            raise ValueError("word has a different ladder size")
         kept = []
         zero = False
-        for let in letters:
+        for let in word:
             if not 1 <= let.index <= self.sides - 1:
                 raise ValueError(f"letter index {let.index} outside [1, {self.sides - 1}]")
             if let.power > 0:
@@ -304,13 +302,3 @@ def _normal(w: Word) -> tuple[RatQ, Word]:
 
 def _dump(w: Word) -> str:
     return " ".join(let.dump() for let in w) or "1"
-
-
-def ev(word: LadderWord) -> XPoly:
-    """One-shot generic evaluation (fresh memo)."""
-    return Evaluator(word.sides).ev(word)
-
-
-def ev_specialized(word: LadderWord, n: int) -> RatQ:
-    """One-shot evaluation at x = q^n (fresh memo)."""
-    return Evaluator(word.sides, n).ev(word)

@@ -36,6 +36,10 @@ class OperatorError(ValueError):
 
 _TOKEN = re.compile(r"\s*([0-9]+|[qxML()+\-*/^]|$)")
 
+# the widest q-span of a parsed divisor (``/p`` or ``p^-k``): the time to
+# factor 1/p's denominator into cyclotomic polynomials grows steeply with it
+_DIVISOR_SPAN = 256
+
 
 class _Parser:
     """Recursive descent over elements of the algebra Q(q)[x^±1]<M, L>."""
@@ -179,8 +183,17 @@ def _div(a, b):
     p = b[(0, 0)]
     if set(p.c) != {0}:
         raise OperatorError("can only divide by scalars in Q(q)")
-    inv = p.c[0].inverse()
+    inv = _inverse(p.c[0])
     return {k: v.scale(inv) for k, v in a.items()}
+
+
+def _inverse(v: RatQ) -> RatQ:
+    """1/v for a parsed divisor v, refused past ``_DIVISOR_SPAN``."""
+    span = v.num.max_exp - v.num.min_exp
+    if span > _DIVISOR_SPAN:
+        raise OperatorError(f"a divisor spanning {span} powers of q is too "
+                            f"wide (at most {_DIVISOR_SPAN})")
+    return v.inverse()
 
 
 def _pow(a, n: int):
@@ -189,7 +202,7 @@ def _pow(a, n: int):
             raise OperatorError("division by zero")
         if list(a) == [(0, 0)] and len(a[(0, 0)].c) == 1:
             ((e, v),) = a[(0, 0)].c.items()
-            base = _scalar(XPoly({-e: v.inverse()}))
+            base = _scalar(XPoly({-e: _inverse(v)}))
             return _pow(base, -n)
         if list(a) in ([(0, 1)], [(1, 0)]):
             (key,) = a

@@ -50,6 +50,12 @@ from math import gcd as _igcd
 # integer-polynomial helpers (dense lists, index = degree)
 # ---------------------------------------------------------------------------
 
+# the widest q-span turned into a dense list (gcd and exact division); the
+# engine's spans are in the hundreds, and a list of 10^8 entries takes
+# gigabytes
+_DENSE_SPAN = 10 ** 6
+
+
 def _list_content(cs: list[int]) -> int:
     g = 0
     for c in cs:
@@ -396,7 +402,11 @@ class LaurentQ:
 
     def _dense(self) -> tuple[int, list[int]]:
         v = self.min_exp
-        out = [0] * (self.max_exp - v + 1)
+        span = self.max_exp - v
+        if span > _DENSE_SPAN:
+            raise ValueError(f"a polynomial spanning {span} powers of q is too "
+                             f"wide for dense arithmetic (at most {_DENSE_SPAN})")
+        out = [0] * (span + 1)
         for e, c in self.c.items():
             out[e - v] = c
         return v, out
@@ -945,17 +955,6 @@ def _xpoly_mul_integral(a: dict[int, RatQ], b: dict[int, RatQ]) -> XPoly:
         i, j = divmod(k, s)
         out.setdefault(x0 + i, {})[q0 + j] = v
     return _xpoly({e: _ratq(_laurent(c), _L_ONE) for e, c in out.items()})
-
-
-def is_integral_laurent(r: RatQ) -> tuple[bool, LaurentQ | None]:
-    """Whether r reduces to a Laurent polynomial with integer coefficients.
-
-    Canonical form makes this a denominator check; the polynomial is
-    returned when the answer is yes.
-    """
-    if r.den.is_one():
-        return True, r.num
-    return False, None
 
 
 def _xpoly_divmod(a: XPoly, b: XPoly) -> tuple[XPoly, XPoly]:

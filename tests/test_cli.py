@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -58,6 +59,17 @@ def test_json_and_text_denote_same_value(capsys):
     assert _value_from_json(doc["value"]) == parse_xpoly(text_out.strip())
     assert doc["meta"]["strands"] == 2
     assert doc["meta"]["linking"] == [[3]]
+
+
+def test_eval_specialized_json_meta(capsys):
+    rc, out, _ = run(capsys, "eval", "--strands", "2", "--braid", "1 1 1",
+                     "--colors", "e2", "--specialize", "2", "--format", "json")
+    assert rc == 0
+    assert out == (
+        '{"value": {"num": [[6, "1"]], "den": [[0, "1"]]}, "meta": '
+        '{"kind": "eval", "strands": 2, "word": [1, 1, 1], "components": 1, '
+        '"colors": [2], "linking": [[3]], "color_spec": ["e2"], '
+        '"framing": "blackboard", "specialize": 2, "integral": true}}\n')
 
 
 def test_eval_framing_zero(capsys):
@@ -143,8 +155,8 @@ def test_oracle_commands(capsys):
 def test_oracle_torus_s1_consistent_with_framed_unknot(capsys):
     rc, out, _ = run(capsys, "oracle", "torus", "--s", "1", "--m", "1")
     assert rc == 0
-    from homflypt import ColoredBraid, adjust_framing, homfly_rows, parse_braid
-    v = adjust_framing(homfly_rows(ColoredBraid(parse_braid("", 1), (1,))),
+    from homflypt import ColoredBraid, adjust_framing, invariant, parse_braid
+    v = adjust_framing(invariant(ColoredBraid(parse_braid("", 1), (1,)), "h"),
                        1, 1, row=True)
     assert parse_xpoly(out.strip()) == v
 
@@ -181,6 +193,34 @@ def test_recur_verify_zero_divisor_refused(capsys):
     rc, _, err = run(capsys, "recur", "verify", "--strands", "1", "--braid", "",
                      "--m-range", "0:1", "--operator-text", "1/L")
     assert (rc, err) == (2, "error: can only divide by scalars in Q(q)\n")
+
+
+def test_recur_verify_wide_dense_work_refused(capsys):
+    # exact division by the sequence's cyclotomic denominators would need a
+    # dense list as long as the q-span
+    for text in ("(q^3000000-1)*M", "(q^3000000 - 1)/(q^2-1)*M"):
+        rc, out, err = run(capsys, "recur", "verify", "--strands", "1",
+                           "--braid", "", "--family", "e", "--m-range", "0:1",
+                           "--operator-text", text)
+        assert (rc, out) == (2, "")
+        assert err == ("error: a polynomial spanning 3000000 powers of q is "
+                       "too wide for dense arithmetic (at most 1000000)\n")
+
+
+def test_recur_verify_wide_divisor_refused(capsys):
+    def verify(text):
+        return run(capsys, "recur", "verify", "--strands", "1", "--braid", "",
+                   "--m-range", "0:1", "--operator-text", text)
+    start = time.perf_counter()
+    rc, out, err = verify("1/(q^100000-1)*M")
+    assert time.perf_counter() - start < 1
+    assert (rc, out) == (2, "")
+    assert err == ("error: a divisor spanning 100000 powers of q is too wide "
+                   "(at most 256)\n")
+    for text in ("(q^257 - 1)^-1*M", "M/(q^300 + q^43)"):
+        assert verify(text)[0] == 2
+    # the widest divisor accepted is parsed, and the operator then fails
+    assert verify("1/(q^256-1)*M") == (1, "FAIL at m=0\n", "")
 
 
 def test_recur_verify_sparse_operator_stays_sparse(capsys, monkeypatch):

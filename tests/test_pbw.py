@@ -5,33 +5,32 @@ from itertools import combinations
 
 import pytest
 
-from homflypt import (Evaluator, LadderWord, Letter, build_cap, build_cup,
-                      ev, ev_specialized, qbinom, qint, xbinom)
+from homflypt import (Evaluator, Letter, build_cap, build_cup, qbinom, qint,
+                      xbinom)
 from homflypt.pbw import _normal
 from homflypt.rings import RatQ, XPoly
 
 
-def word(sides, *letters):
-    return LadderWord(sides, tuple(Letter(k, i, p) for k, i, p in letters),
-                      XPoly.one())
+def word(*letters):
+    return tuple(Letter(k, i, p) for k, i, p in letters)
 
 
 def rand_word(rng, sides=4, max_len=8, max_pow=2):
     n = rng.randint(0, max_len)
-    return word(sides, *[(rng.choice("EF"), rng.randint(1, sides - 1),
-                          rng.randint(0, max_pow)) for _ in range(n)])
+    return word(*[(rng.choice("EF"), rng.randint(1, sides - 1),
+                   rng.randint(0, max_pow)) for _ in range(n)])
 
 
 def test_empty_word():
-    assert ev(word(4)) == XPoly.one()
-    assert ev_specialized(word(4), 5) == qint(1)
+    assert Evaluator(4).ev(()) == XPoly.one()
+    assert Evaluator(4, 5).ev(()) == qint(1)
 
 
 def test_unknot_word_is_xbinom():
     for a in range(0, 5):
-        assert ev(word(2, ("E", 1, a), ("F", 1, a))) == xbinom(0, a)
+        assert Evaluator(2).ev(word(("E", 1, a), ("F", 1, a))) == xbinom(0, a)
     # cross-check the stated value at n=3, a=1
-    got = ev(word(2, ("E", 1, 1), ("F", 1, 1))).subst_x_eq_qn(3)
+    got = Evaluator(2).ev(word(("E", 1, 1), ("F", 1, 1))).subst_x_eq_qn(3)
     assert got == qint(3)
 
 
@@ -42,12 +41,12 @@ def _insert(rng, letters, power):
 
 
 def test_negative_power_is_zero():
-    assert ev(word(4, ("E", 1, -1))).is_zero()
-    assert ev(word(4, ("F", 2, 1), ("E", 2, -2))).is_zero()
+    assert Evaluator(4).ev(word(("E", 1, -1))).is_zero()
+    assert Evaluator(4).ev(word(("F", 2, 1), ("E", 2, -2))).is_zero()
     # anywhere in a word, without rewriting anything
     rng = random.Random(16)
     for _ in range(30):
-        letters = _insert(rng, rand_word(rng).letters, -rng.randint(1, 2))
+        letters = _insert(rng, rand_word(rng), -rng.randint(1, 2))
         for e in (Evaluator(4), Evaluator(4, 3)):
             assert e.ev(letters).is_zero()
             assert not e._memo
@@ -56,35 +55,35 @@ def test_negative_power_is_zero():
 def test_zero_powers_are_dropped():
     rng = random.Random(17)
     for _ in range(40):
-        w = word(4, *[(rng.choice("EF"), rng.randint(1, 3), rng.randint(1, 2))
-                      for _ in range(rng.randint(0, 6))])
-        padded = w.letters
+        w = word(*[(rng.choice("EF"), rng.randint(1, 3), rng.randint(1, 2))
+                   for _ in range(rng.randint(0, 6))])
+        padded = w
         for _ in range(rng.randint(1, 3)):
             padded = _insert(rng, padded, 0)
-        padded = LadderWord(4, padded, XPoly.one())
-        assert ev(padded) == ev(w)
-        for n in (2, 3):
-            assert ev_specialized(padded, n) == ev_specialized(w, n)
+        for e in (Evaluator(4), Evaluator(4, 2), Evaluator(4, 3)):
+            assert e.ev(padded) == e.ev(w)
 
 
 def test_annihilation_at_right_end():
-    assert ev(word(4, ("E", 1, 1))).is_zero()
-    assert ev(word(4, ("F", 1, 1))).is_zero()
+    assert Evaluator(4).ev(word(("E", 1, 1))).is_zero()
+    assert Evaluator(4).ev(word(("F", 1, 1))).is_zero()
 
 
 def test_ev_specialized_examples():
-    assert ev_specialized(word(2, ("E", 1, 1), ("F", 1, 1)), 2) == qbinom(2, 1)
-    assert ev_specialized(word(4), 3) == qbinom(0, 0)
+    unknot = word(("E", 1, 1), ("F", 1, 1))
+    assert Evaluator(2, 2).ev(unknot) == qbinom(2, 1)
+    assert Evaluator(4, 3).ev(()) == qbinom(0, 0)
 
 
 def test_generic_specialized_agreement_random():
     rng = random.Random(11)
     checked = 0
+    ev, spec = Evaluator(4), {n: Evaluator(4, n) for n in range(2, 6)}
     for _ in range(50):
         w = rand_word(rng)
-        generic = ev(w)
-        for n in range(2, 6):
-            assert generic.subst_x_eq_qn(n) == ev_specialized(w, n)
+        generic = ev.ev(w)
+        for n, ev_n in spec.items():
+            assert generic.subst_x_eq_qn(n) == ev_n.ev(w)
         checked += 1
     assert checked == 50
 
@@ -104,33 +103,31 @@ def test_commuting_letter_swap_invariance():
     tried = 0
     while tried < 40:
         w = rand_word(rng, sides=sides, max_len=7)
-        spots = [i for i in range(len(w.letters) - 1)
-                 if abs(w.letters[i].index - w.letters[i + 1].index) > 1]
+        spots = [i for i in range(len(w) - 1)
+                 if abs(w[i].index - w[i + 1].index) > 1]
         if not spots:
             continue
         i = rng.choice(spots)
-        swapped = list(w.letters)
+        swapped = list(w)
         swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-        assert ev(w) == ev(LadderWord(sides, tuple(swapped), XPoly.one()))
+        assert Evaluator(sides).ev(w) == Evaluator(sides).ev(swapped)
         tried += 1
 
 
 def test_merge_consistency():
     # X_i^(s) X_i^(r) = qbinom(r+s, r) X_i^(r+s), inserted into random words
     rng = random.Random(14)
-    sides = 4
+    ev = Evaluator(4)
     for _ in range(40):
         w = rand_word(rng, max_len=4)
         i = rng.randint(1, 3)
         kind = rng.choice("EF")
         r, s = rng.randint(0, 2), rng.randint(0, 2)
-        cut = rng.randint(0, len(w.letters))
-        head, tail = w.letters[:cut], w.letters[cut:]
-        split = LadderWord(sides, head + (Letter(kind, i, s), Letter(kind, i, r)) + tail,
-                           XPoly.one())
-        merged = LadderWord(sides, head + (Letter(kind, i, r + s),) + tail,
-                            XPoly.one())
-        assert ev(split) == ev(merged).scale(qbinom(r + s, r))
+        cut = rng.randint(0, len(w))
+        head, tail = w[:cut], w[cut:]
+        split = head + (Letter(kind, i, s), Letter(kind, i, r)) + tail
+        merged = head + (Letter(kind, i, r + s),) + tail
+        assert ev.ev(split) == ev.ev(merged).scale(qbinom(r + s, r))
 
 
 def _inversions(letters):
@@ -144,7 +141,7 @@ def test_recursion_depth_in_bound():
     rng = random.Random(15)
     for _ in range(40):
         for sides in (2, 4):
-            w = rand_word(rng, sides=sides, max_len=10).letters
+            w = rand_word(rng, sides=sides, max_len=10)
             # with the E letters first, most words rewrite to full depth
             for letters in (w, tuple(sorted(w, key=lambda let: let.kind))):
                 e = Evaluator(sides)
@@ -156,7 +153,7 @@ def test_recursion_limit_left_alone():
     old = sys.getrecursionlimit()
     try:
         sys.setrecursionlimit(1000)
-        Evaluator(2).ev(word(2, ("E", 1, 2), ("F", 1, 2)))
+        Evaluator(2).ev(word(("E", 1, 2), ("F", 1, 2)))
         Evaluator(4, 3)
         assert sys.getrecursionlimit() == 1000
     finally:
@@ -164,7 +161,7 @@ def test_recursion_limit_left_alone():
 
 
 def test_too_deep_word_is_refused():
-    deep = word(2, *[("E", 1, 1)] * 12, *[("F", 1, 1)] * 12)
+    deep = word(*[("E", 1, 1)] * 12, *[("F", 1, 1)] * 12)
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 60)
     try:
@@ -185,7 +182,7 @@ def test_too_deep_contraction_is_refused():
             Evaluator(2).contract((), sums, ())
     finally:
         sys.setrecursionlimit(old)
-    assert Evaluator(2).contract((), sums, ()) == ev(word(2, *deep))
+    assert Evaluator(2).contract((), sums, ()) == Evaluator(2).ev(deep)
 
 
 def _split_shuffle(rng, e, letters):
@@ -213,8 +210,8 @@ def test_f_word_normal_form():
     # value, and every commuting order of a word has the same normal form
     rng = random.Random(18)
     colors = (1, 2, 1)
-    cap = build_cap(colors, 3).letters
-    cup = build_cup(colors, 3).letters
+    cap = build_cap(colors, 3)
+    cup = build_cup(colors, 3)
     e = Evaluator(6)
     nonzero = 0
     for _ in range(60):
@@ -237,16 +234,19 @@ def test_f_word_normal_form():
 
 
 def test_index_validation():
-    try:
-        ev(word(4, ("E", 4, 1)))
-    except ValueError as exc:
-        assert "index" in str(exc)
-    else:
-        raise AssertionError("letter index out of range must raise")
+    # index 0 and index == sides are off the ladder, in any letter of a
+    # plain tuple, for ev and state alike
+    for sides in (2, 4):
+        for bad in (("E", 0, 1), ("F", sides, 1), ("E", sides, 0)):
+            for w in (word(bad), word(("E", 1, 1), bad, ("F", 1, 1))):
+                for e in (Evaluator(sides), Evaluator(sides, 3)):
+                    for entry in (e.ev, e.state):
+                        with pytest.raises(ValueError, match="index"):
+                            entry(w)
 
 
 def test_trace_emits_rewrite_steps():
     lines = []
     e = Evaluator(2, trace=lines.append)
-    e.ev(word(2, ("E", 1, 1), ("F", 1, 1)).letters)
+    e.ev(word(("E", 1, 1), ("F", 1, 1)))
     assert any("swap" in ln for ln in lines)

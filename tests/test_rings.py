@@ -4,8 +4,8 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from homflypt import (LaurentQ, RatQ, XPoly, is_integral_laurent,
-                      laurent_gcd, qint, xpoly_divexact, xpoly_gcd)
+from homflypt import (LaurentQ, RatQ, XPoly, laurent_gcd, qint, xpoly_divexact,
+                      xpoly_gcd)
 from homflypt import rings
 from homflypt.rings import (_FACTORS, _KRONECKER_MIN_TERMS, _cyclo_exponents,
                             _kronecker_mul, _list_content, _list_gcd, _phi,
@@ -93,13 +93,11 @@ def test_q_bar_involution():
 
 
 def test_integral_laurent():
-    ok, val = is_integral_laurent(RatQ(LaurentQ({2: 1, -2: -1}),
-                                       LaurentQ({1: 1, -1: -1})))
-    assert ok and val == LaurentQ({1: 1, -1: 1})
-    ok, val = is_integral_laurent(RatQ(LaurentQ.one(), LaurentQ({1: 1, -1: -1})))
-    assert not ok and val is None
-    ok, val = is_integral_laurent(RatQ.zero())
-    assert ok and val == LaurentQ.zero()
+    # canonical form leaves an integral value over the denominator 1
+    r = RatQ(LaurentQ({2: 1, -2: -1}), LaurentQ({1: 1, -1: -1}))
+    assert r.den.is_one() and r.num == LaurentQ({1: 1, -1: 1})
+    assert not RatQ(LaurentQ.one(), LaurentQ({1: 1, -1: -1})).den.is_one()
+    assert RatQ.zero().den.is_one() and RatQ.zero().num == LaurentQ.zero()
 
 
 def test_canonical_form_uniqueness():
@@ -127,7 +125,7 @@ def test_canonical_denominator_shape():
 
 
 def test_half_is_not_integral():
-    assert not is_integral_laurent(RatQ(LaurentQ.one(), LaurentQ.from_int(2)))[0]
+    assert not RatQ(LaurentQ.one(), LaurentQ.from_int(2)).den.is_one()
 
 
 def test_divexact_roundtrip():
