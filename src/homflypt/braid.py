@@ -5,12 +5,15 @@ for the positive crossing of strands i, i+1 and -i for its inverse.  Words
 are read bottom to top.  Closing the braid joins top position p to bottom
 position p; components are the cycles of the underlying permutation and are
 numbered by their smallest strand.
+``Braid.crossings`` is the one place that moves per-strand labels through
+a crossing; every walk over the crossings reads its labels from it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Iterator
 
 
 class BraidError(ValueError):
@@ -29,16 +32,23 @@ class Braid:
             if g == 0 or abs(g) >= self.strands:
                 raise BraidError(f"generator {g} out of range for {self.strands} strands")
 
-    def permutation(self) -> tuple[int, ...]:
-        """perm[p] = top position reached by the strand entering bottom p (0-based)."""
-        at_pos = list(range(self.strands))
+    def crossings(self, labels: list) -> Iterator[tuple[int, int, list]]:
+        """Push per-strand labels up through the word: for each crossing,
+        bottom to top, yield its left position i (0-based), its sign and
+        ``labels``, the labels by position just below it.  The caller's list
+        is swapped in place after each yield and ends with the top labels."""
         for g in self.word:
             i = abs(g) - 1
-            at_pos[i], at_pos[i + 1] = at_pos[i + 1], at_pos[i]
-        perm = [0] * self.strands
-        for p, s in enumerate(at_pos):
-            perm[s] = p
-        return tuple(perm)
+            yield i, (1 if g > 0 else -1), labels
+            labels[i], labels[i + 1] = labels[i + 1], labels[i]
+
+    def permutation(self) -> tuple[int, ...]:
+        """perm[p] = top position reached by the strand entering bottom p (0-based)."""
+        top = list(range(self.strands))
+        for _ in self.crossings(top):
+            pass
+        # top[p] is the bottom position of the strand at top p: invert it
+        return tuple(sorted(range(self.strands), key=top.__getitem__))
 
     def mirror(self) -> "Braid":
         return Braid(self.strands, tuple(-g for g in self.word))
@@ -86,24 +96,16 @@ def closure_info(b: Braid) -> ClosureInfo:
             t = perm[t]
         ncomp += 1
     cross = [[0] * ncomp for _ in range(ncomp)]
-    at_pos = list(range(b.strands))
-    for g in b.word:
-        i = abs(g) - 1
-        eps = 1 if g > 0 else -1
-        cu, cv = comp_of[at_pos[i]], comp_of[at_pos[i + 1]]
+    for i, eps, comps in b.crossings(list(comp_of)):
+        cu, cv = comps[i], comps[i + 1]
         cross[cu][cv] += eps
         if cu != cv:
             cross[cv][cu] += eps
-        at_pos[i], at_pos[i + 1] = at_pos[i + 1], at_pos[i]
-    link = [[0] * ncomp for _ in range(ncomp)]
-    for i in range(ncomp):
-        for j in range(ncomp):
-            if i == j:
-                link[i][i] = cross[i][i]
-            else:
-                assert cross[i][j] % 2 == 0, "odd crossing parity between closed components"
-                link[i][j] = cross[i][j] // 2
-    return ClosureInfo(ncomp, tuple(comp_of), tuple(tuple(r) for r in link))
+    assert all(c % 2 == 0 for i, row in enumerate(cross) for j, c in enumerate(row)
+               if i != j), "odd crossing parity between closed components"
+    link = tuple(tuple(c if i == j else c // 2 for j, c in enumerate(row))
+                 for i, row in enumerate(cross))
+    return ClosureInfo(ncomp, tuple(comp_of), link)
 
 
 @dataclass(frozen=True, init=False)
@@ -140,11 +142,8 @@ class ColoredBraid:
 def _block_cross_positive(p: int, u: int, v: int) -> list[int]:
     # bundle of u strands at positions p..p+u-1 crosses over bundle of v
     # strands to its right; u*v positive generators, 1-based
-    out = []
-    for r in range(u):
-        start = p + u - 1 - r
-        out.extend(range(start, start + v))
-    return out
+    return [k for start in range(p + u - 1, p - 1, -1)
+            for k in range(start, start + v)]
 
 
 def cable_first_component(cb: ColoredBraid, l: int, new_colors) -> ColoredBraid:
@@ -161,21 +160,16 @@ def cable_first_component(cb: ColoredBraid, l: int, new_colors) -> ColoredBraid:
     new_colors = tuple(new_colors)
     if len(new_colors) != l:
         raise BraidError(f"need {l} colors for the parallel copies, got {len(new_colors)}")
-    comp_of = cb.closure.component_of_strand
-    width = [l if comp_of[s] == 0 else 1 for s in range(cb.braid.strands)]
-    at_pos = list(range(cb.braid.strands))
+    width = [l if c == 0 else 1 for c in cb.closure.component_of_strand]
     word: list[int] = []
-    for g in cb.braid.word:
-        i = abs(g) - 1
-        u, v = width[at_pos[i]], width[at_pos[i + 1]]
-        p = 1 + sum(width[at_pos[k]] for k in range(i))
-        if g > 0:
+    for i, eps, widths in cb.braid.crossings(width):
+        u, v = widths[i], widths[i + 1]
+        p = 1 + sum(widths[:i])
+        if eps > 0:
             word.extend(_block_cross_positive(p, u, v))
         else:
             word.extend(-k for k in reversed(_block_cross_positive(p, v, u)))
-        at_pos[i], at_pos[i + 1] = at_pos[i + 1], at_pos[i]
-    cabled = Braid(sum(width), tuple(word))
-    colors = new_colors + cb.colors[1:]
-    out = ColoredBraid(cabled, colors)
+    cabled = Braid(sum(width), tuple(word))  # the walk only permutes widths
+    out = ColoredBraid(cabled, new_colors + cb.colors[1:])
     assert out.closure.component_count == l + len(cb.colors) - 1
     return out

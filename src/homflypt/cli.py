@@ -88,8 +88,6 @@ def _eval_value(args) -> tuple[XPoly, ColoredBraid]:
         if args.trace:
             raise UsageError("--trace is not supported with partition colors")
         lam: Partition = colors[0][1]
-        rest = tuple(c for _, c in colors[1:])
-        cb = ColoredBraid(cb.braid, (0,) + rest)
         return homfly_partition(cb, lam, max(1, len(lam))), cb
     if len(kinds) > 1:
         raise UsageError("mixed e and h colors on one link are not supported")

@@ -3,9 +3,9 @@
 The engine computes the two-variable invariant of a blackboard-framed braid
 closure with column colors natively (``homfly_columns``).  ``invariant`` is
 the one place that turns that value into the invariant of a color family and
-a framing: row colors go through the transpose symmetry q -> -q^{-1}, and
-zero framing removes each component's blackboard self-framing, a monomial
-q^(a - a^2) x^a per unit for the color e_a (``adjust_framing``).  General
+a framing: zero framing removes each component's blackboard self-framing, a
+monomial q^(a - a^2) x^a per unit for the color e_a (``adjust_framing``),
+and row colors then take the framed value under q -> -q^{-1}.  General
 bounded-row partitions go through the Jacobi-Trudi determinant realized by
 cabling (``homfly_partition``).
 
@@ -76,11 +76,12 @@ def invariant(cb: ColoredBraid, family: str = "e",
     (``family="e"``) or h_{a_i} (``family="h"``), in the blackboard framing
     of the closure or in the zero framing (``framing="zero"``).
 
-    Row colors are the column invariant under q -> -q^{-1}, because
-    transposing every partition acts on the invariant by that involution and
-    (h_a)^t = e_a.  Zero framing removes each component's blackboard
-    self-framing, the signed count of its self-crossings.  Any negative
-    color gives 0, in either family and framing.
+    The column value is framed first: zero framing removes each
+    component's blackboard self-framing, the signed count of its
+    self-crossings (``adjust_framing``).  Row colors then take the framed
+    column value under q -> -q^{-1}, once, because transposing every
+    partition acts on the invariant by that involution and (h_a)^t = e_a.
+    Any negative color gives 0, in either family and framing.
     """
     if family not in ("e", "h"):
         raise ValueError(f"unknown color family {family!r} (want 'e' or 'h')")
@@ -88,28 +89,24 @@ def invariant(cb: ColoredBraid, family: str = "e",
         raise ValueError(f"unknown framing {framing!r} (want 'blackboard' or 'zero')")
     if any(a < 0 for a in cb.colors):
         return XPoly.zero()
-    row = family == "h"
     value = homfly_columns(cb, evaluator=evaluator)
-    if row:
-        value = value.q_bar()
     if framing == "zero":
         for i, a in enumerate(cb.colors):
-            value = adjust_framing(value, a, -cb.closure.linking[i][i], row=row)
-    return value
+            value = adjust_framing(value, a, -cb.closure.linking[i][i])
+    return value.q_bar() if family == "h" else value
 
 
-def adjust_framing(value: XPoly, color: int, delta_framing: int, *,
-                   row: bool = False) -> XPoly:
-    """Change the framing of one component of color a by delta_framing
-    units: multiply by q^(+-delta (a - a^2)) x^(delta a), with the minus sign
-    for the row color h_a (``row=True``; q -> -q^{-1}, as a - a^2 is even).
+def adjust_framing(value: XPoly, color: int, delta_framing: int) -> XPoly:
+    """Change the framing of one component of column color e_a by
+    delta_framing units: multiply by q^(delta (a - a^2)) x^(delta a).
     ``adjust_framing(XPoly.one(), a, 1)`` is the unit factor for e_a: the
-    +1-framed unknot (closure of sigma_1) over the 0-framed one."""
+    +1-framed unknot (closure of sigma_1) over the 0-framed one.  A row
+    value v is framed through its column value, as ``invariant`` does:
+    ``adjust_framing(v.q_bar(), a, d).q_bar()``."""
     if color < 0:
         raise ValueError("framing factor needs a nonnegative color")
     e = delta_framing * (color - color * color)
-    return value * XPoly.mono(RatQ.q_power(-e if row else e),
-                              delta_framing * color)
+    return value * XPoly.mono(RatQ.q_power(e), delta_framing * color)
 
 
 def _perm_sign(perm: tuple[int, ...]) -> int:

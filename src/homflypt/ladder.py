@@ -84,18 +84,13 @@ class CrossingTerm(NamedTuple):
 
 
 def crossing_weights(cb: ColoredBraid) -> list[CrossingTerm]:
-    """Per-crossing local color pairs, obtained by pushing the bottom labels
-    through the crossings below each one.  The braid acts on the right m
-    ladder strands only, so user generator i sits at ladder index m + i."""
-    m = cb.braid.strands
-    labels = list(cb.strand_colors)
-    out: list[CrossingTerm] = []
-    for j, g in enumerate(cb.braid.word):
-        i = abs(g)
-        out.append(CrossingTerm(j, m + i, labels[i - 1], labels[i],
-                                1 if g > 0 else -1))
-        labels[i - 1], labels[i] = labels[i], labels[i - 1]
-    return out
+    """Per-crossing local color pairs, the strand colors pushed up through
+    the crossings below each one (``Braid.crossings``).  The braid acts on
+    the right m ladder strands only, so user generator i sits at ladder
+    index m + i."""
+    m, colors = cb.braid.strands, list(cb.strand_colors)
+    return [CrossingTerm(j, m + i + 1, c[i], c[i + 1], eps)
+            for j, (i, eps, c) in enumerate(cb.braid.crossings(colors))]
 
 
 def _crossing_sum(c: CrossingTerm, top: int) -> list[tuple[Word, int, int]]:

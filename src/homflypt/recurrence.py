@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import comb
 from typing import Mapping
 
 from .rings import (LaurentQ, RatQ, XPoly, laurent_divexact, laurent_gcd,
@@ -39,6 +40,10 @@ _TOKEN = re.compile(r"\s*([0-9]+|[qxML()+\-*/^]|$)")
 # the widest q-span of a parsed divisor (``/p`` or ``p^-k``): the time to
 # factor 1/p's denominator into cyclotomic polynomials grows steeply with it
 _DIVISOR_SPAN = 256
+
+# the most coefficient bits a parsed power (``p^k``) may hold, as estimated
+# by ``_power_bits``: the big-integer products of the squarings grow with it
+_POWER_BITS = 1 << 23
 
 
 class _Parser:
@@ -166,24 +171,16 @@ def _mul(a, b):
         for (j2, k2), c2 in b.items():
             # L^j1 M^k2 = q^(j1 k2) M^k2 L^j1
             c = (c1 * c2).scale(RatQ.q_power(j1 * k2))
-            key = (j1 + j2, k1 + k2)
-            w = out.get(key, XPoly.zero()) + c
-            if w.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = w
+            out = _add(out, {(j1 + j2, k1 + k2): c})
     return out
 
 
 def _div(a, b):
     if not b:
         raise OperatorError("division by zero")
-    if list(b) != [(0, 0)]:
+    if list(b) != [(0, 0)] or set(b[(0, 0)].c) != {0}:
         raise OperatorError("can only divide by scalars in Q(q)")
-    p = b[(0, 0)]
-    if set(p.c) != {0}:
-        raise OperatorError("can only divide by scalars in Q(q)")
-    inv = _inverse(p.c[0])
+    inv = _inverse(b[(0, 0)].c[0])
     return {k: v.scale(inv) for k, v in a.items()}
 
 
@@ -202,23 +199,39 @@ def _pow(a, n: int):
             raise OperatorError("division by zero")
         if list(a) == [(0, 0)] and len(a[(0, 0)].c) == 1:
             ((e, v),) = a[(0, 0)].c.items()
-            base = _scalar(XPoly({-e: _inverse(v)}))
-            return _pow(base, -n)
-        if list(a) in ([(0, 1)], [(1, 0)]):
-            (key,) = a
-            coef = a[key]
-            if not coef.is_one():
-                raise OperatorError("cannot invert this element")
-            return {(key[0] * n, key[1] * n): XPoly.one()}
+            return _pow(_scalar(XPoly({-e: _inverse(v)})), -n)
+        if list(a) in ([(0, 1)], [(1, 0)]) and next(iter(a.values())).is_one():
+            ((j, k),) = a
+            return {(j * n, k * n): XPoly.one()}
         raise OperatorError("cannot invert this element")
+    if a and (bits := _power_bits(a, n)) > _POWER_BITS:
+        raise OperatorError(f"a power estimated at {bits} coefficient bits is "
+                            f"too large (at most {_POWER_BITS})")
     out = _scalar(XPoly.one())
-    base = a
     while n:
         if n & 1:
-            out = _mul(out, base)
-        base = _mul(base, base)
+            out = _mul(out, a)
         n >>= 1
+        if n:
+            a = _mul(a, a)
     return out
+
+
+def _power_bits(a, n: int) -> int:
+    """An upper estimate of the coefficient bits of a^n, a nonzero, n >= 0:
+    the multisets of n keys (L, M) of the base, times a dense box of x- and
+    q-exponents (L^j M^k = q^(jk) M^k L^j adds n(n-1)/2 times the spread of
+    j k), times n log2 of the base's coefficient 1-norm, plus one bit."""
+    jk = [j * k for j, _ in a for _, k in a]
+    xs = [e for p in a.values() for e in p.c]
+    rs = [r for p in a.values() for r in p.c.values()]
+    qspan = (max(r.num.max_exp for r in rs) - min(r.num.min_exp for r in rs)
+             + max(r.den.max_exp - r.den.min_exp for r in rs))
+    norm = sum(sum(map(abs, r.num.c.values())) * sum(map(abs, r.den.c.values()))
+               for r in rs)
+    box = ((n * (max(xs) - min(xs)) + 1)
+           * (n * qspan + n * (n - 1) // 2 * (max(jk) - min(jk)) + 1))
+    return comb(n + len(a) - 1, n) * box * (n * (norm - 1).bit_length() + 1)
 
 
 def parse_xpoly(text: str) -> XPoly:

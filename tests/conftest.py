@@ -14,5 +14,5 @@ def trefoil_cols():
 @pytest.fixture(scope="session")
 def trefoil_rows_zero(trefoil_cols):
     """The 0-framed trefoil row sequence W(h_m), m = 0..4."""
-    return {m: adjust_framing(trefoil_cols[m].q_bar(), m, -3, row=True)
+    return {m: adjust_framing(trefoil_cols[m], m, -3).q_bar()
             for m in range(5)}

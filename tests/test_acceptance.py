@@ -42,7 +42,7 @@ def test_criterion_3_torus_cross_check():
             bb = invariant(ColoredBraid(braid, (m,)), "h")
             if bb != torus_reference(s, m):
                 ok = False
-            zero = adjust_framing(bb, m, -s, row=True)
+            zero = adjust_framing(bb.q_bar(), m, -s).q_bar()
             if zero != torus_reference(s, m, zero_framed=True):
                 ok = False
     _report(3, "T(2,3)/T(2,5) rows match torus forms, framed and 0-framed", ok)

@@ -156,8 +156,8 @@ def test_oracle_torus_s1_consistent_with_framed_unknot(capsys):
     rc, out, _ = run(capsys, "oracle", "torus", "--s", "1", "--m", "1")
     assert rc == 0
     from homflypt import ColoredBraid, adjust_framing, invariant, parse_braid
-    v = adjust_framing(invariant(ColoredBraid(parse_braid("", 1), (1,)), "h"),
-                       1, 1, row=True)
+    v = invariant(ColoredBraid(parse_braid("", 1), (1,)), "h")
+    v = adjust_framing(v.q_bar(), 1, 1).q_bar()
     assert parse_xpoly(out.strip()) == v
 
 
@@ -221,6 +221,24 @@ def test_recur_verify_wide_divisor_refused(capsys):
         assert verify(text)[0] == 2
     # the widest divisor accepted is parsed, and the operator then fails
     assert verify("1/(q^256-1)*M") == (1, "FAIL at m=0\n", "")
+
+
+def test_recur_verify_large_power_refused(capsys):
+    def verify(text):
+        return run(capsys, "recur", "verify", "--strands", "1", "--braid", "",
+                   "--family", "e", "--m-range", "0:1", "--operator-text", text)
+    for text in ("(q^2-7)^3000*M", "(q^2-7)^300000*M", "(q^256-1)^-3000*M"):
+        start = time.perf_counter()
+        rc, out, err = verify(text)
+        assert time.perf_counter() - start < 1
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: a power estimated at ")
+        assert err.endswith(" coefficient bits is too large (at most 8388608)\n")
+    assert verify("(q^2-7)^3000*M")[2] == (
+        "error: a power estimated at 54015001 coefficient bits is too large "
+        "(at most 8388608)\n")
+    # a power well inside the bound is computed, and the operator then fails
+    assert verify("(q^2-7)^500*M") == (1, "FAIL at m=0\n", "")
 
 
 def test_recur_verify_sparse_operator_stays_sparse(capsys, monkeypatch):

@@ -109,8 +109,8 @@ def test_framing_factor_matches_engine():
         flat = ColoredBraid(UNKNOT, (a,))
         assert xpoly_divexact(homfly_columns(kink), homfly_columns(flat)) \
             == _unit_framing(a)
-        assert invariant(kink, "h") == adjust_framing(invariant(flat, "h"), a,
-                                                      1, row=True)
+        assert invariant(kink, "h") \
+            == adjust_framing(invariant(flat, "h").q_bar(), a, 1).q_bar()
 
 
 def test_columns_match_binary_fold():
@@ -132,13 +132,11 @@ def test_columns_match_binary_fold():
 def test_adjust_framing_group_law():
     v = homfly_columns(ColoredBraid(UNKNOT, (2,)))
     assert adjust_framing(v, 2, 0) == v
-    for row in (False, True):
-        for delta in range(-3, 4):
-            there = adjust_framing(v, 2, delta, row=row)
-            assert adjust_framing(there, 2, -delta, row=row) == v
-    for row in (False, True):
-        with pytest.raises(ValueError):
-            adjust_framing(v, -1, 1, row=row)
+    for delta in range(-3, 4):
+        there = adjust_framing(v, 2, delta)
+        assert adjust_framing(there, 2, -delta) == v
+    with pytest.raises(ValueError):
+        adjust_framing(v, -1, 1)
     with pytest.raises(ValueError):
         _unit_framing(-1)
 
@@ -158,11 +156,21 @@ def test_torus_zero_framed_matches_engine(trefoil_rows_zero):
         assert trefoil_rows_zero[m] == torus_reference(3, m, zero_framed=True)
 
 
+def test_zero_framed_rows_match_torus_closed_form():
+    # the row path of invariant, framing and transpose, against an
+    # independent closed form for the 0-framed (2,s) torus knots
+    for s in (1, 3, 5):
+        braid = parse_braid(" ".join(["1"] * s), 2)
+        for m in (2, 3):
+            assert invariant(ColoredBraid(braid, (m,)), "h", "zero") \
+                == torus_reference(s, m, zero_framed=True)
+
+
 def test_torus_s1_is_framed_unknot():
     # closure of sigma_1 is the unknot with framing 1
     for m in range(0, 4):
         flat = invariant(ColoredBraid(UNKNOT, (m,)), "h")
-        expect = adjust_framing(flat, m, 1, row=True)
+        expect = adjust_framing(flat.q_bar(), m, 1).q_bar()
         assert torus_reference(1, m) == expect
 
 
