@@ -169,9 +169,10 @@ def _cmd_recur(args) -> int:
             raise UsageError("recur verify needs --operator FILE or --operator-text STR")
         op = parse_operator(text)
         f = _build_sequence(args, lo, hi + op.order)
-        bad = [m for m in range(lo, hi + 1) if not op.apply(f, m).is_zero()]
-        if bad:
-            print(f"FAIL at m={bad[0]}")
+        bad = next((m for m in range(lo, hi + 1)
+                    if not op.apply(f, m).is_zero()), None)
+        if bad is not None:
+            print(f"FAIL at m={bad}")
             return 1
         print(f"PASS on m in [{lo},{hi}]")
         return 0

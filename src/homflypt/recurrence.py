@@ -9,7 +9,7 @@ q^m before shifting, which realizes the relation L M = q M L.
 and division by q-scalars are accepted, and noncommutative products are
 normalized with L^j M^k = q^{jk} M^k L^j.  ``guess`` finds a recurrence for
 a computed sequence by an exact fraction-free nullspace: each row of the
-linear system is normalized once, denominators cleared and content over
+linear system is lifted once to a common denominator and its content over
 Z[q^{±1}] divided out, so the elimination runs in Z[q^{±1}][x^{±1}].  There
 a large x-polynomial product is one integer-polynomial product (``XPoly *``),
 and an updated column is divided by its content exactly, with a gcd only
@@ -24,7 +24,7 @@ from math import comb
 from typing import Mapping
 
 from .rings import (LaurentQ, RatQ, XPoly, laurent_divexact, laurent_gcd,
-                    xpoly_divexact, xpoly_gcd)
+                    lift_fractions, xpoly_divexact, xpoly_gcd)
 
 
 class OperatorError(ValueError):
@@ -324,18 +324,14 @@ def _vector_normalize(vec: list[XPoly]) -> list[XPoly]:
     """The vector times a scalar in Q(q) that puts it in Z[q^±1][x^±1] with
     content 1 over Z[q^±1].
 
-    Denominators are cleared one at a time: scaling by a remaining
-    denominator d multiplies the factor so far by d / gcd(d, factor),
-    because the ring cancels, so the factor is the lcm of the denominators.
-    The content starts as the coefficient of smallest q-span and is lowered
-    by ``laurent_gcd`` only at a coefficient it does not divide exactly (for
-    a normalized g, g | s exactly when gcd(g, s) = g); every coefficient is
-    then divided by it exactly."""
-    while (den := next((r.den for p in vec for r in p.c.values()
-                        if not r.den.is_one()), None)) is not None:
-        s = RatQ(den)
-        vec = [p.scale(s) for p in vec]
-    nums = [r.num for p in vec for r in p.c.values()]
+    The entries are lifted once to a common denominator
+    (``lift_fractions``); where that is more than their lcm, the content
+    takes out the surplus.  The content starts as the coefficient of
+    smallest q-span and is lowered by ``laurent_gcd`` only at a coefficient
+    it does not divide exactly (for a normalized g, g | s exactly when
+    gcd(g, s) = g); every coefficient is then divided by it exactly."""
+    nums, _, _ = lift_fractions([(r.num, r.den)
+                                 for p in vec for r in p.c.values()])
     if nums:
         g = laurent_gcd(min(nums, key=lambda n: n.max_exp - n.min_exp),
                         LaurentQ.zero())
@@ -406,8 +402,8 @@ def guess(f: Mapping[int, XPoly], max_order: int, max_m_degree: int
 
     Solves the exact homogeneous system for the coefficients c_{j,k} of
     c_j = sum_k c_{j,k} M^k.  Each row is normalized once as it is built
-    (denominators cleared, content over Z[q^±1] divided out), so the
-    elimination runs in Z[q^±1][x^±1]; the kernel vector is reduced to a
+    (lifted to a common denominator, content over Z[q^±1] divided out), so
+    the elimination runs in Z[q^±1][x^±1]; the kernel vector is reduced to a
     canonical form, so scaling f by a constant of Q(q) gives the same
     operator.  The result is re-verified on every available index before
     it is returned.  Returns None when no operator exists within the

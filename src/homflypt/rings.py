@@ -20,13 +20,14 @@ numerator against the other side's Phi_k.  Every sum goes through one
 kernel, ``_ratq_sum``: the binary ``RatQ +`` (and ``-``), the n-ary
 ``xpoly_sum`` (the term sum of ``homfly_columns`` and the Jacobi-Trudi sum
 of ``homfly_partition``, which add the numerators that share a denominator
-first) and the substitution x = q^n.  It lifts the numerators once to the
-elementwise maximum of the exponent vectors and cancels once: the terms
-folded modulo q^k - 1 tell which Phi_k divide, however sparse the numerator
-is, and only those are divided out exactly.  That is one cancellation per
-sum, or per power of x.  The
-result is canonical as it stands; so are an inverse and a q-substitution,
-after a shift and a sign.  The gcd canonicalization in ``RatQ.__init__``
+first) and the substitution x = q^n.  It lifts the numerators once
+(``lift_fractions``, which also clears the denominators of a vector in
+recurrence guessing) to prod Phi^top, top the elementwise maximum of the
+exponent vectors, and cancels once: the terms folded modulo q^k - 1 tell
+which Phi_k divide, however sparse the numerator is, and only those are
+divided out exactly.  That is one cancellation per sum, or per power of x.
+The result is canonical as it stands; so are an inverse and a
+q-substitution, after a shift and a sign.  The gcd canonicalization in ``RatQ.__init__``
 stays the reference and is the one path for every other denominator: once
 per product, and once for a whole sum.  The polynomial gcd is left to three
 users: parsed operators (division by a q-scalar), ``xpoly_gcd``, and the
@@ -569,38 +570,63 @@ def _accumulate(into: dict[int, int], c: dict[int, int]) -> None:
         into[e] = into.get(e, 0) + v
 
 
-def _ratq_sum(terms) -> "RatQ":
-    """The sum of num / den over (num, den) pairs, each den canonical; every
-    sum of non-integral ``RatQ`` values comes here.  Products of Phi_k are
-    lifted to prod Phi^top, top the elementwise max of their exponent
-    vectors (no product for a term already at top), and the total is
-    cancelled once.  Any other denominator gets one gcd canonicalization of
-    sum n_i prod_{j != i} d_j over prod d_j."""
+def lift_fractions(terms) -> tuple[list[LaurentQ], LaurentQ,
+                                   dict[int, int] | None]:
+    """(num, den) pairs, each den canonical, lifted to one common
+    denominator, as (nums, common, top) with nums[i] = num_i common / den_i.
+    Products of Phi_k are lifted to their lcm prod Phi^top, top the
+    elementwise max of their exponent vectors: a den at top is the common
+    one, and each other distinct den gets its cofactor once.  With any
+    other denominator the common one is the product of the distinct dens,
+    and top is None."""
     terms = [(num, den, _cyclo_exponents(den)) for num, den in terms]
     if any(vec is None for _, _, vec in terms):
-        total, prod = _L_ZERO, _L_ONE
-        for num, den, _ in terms:
-            total, prod = total * den + num * prod, prod * den
-        return RatQ(total, prod)
+        lifts = dict.fromkeys(den for _, den, _ in terms)
+        common = _L_ONE
+        for den in lifts:
+            common = common * den
+        for den in lifts:
+            lifts[den] = laurent_divexact(common, den)
+        return [num * lifts[den] for num, den, _ in terms], common, None
     top: dict[int, int] = {}
     for _, _, vec in terms:
         for k, e in vec:
             if e > top.get(k, 0):
                 top[k] = e
-    total, at_top = _L_ZERO, None
+    common, lifts, nums = None, {}, []
     for num, den, vec in terms:
         have = dict(vec)
         if have == top:
-            at_top = den
+            common = den
         else:
-            num = num * _cyclo_den({k: e - have.get(k, 0)
-                                    for k, e in top.items()})
+            c = lifts.get(vec)
+            if c is None:
+                c = lifts[vec] = _cyclo_den({k: e - have.get(k, 0)
+                                             for k, e in top.items()})
+            num = num * c
+        nums.append(num)
+    if common is None:
+        common = _cyclo_den(top)
+    return nums, common, top
+
+
+def _ratq_sum(terms) -> "RatQ":
+    """The sum of num / den over (num, den) pairs, each den canonical; every
+    sum of non-integral ``RatQ`` values comes here.  The numerators are
+    lifted once (``lift_fractions``) and added; a total over prod Phi^top
+    is cancelled once, and any other common denominator gets one gcd
+    canonicalization."""
+    nums, common, top = lift_fractions(terms)
+    total = _L_ZERO
+    for num in nums:
         total = total + num if total.c else num
     if total.is_zero():
         return _R_ZERO
+    if top is None:
+        return RatQ(total, common)
     num = _cancel(total, top)  # lowers top by the Phi_k it divides out
-    if num is total and at_top is not None:
-        return _ratq(num, at_top)
+    if num is total:
+        return _ratq(num, common)
     return _ratq(num, _cyclo_den(top))
 
 

@@ -175,6 +175,28 @@ def test_recur_verify_pass_and_fail(tmp_path, capsys):
     assert rc == 1 and "FAIL" in out
 
 
+def test_recur_verify_stops_at_the_first_failing_m(capsys, monkeypatch):
+    from homflypt import RecurrenceOperator
+    calls = []
+    apply = RecurrenceOperator.apply
+
+    def counted(self, f, m):
+        calls.append(m)
+        return apply(self, f, m)
+    monkeypatch.setattr(RecurrenceOperator, "apply", counted)
+    rc, out, err = run(capsys, "recur", "verify", "--strands", "1",
+                       "--braid", "", "--family", "e", "--m-range", "0:3",
+                       "--operator-text", "L")
+    assert (rc, out, err) == (1, "FAIL at m=0\n", "")
+    assert calls == [0]
+    # m = 1 would need a dense quotient spanning 3000000 powers of q
+    rc, out, err = run(capsys, "recur", "verify", "--strands", "1",
+                       "--braid", "", "--family", "e", "--m-range", "0:1",
+                       "--operator-text", "(q^3000000-1)*M")
+    assert (rc, out, err) == (1, "FAIL at m=0\n", "")
+    assert calls == [0, 0]
+
+
 def test_recur_verify_too_deeply_nested_operator(capsys):
     text = "(" * 2000 + "L-1" + ")" * 2000
     rc, out, err = run(capsys, "recur", "verify", "--strands", "1",
@@ -197,10 +219,12 @@ def test_recur_verify_zero_divisor_refused(capsys):
 
 def test_recur_verify_wide_dense_work_refused(capsys):
     # exact division by the sequence's cyclotomic denominators would need a
-    # dense list as long as the q-span
+    # dense list as long as the q-span; the window starts at m = 1, because
+    # the value at m = 0 has no denominator and verify stops at the first
+    # failing m
     for text in ("(q^3000000-1)*M", "(q^3000000 - 1)/(q^2-1)*M"):
         rc, out, err = run(capsys, "recur", "verify", "--strands", "1",
-                           "--braid", "", "--family", "e", "--m-range", "0:1",
+                           "--braid", "", "--family", "e", "--m-range", "1:1",
                            "--operator-text", text)
         assert (rc, out) == (2, "")
         assert err == ("error: a polynomial spanning 3000000 powers of q is "

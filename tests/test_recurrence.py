@@ -201,18 +201,51 @@ def test_vector_normalize_matches_reference():
                           for e in rng.sample(range(-2, 3), rng.randint(1, 3))})
         vec = [entry() for _ in range(rng.randint(1, 5))]
         assert _vector_normalize(vec) == _normalize_reference(vec)
+    # every entry integral, with a common content
+    vec = [XPoly({0: RatQ(L({1: 4, 0: 6})), 2: RatQ(L({3: -2}))}),
+           XPoly.zero(), XPoly({-1: RatQ(L({0: 2, 2: 2}) * L({1: 2, 0: 3}))})]
+    assert _vector_normalize(vec) == _normalize_reference(vec)
+    # d and d^2 for d = q^2 + 3: the lcm d^2 is not the product d^3
+    d = L({2: 1, 0: 3})
+    vec = [XPoly({0: RatQ(L.mono(5, 1), d), 1: RatQ(L.one())}),
+           XPoly({2: RatQ(L({0: 1, 3: -2}), d * d)}),
+           XPoly({0: RatQ(L.from_int(4), L({2: 1, 0: -1}))})]
+    out = _vector_normalize(vec)
+    assert out == _normalize_reference(vec)
+    assert out[1].c[2].num == L({0: 1, 3: -2}) * L({2: 1, 0: -1})
+
+
+def _unknot_rows(family):
+    """The rows of the linear system of `recur guess` on the unknot, m 0:8,
+    order 1, M-degree 2, before normalization: eight rows, six unknowns."""
+    unknot = parse_braid("", 1)
+    f = {m: invariant(ColoredBraid(unknot, (m,)), family) for m in range(9)}
+    return [[f[m + j].scale(RatQ.q_power(m * k))
+             for j in range(2) for k in range(3)] for m in range(8)]
+
+
+@pytest.mark.parametrize("family", "eh")
+def test_rows_are_lifted_without_scaling(monkeypatch, family):
+    rows = _unknot_rows(family)
+    expected = [_normalize_reference(row) for row in rows]
+    calls = []
+
+    def counted(name, fn):
+        def spy(*args):
+            calls.append(name)
+            return fn(*args)
+        return spy
+    monkeypatch.setattr(rings, "_cyclo_mul",
+                        counted("_cyclo_mul", rings._cyclo_mul))
+    monkeypatch.setattr(XPoly, "scale", counted("XPoly.scale", XPoly.scale))
+    assert [_vector_normalize(row) for row in rows] == expected
+    assert calls == []
 
 
 @pytest.mark.parametrize("family", "eh")
 def test_elimination_takes_at_most_one_gcd_per_column_update(monkeypatch,
                                                             family):
-    # the linear system of `recur guess` on the unknot, m 0:8, order 1,
-    # M-degree 2: eight rows, six unknowns
-    unknot = parse_braid("", 1)
-    f = {m: invariant(ColoredBraid(unknot, (m,)), family) for m in range(9)}
-    rows = [_vector_normalize([f[m + j].scale(RatQ.q_power(m * k))
-                               for j in range(2) for k in range(3)])
-            for m in range(8)]
+    rows = [_vector_normalize(row) for row in _unknot_rows(family)]
     gcds, per_update = [0], []
     list_gcd, normalize = rings._list_gcd, _vector_normalize
 
