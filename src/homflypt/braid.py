@@ -12,25 +12,31 @@ a crossing; every walk over the crossings reads its labels from it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Iterator
+from collections import namedtuple
+from collections.abc import Iterator
 
 
 class BraidError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Braid:
-    strands: int
-    word: tuple[int, ...]
+def is_int_token(text: str) -> bool:
+    """An integer in ASCII digits with an optional minus sign; ``int`` alone
+    would also take '+', '_', surrounding spaces and non-ASCII digits."""
+    return re.fullmatch(r"-?[0-9]+", text) is not None
 
-    def __post_init__(self):
-        if self.strands < 1:
+
+class Braid(namedtuple("Braid", "strands word")):
+    """``strands`` and the ``word`` tuple of signed generators, checked."""
+    __slots__ = ()
+
+    def __new__(cls, strands: int, word: tuple[int, ...]):
+        if strands < 1:
             raise BraidError("strand count must be positive")
-        for g in self.word:
-            if g == 0 or abs(g) >= self.strands:
-                raise BraidError(f"generator {g} out of range for {self.strands} strands")
+        for g in word:
+            if g == 0 or abs(g) >= strands:
+                raise BraidError(f"generator {g} out of range for {strands} strands")
+        return super().__new__(cls, strands, word)
 
     def crossings(self, labels: list) -> Iterator[tuple[int, int, list]]:
         """Push per-strand labels up through the word: for each crossing,
@@ -58,7 +64,7 @@ def parse_braid(text: str, strands: int) -> Braid:
     """Parse a whitespace-separated word of signed generator indices."""
     word = []
     for tok in text.split():
-        if not re.fullmatch(r"-?[0-9]+", tok):
+        if not is_int_token(tok):
             raise BraidError(f"braid token {tok!r} is not an integer")
         g = int(tok)
         if g == 0:
@@ -70,17 +76,15 @@ def parse_braid(text: str, strands: int) -> Braid:
     return Braid(strands, tuple(word))
 
 
-@dataclass(frozen=True)
-class ClosureInfo:
+class ClosureInfo(namedtuple("ClosureInfo",
+                             "component_count component_of_strand linking")):
     """Components and the symmetric linking/framing matrix of the closure.
 
     linking[i][j] is the linking number of components i and j for i != j
     (half the signed crossing count), and linking[i][i] is the blackboard
     self-framing (the signed count of self-crossings).
     """
-    component_count: int
-    component_of_strand: tuple[int, ...]
-    linking: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
 
 def closure_info(b: Braid) -> ClosureInfo:
@@ -108,12 +112,11 @@ def closure_info(b: Braid) -> ClosureInfo:
     return ClosureInfo(ncomp, tuple(comp_of), link)
 
 
-@dataclass(frozen=True, init=False)
 class ColoredBraid:
-    """A braid with one nonnegative integer color per closure component."""
-    braid: Braid
-    colors: tuple[int, ...]
-    closure: ClosureInfo = field(compare=False)
+    """A braid with one nonnegative integer color per closure component.
+    Immutable; equal and hashed on (braid, colors), since ``closure`` is
+    derived from the braid."""
+    __slots__ = ("braid", "colors", "closure")
 
     def __init__(self, braid: Braid, colors):
         info = closure_info(braid)
@@ -124,6 +127,23 @@ class ColoredBraid:
         object.__setattr__(self, "braid", braid)
         object.__setattr__(self, "colors", colors)
         object.__setattr__(self, "closure", info)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: ColoredBraid is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: ColoredBraid is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not ColoredBraid:
+            return NotImplemented
+        return self.braid == other.braid and self.colors == other.colors
+
+    def __hash__(self):
+        return hash((self.braid, self.colors))
+
+    def __repr__(self):
+        return f"ColoredBraid(braid={self.braid!r}, colors={self.colors!r})"
 
     @property
     def strand_colors(self) -> tuple[int, ...]:

@@ -9,11 +9,10 @@ Exit codes: 0 success, 1 verification failure / no operator found,
 from __future__ import annotations
 
 import argparse
-import json
-import re
 import sys
 
-from .braid import BraidError, ColoredBraid, closure_info, parse_braid
+from .braid import (BraidError, ColoredBraid, closure_info, is_int_token,
+                    parse_braid)
 from .invariants import (Partition, homfly_partition, invariant,
                          torus_reference, trefoil_reference)
 from .pbw import Evaluator
@@ -26,9 +25,8 @@ class UsageError(Exception):
 
 
 def _int(text: str) -> int:
-    """An integer in ASCII digits with an optional minus sign; ``int`` alone
-    would also take '+', '_', surrounding spaces and non-ASCII digits."""
-    if not re.fullmatch(r"-?[0-9]+", text):
+    """An integer token (``is_int_token``) as an int."""
+    if not is_int_token(text):
         raise ValueError(f"invalid int value: {text!r}")
     return int(text)
 
@@ -103,6 +101,7 @@ def _emit(value, meta: dict, args) -> None:
         meta["specialize"] = args.specialize
         meta["integral"] = value.den.is_one()
     if args.format == "json":
+        import json  # only JSON output pays for the import
         body = value.json_obj()
         print(json.dumps({"value": body, "meta": meta}, separators=(", ", ": ")))
     else:

@@ -17,7 +17,6 @@ sum for the trefoil in column colors, and a one-dimensional sum for the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 
 from .braid import ColoredBraid, cable_first_component
@@ -27,10 +26,10 @@ from .qcomb import qbinom, qint, xbinom
 from .rings import LaurentQ, RatQ, XPoly, xpoly_sum
 
 
-@dataclass(frozen=True)
 class Partition:
-    """Weakly decreasing nonnegative parts, trailing zeros trimmed."""
-    parts: tuple[int, ...]
+    """Weakly decreasing nonnegative parts, trailing zeros trimmed.
+    Immutable; equal and hashed on ``parts``."""
+    __slots__ = ("parts",)
 
     def __init__(self, parts):
         parts = tuple(parts)
@@ -41,6 +40,23 @@ class Partition:
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("partition parts must be weakly decreasing")
         object.__setattr__(self, "parts", parts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: Partition is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: Partition is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not Partition:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self):
+        return hash(self.parts)
+
+    def __repr__(self):
+        return f"Partition(parts={self.parts!r})"
 
     def __len__(self) -> int:
         return len(self.parts)

@@ -17,17 +17,18 @@ pinned to the first m slots.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterator
 from itertools import product
-from typing import Iterator, NamedTuple
 
 from .braid import ColoredBraid
 from .rings import LaurentQ, RatQ
 
 
-class Letter(NamedTuple):
-    kind: str   # "E" or "F"
-    index: int  # 1-based ladder index, in [1, sides-1]
-    power: int  # divided power; negative means the zero element
+class Letter(namedtuple("Letter", "kind index power")):
+    """``kind`` "E" or "F", the 1-based ladder ``index`` in [1, sides-1]
+    and the divided ``power``; a negative power means the zero element."""
+    __slots__ = ()
 
     def dump(self) -> str:
         return f"{self.kind}{self.index}^({self.power})"
@@ -74,13 +75,13 @@ def build_cap(colors, m: int) -> Word:
     return tuple(Letter("E", i, p) for _, i, p in reversed(build_cup(colors, m)))
 
 
-class CrossingTerm(NamedTuple):
-    """One braid letter located on the ladder, with its local colors."""
-    position: int      # 0-based index into the braid word (bottom to top)
-    ladder_index: int  # m + |generator|
-    color_left: int    # color on strand i when the crossing is applied
-    color_right: int   # color on strand i+1
-    eps: int           # crossing sign
+class CrossingTerm(namedtuple("CrossingTerm", "position ladder_index "
+                              "color_left color_right eps")):
+    """One braid letter located on the ladder, with its local colors: its
+    0-based ``position`` in the braid word (bottom to top), its
+    ``ladder_index`` m + |generator|, the colors on strands i and i+1 when
+    the crossing is applied and its sign ``eps``."""
+    __slots__ = ()
 
 
 def crossing_weights(cb: ColoredBraid) -> list[CrossingTerm]:

@@ -46,7 +46,7 @@ word from scratch.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from collections.abc import Callable, Iterable
 
 from .ladder import Letter, Word
 from .qcomb import qbinom, xbinom

@@ -19,9 +19,9 @@ where a coefficient is not a multiple of the content so far.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Mapping
 from math import comb
-from typing import Mapping
 
 from .rings import (LaurentQ, RatQ, XPoly, laurent_divexact, laurent_gcd,
                     lift_fractions, xpoly_divexact, xpoly_gcd)
@@ -248,22 +248,21 @@ def parse_xpoly(text: str) -> XPoly:
 # operators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RecurrenceOperator:
+class RecurrenceOperator(namedtuple("RecurrenceOperator", "terms")):
     """sum_{j,k} c_{j,k}(q,x) M^k L^j with c_{j,k} in Q(q)[x^±1], built from
     the parser's dict {(j, k): c_{j,k}} and kept as its nonzero entries in
-    descending (j, k) order; the first entry's j is the order."""
+    descending (j, k) order, ``terms`` = (((j, k), c), ...); the first
+    entry's j is the order."""
+    __slots__ = ()
 
-    terms: tuple[tuple[tuple[int, int], XPoly], ...]  # ((j, k), c), descending
-
-    def __init__(self, terms: Mapping[tuple[int, int], XPoly]):
+    def __new__(cls, terms: Mapping[tuple[int, int], XPoly]):
         kept = sorted(((jk, c) for jk, c in terms.items() if not c.is_zero()),
                       key=lambda t: t[0], reverse=True)
         if not kept:
             raise OperatorError("empty operator")
         if kept[-1][0][0] < 0:
             raise OperatorError("negative L powers are not recurrence operators")
-        object.__setattr__(self, "terms", tuple(kept))
+        return super().__new__(cls, tuple(kept))
 
     @property
     def order(self) -> int:

@@ -21,6 +21,32 @@ def test_parse_errors_name_the_token():
         parse_braid("x", 2)
 
 
+def test_braid_constructor_checks():
+    with pytest.raises(BraidError, match="strand count"):
+        Braid(0, ())
+    for strands, word in ((2, (2,)), (2, (-2,)), (2, (0,)), (3, (1, 3))):
+        with pytest.raises(BraidError, match="out of range"):
+            Braid(strands, word)
+
+
+def test_values_are_immutable_and_compare_by_fields():
+    b = parse_braid("1 1 1", 2)
+    assert b == Braid(2, (1, 1, 1)) and hash(b) == hash(Braid(2, (1, 1, 1)))
+    assert b != Braid(3, (1, 1, 1))
+    cb, again = ColoredBraid(b, (2,)), ColoredBraid(Braid(2, (1, 1, 1)), [2])
+    assert cb == again and hash(cb) == hash(again)
+    assert cb != ColoredBraid(b, (1,))
+    info = closure_info(b)
+    assert info == closure_info(Braid(2, (1, 1, 1)))
+    for obj, name in ((b, "word"), (info, "linking"), (cb, "colors"),
+                      (cb, "closure"), (cb, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+    with pytest.raises(AttributeError):
+        del cb.braid
+    assert cb.braid is b
+
+
 def test_closure_trefoil():
     info = closure_info(parse_braid("1 1 1", 2))
     assert info.component_count == 1

@@ -1,5 +1,8 @@
 import json
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -409,3 +412,36 @@ def test_operator_exponent_digits_are_ascii(capsys):
                        "--operator-text", "q^١*L - 1")
     assert (rc, out) == (2, "")
     assert err == "error: bad character at: '١*L - 1'\n"
+
+
+# start-up: ``import homflypt.cli`` loads only what the commands run
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _fresh_python(code, *args):
+    """Run code in a new interpreter without ``site``, so only the standard
+    library and this checkout's ``src`` are importable."""
+    return subprocess.run(
+        [sys.executable, "-S", "-c",
+         f"import sys; sys.path.insert(0, {SRC!r})\n{code}", *args],
+        capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_loads_no_heavy_modules():
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "json", "typing")
+    r = _fresh_python(f"import homflypt.cli\n"
+                      f"print(*[m for m in {heavy!r} if m in sys.modules])")
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout.split() == []
+
+
+def test_json_output_in_a_fresh_interpreter():
+    r = _fresh_python("from homflypt.cli import main\nsys.exit(main(sys.argv[1:]))",
+                      "eval", "--strands", "2", "--braid", "1 1 1", "--colors",
+                      "e1", "--specialize", "2", "--format", "json")
+    assert (r.returncode, r.stderr) == (0, "")
+    doc = json.loads(r.stdout)
+    assert doc["value"] == {"num": [[5, "1"], [3, "1"], [1, "1"], [-3, "-1"]],
+                            "den": [[0, "1"]]}
+    assert doc["meta"]["integral"] is True

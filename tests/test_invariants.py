@@ -23,6 +23,18 @@ def test_partition_basics():
         Partition((1, 2))
 
 
+def test_partition_is_an_immutable_value():
+    lam = Partition((3, 1, 0))
+    assert lam == Partition((3, 1)) and hash(lam) == hash(Partition([3, 1]))
+    assert lam != Partition((3, 2)) and lam != (3, 1)
+    assert lam.parts == (3, 1) and len(lam) == 2 and len(Partition((0,))) == 0
+    with pytest.raises(AttributeError):
+        lam.parts = (4,)
+    with pytest.raises(AttributeError):
+        del lam.parts
+    assert lam.parts == (3, 1)
+
+
 def test_unknot_columns():
     for a in range(0, 6):
         v = homfly_columns(ColoredBraid(UNKNOT, (a,)))

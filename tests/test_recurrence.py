@@ -26,6 +26,17 @@ def test_operator_normalization():
     assert parse_operator("L^2*M^3") == parse_operator("q^6*M^3*L^2")
 
 
+def test_operator_is_an_immutable_value():
+    op = parse_operator("q*M*L - 1")
+    again = RecurrenceOperator({(1, 1): parse_xpoly("q"), (0, 0): parse_xpoly("-1"),
+                                (2, 0): parse_xpoly("0")})
+    assert op == again and hash(op) == hash(again)
+    assert op.order == 1 and op != parse_operator("q*M*L + 1")
+    with pytest.raises(AttributeError):
+        op.terms = ()
+    assert op == again
+
+
 def test_operator_text_roundtrip(unknot_guess):
     op = parse_operator("(q^2*x)*M^2*L^1 + (-x)*L^1 + (q)*M^2 + (-q*x^2)")
     assert parse_operator(op.text()) == op
