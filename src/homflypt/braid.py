@@ -38,6 +38,11 @@ class Braid(namedtuple("Braid", "strands word")):
                 raise BraidError(f"generator {g} out of range for {strands} strands")
         return super().__new__(cls, strands, word)
 
+    @classmethod
+    def _make(cls, iterable):
+        """Through the constructor's checks, and so is ``_replace``."""
+        return cls(*iterable)
+
     def crossings(self, labels: list) -> Iterator[tuple[int, int, list]]:
         """Push per-strand labels up through the word: for each crossing,
         bottom to top, yield its left position i (0-based), its sign and

@@ -13,8 +13,8 @@ import sys
 
 from .braid import (BraidError, ColoredBraid, closure_info, is_int_token,
                     parse_braid)
-from .invariants import (Partition, homfly_partition, invariant,
-                         torus_reference, trefoil_reference)
+from .invariants import (Partition, invariant, torus_reference,
+                         trefoil_reference)
 from .pbw import Evaluator
 from .recurrence import OperatorError, guess, parse_operator, require_window
 from .rings import XPoly
@@ -62,37 +62,27 @@ def _parse_colors(text: str) -> list[tuple[str, object]]:
     return out
 
 
-def _colored(args) -> tuple[ColoredBraid, list[tuple[str, object]]]:
+def _eval_value(args) -> tuple[XPoly, ColoredBraid]:
     braid = parse_braid(args.braid, args.strands)
     colors = _parse_colors(args.colors)
-    ints = [c if kind != "p" else 0 for kind, c in colors]
-    cb = ColoredBraid(braid, ints)
-    return cb, colors
-
-
-def _eval_value(args) -> tuple[XPoly, ColoredBraid]:
-    cb, colors = _colored(args)
-    kinds = {k for k, _ in colors}
-    if "p" in kinds:
-        if colors[0][0] != "p":
-            raise UsageError("partition colors are supported on the first component only")
-        if sum(1 for k, _ in colors if k == "p") > 1:
-            raise UsageError("at most one partition-colored component is supported")
-        if any(k == "e" for k, _ in colors[1:]):
-            raise UsageError(
-                "alongside a partition color the other components take h<k> colors")
-        if args.framing == "zero":
-            raise UsageError("zero framing is not supported with partition colors")
-        if args.trace:
-            raise UsageError("--trace is not supported with partition colors")
-        lam: Partition = colors[0][1]
-        return homfly_partition(cb, lam, max(1, len(lam))), cb
-    if len(kinds) > 1:
+    cb = ColoredBraid(braid, [c if kind != "p" else 0 for kind, c in colors])
+    kinds = [k for k, _ in colors]
+    partition = colors[0][1] if kinds[0] == "p" else None
+    if "p" in kinds[1:]:
+        raise UsageError("at most one partition-colored component is supported"
+                         if partition is not None else
+                         "partition colors are supported on the first component only")
+    if partition is not None and args.trace:
+        raise UsageError("--trace is not supported with partition colors")
+    family = set(kinds) - {"p"}
+    if len(family) > 1:
         raise UsageError("mixed e and h colors on one link are not supported")
-    trace = (lambda s: print(s, file=sys.stderr)) if args.trace else None
-    ev = Evaluator(2 * cb.braid.strands, trace=trace)
-    family = "h" if kinds == {"h"} else "e"
-    return invariant(cb, family, args.framing, evaluator=ev), cb
+    if not family:  # a lone partition takes the family with the narrower cable
+        family = {"e" if len(partition.transpose()) < len(partition) else "h"}
+    ev = (Evaluator(2 * cb.braid.strands, trace=lambda s: print(s, file=sys.stderr))
+          if args.trace else None)
+    return invariant(cb, family.pop(), args.framing, partition=partition,
+                     evaluator=ev), cb
 
 
 def _emit(value, meta: dict, args) -> None:

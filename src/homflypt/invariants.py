@@ -1,13 +1,11 @@
 """Colored HOMFLYPT invariants of braid closures, plus closed-form references.
 
 The engine computes the two-variable invariant of a blackboard-framed braid
-closure with column colors natively (``homfly_columns``).  ``invariant`` is
-the one place that turns that value into the invariant of a color family and
-a framing: zero framing removes each component's blackboard self-framing, a
-monomial q^(a - a^2) x^a per unit for the color e_a (``adjust_framing``),
-and row colors then take the framed value under q -> -q^{-1}.  General
-bounded-row partitions go through the Jacobi-Trudi determinant realized by
-cabling (``homfly_partition``).
+closure with column colors natively (``homfly_columns``), and a partition
+color as a Jacobi-Trudi sum of column colors on a cable (``homfly_partition``).
+``invariant`` is the one place that frames and transposes: zero framing
+removes each component's blackboard self-framing, a monomial per unit
+(``adjust_framing``), and row colors then take the value under q -> -q^{-1}.
 
 ``trefoil_reference`` and ``torus_reference`` are independent closed forms
 used as oracles by the test suite: a terminating six-fold quantum-binomial
@@ -62,10 +60,8 @@ class Partition:
         return len(self.parts)
 
     def transpose(self) -> "Partition":
-        if not self.parts:
-            return self
-        return Partition(tuple(sum(1 for p in self.parts if p > j)
-                               for j in range(self.parts[0])))
+        return Partition(sum(1 for p in self.parts if p > j)
+                         for j in range(max(self.parts, default=0)))
 
 
 def homfly_columns(cb: ColoredBraid, *,
@@ -87,42 +83,58 @@ def homfly_columns(cb: ColoredBraid, *,
 
 def invariant(cb: ColoredBraid, family: str = "e",
               framing: str = "blackboard", *,
+              partition: Partition | None = None,
               evaluator: Evaluator | None = None) -> XPoly:
     """The invariant with every component i colored by e_{a_i}
-    (``family="e"``) or h_{a_i} (``family="h"``), in the blackboard framing
-    of the closure or in the zero framing (``framing="zero"``).
+    (``family="e"``) or h_{a_i} (``family="h"``), in the blackboard or the
+    zero framing.  With ``partition`` lambda the first component's column
+    color is lambda (``family="e"``) or its transpose (``family="h"``);
+    ``evaluator``, sized for ``cb``, cannot go with it.
 
-    The column value is framed first: zero framing removes each
-    component's blackboard self-framing, the signed count of its
-    self-crossings (``adjust_framing``).  Row colors then take the framed
-    column value under q -> -q^{-1}, once, because transposing every
-    partition acts on the invariant by that involution and (h_a)^t = e_a.
-    Any negative color gives 0, in either family and framing.
+    The column value is framed first (``adjust_framing``): zero framing
+    removes each component's self-framing, its signed self-crossing count.
+    Row colors then take the framed value under q -> -q^{-1}, once, since
+    transposing every color acts by that involution and (h_a)^t = e_a.
+    Any negative integer color gives 0.
     """
     if family not in ("e", "h"):
         raise ValueError(f"unknown color family {family!r} (want 'e' or 'h')")
     if framing not in ("blackboard", "zero"):
         raise ValueError(f"unknown framing {framing!r} (want 'blackboard' or 'zero')")
-    if any(a < 0 for a in cb.colors):
+    colors = cb.colors
+    if partition is not None:
+        if evaluator is not None:
+            raise ValueError("an evaluator is sized for the braid, not for a cable")
+        colors = colors[1:]
+    if any(a < 0 for a in colors):
         return XPoly.zero()
-    value = homfly_columns(cb, evaluator=evaluator)
+    if partition is None:
+        value = homfly_columns(cb, evaluator=evaluator)
+    else:
+        colors = (partition if family == "e" else partition.transpose(),) + colors
+        value = homfly_partition(cb, colors[0])
     if framing == "zero":
-        for i, a in enumerate(cb.colors):
-            value = adjust_framing(value, a, -cb.closure.linking[i][i])
+        for i, color in enumerate(colors):
+            value = adjust_framing(value, color, -cb.closure.linking[i][i])
     return value.q_bar() if family == "h" else value
 
 
-def adjust_framing(value: XPoly, color: int, delta_framing: int) -> XPoly:
-    """Change the framing of one component of column color e_a by
-    delta_framing units: multiply by q^(delta (a - a^2)) x^(delta a).
-    ``adjust_framing(XPoly.one(), a, 1)`` is the unit factor for e_a: the
-    +1-framed unknot (closure of sigma_1) over the 0-framed one.  A row
-    value v is framed through its column value, as ``invariant`` does:
-    ``adjust_framing(v.q_bar(), a, d).q_bar()``."""
-    if color < 0:
-        raise ValueError("framing factor needs a nonnegative color")
-    e = delta_framing * (color - color * color)
-    return value * XPoly.mono(RatQ.q_power(e), delta_framing * color)
+def adjust_framing(value: XPoly, color: int | Partition,
+                   delta_framing: int) -> XPoly:
+    """Change the framing of one component of column color lambda (a
+    ``Partition``, or an int a for e_a = (1^a)) by delta units: multiply by
+    q^(delta sum_i lambda_i (lambda_i + 1 - 2i)) x^(delta |lambda|), which is
+    q^(2 delta kappa(lambda)) for the content sum kappa, and q^(delta (a - a^2))
+    for e_a.  ``adjust_framing(XPoly.one(), a, 1)`` is the unit factor for
+    e_a: the closure of sigma_1 over the flat unknot.  A row value v is
+    framed through its column value: ``adjust_framing(v.q_bar(), a, d).q_bar()``."""
+    if not isinstance(color, Partition):
+        if color < 0:
+            raise ValueError("framing factor needs a nonnegative color")
+        color = Partition((1,) * color)
+    e = sum(p * (p + 1 - 2 * i) for i, p in enumerate(color.parts, 1))
+    return value * XPoly.mono(RatQ.q_power(delta_framing * e),
+                              delta_framing * sum(color.parts))
 
 
 def _perm_sign(perm: tuple[int, ...]) -> int:
@@ -131,31 +143,24 @@ def _perm_sign(perm: tuple[int, ...]) -> int:
     return -1 if inv % 2 else 1
 
 
-def homfly_partition(cb: ColoredBraid, lam: Partition, ell: int) -> XPoly:
-    """First component colored by the partition ``lam`` (at most ``ell``
-    rows), via the dual Jacobi-Trudi pipeline: replace the first component
-    by ``ell`` blackboard parallels and sum the signed row invariants
-    ``invariant(cab, "h")`` with colors lam_i + sigma(i) - i over sigma in
-    Sym_ell (q -> -q^{-1} of the signed column sum, a ring automorphism),
-    in one ``xpoly_sum``.
-
-    The remaining components keep their integer colors inside the signed
-    sum, so they are reported as row colors h_a.  Column colors with
-    negative subscript contribute nothing.
-    """
-    if ell < 1 or ell < len(lam):
-        raise ValueError(f"need ell >= max(1, {len(lam)}) rows for this partition")
-    parts = lam.parts + (0,) * (ell - len(lam))
+def homfly_partition(cb: ColoredBraid, mu: Partition) -> XPoly:
+    """The blackboard-framed invariant with the first component colored by
+    ``mu`` and the others by e_{a_i}, by s_mu = det(e_{mu^t_i - i + j}): the
+    first component becomes mu_1 parallels, and the signed ``homfly_columns``
+    values with colors mu^t_i + sigma(i) - i, sigma in Sym_{mu_1}, are summed
+    in one ``xpoly_sum``.  Negative colors contribute nothing."""
+    cols = mu.transpose().parts or (0,)
+    ell = len(cols)
     ev = None  # every cable has the same strand count, so one memo serves all
     terms = []
     for sigma in permutations(range(ell)):
-        colors = tuple(parts[i] + sigma[i] - i for i in range(ell))
+        colors = tuple(cols[i] + sigma[i] - i for i in range(ell))
         if any(c < 0 for c in colors):
             continue
         cab = cable_first_component(cb, ell, colors)
         if ev is None:
             ev = Evaluator(2 * cab.braid.strands)
-        term = invariant(cab, "h", evaluator=ev)
+        term = homfly_columns(cab, evaluator=ev)
         terms.append(term if _perm_sign(sigma) > 0 else -term)
     return xpoly_sum(terms)
 

@@ -10,9 +10,8 @@ import pytest
 
 from homflypt import (ColoredBraid, Evaluator, Letter, Partition,
                       adjust_framing, enumerate_terms, guess, homfly_columns,
-                      homfly_partition, invariant, parse_braid, qbinom,
-                      torus_reference, trefoil_recurrence, trefoil_reference,
-                      xbinom)
+                      invariant, parse_braid, qbinom, torus_reference,
+                      trefoil_recurrence, trefoil_reference, xbinom)
 
 TREFOIL = parse_braid("1 1 1", 2)
 CINQUEFOIL = parse_braid("1 1 1 1 1", 2)
@@ -94,7 +93,7 @@ def test_criterion_6_internal_consistency():
 
 
 def test_criterion_7_jacobi_trudi(trefoil_cols):
-    got = homfly_partition(ColoredBraid(TREFOIL, (0,)), Partition((1, 1)), 2)
+    got = invariant(ColoredBraid(TREFOIL, (0,)), "h", partition=Partition((1, 1)))
     ok = got == trefoil_cols[2]
     _report(7, "w_partition(trefoil, (1,1)) equals w_columns(trefoil, e_2)", ok)
 

@@ -29,6 +29,18 @@ def test_braid_constructor_checks():
             Braid(strands, word)
 
 
+def test_make_and_replace_run_the_constructor_checks():
+    b = Braid(2, (1,))
+    with pytest.raises(BraidError, match="strand count"):
+        Braid._make((0, (7,)))
+    with pytest.raises(BraidError, match="out of range"):
+        b._replace(word=(5, 0))
+    with pytest.raises(BraidError, match="out of range"):
+        b._replace(strands=1)
+    assert Braid._make([3, (2, -1)]) == b._replace(strands=3, word=(2, -1))
+    assert type(b._replace(word=(-1,))) is Braid
+
+
 def test_values_are_immutable_and_compare_by_fields():
     b = parse_braid("1 1 1", 2)
     assert b == Braid(2, (1, 1, 1)) and hash(b) == hash(Braid(2, (1, 1, 1)))

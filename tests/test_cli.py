@@ -110,6 +110,31 @@ def test_eval_partition_color(capsys):
     _, rows_out, _ = run(capsys, "eval", "--strands", "1", "--braid", "",
                          "--colors", "h2")
     assert out == rows_out
+    # a one-column or one-row partition is that column or row, beside e or h
+    for braid, colors, plain in (("1 1 1", "p1,1,1", "e3"),
+                                 ("1 1", "p1,1 e1", "e2 e1"),
+                                 ("1 1", "p2 h1", "h2 h1")):
+        for framing in ("blackboard", "zero"):
+            got, want = (run(capsys, "eval", "--strands", "2", "--braid", braid,
+                             "--colors", c, "--framing", framing)
+                         for c in (colors, plain))
+            assert got[0] == 0 and got[1] == want[1]
+
+
+@pytest.mark.parametrize("parts", ["3", "1,1,1", "2,1,1", "3,1", "2,1"])
+def test_eval_lone_partition_takes_the_narrower_cable(capsys, monkeypatch, parts):
+    from homflypt import invariants
+    widths = []
+    cable = invariants.cable_first_component
+
+    def recording(cb, width, colors):
+        widths.append(width)
+        return cable(cb, width, colors)
+    monkeypatch.setattr(invariants, "cable_first_component", recording)
+    rc, _, _ = run(capsys, "eval", "--strands", "1", "--braid", "",
+                   "--colors", "p" + parts)
+    lam = [int(p) for p in parts.split(",")]
+    assert rc == 0 and widths and set(widths) == {min(lam[0], len(lam))}
 
 
 def test_eval_bad_partition_color(capsys):
@@ -126,12 +151,24 @@ def test_eval_bad_partition_color(capsys):
                    "be weakly decreasing\n")
 
 
-def test_eval_partition_zero_framing_refused_before_computing(capsys):
-    # the trefoil p2,1 value takes minutes; the refusal must come first
-    rc, out, err = run(capsys, "eval", "--strands", "2", "--braid", "1 1 1",
-                       "--colors", "p2,1", "--framing", "zero")
-    assert rc == 2 and out == ""
-    assert "zero framing is not supported with partition colors" in err
+def test_eval_partition_zero_framing(capsys):
+    # the trefoil's blackboard self-framing is 3 and 2 kappa(2,1) = 0, so
+    # zero framing divides by x^(3 |lambda|) = x^9
+    args = ("eval", "--strands", "2", "--braid", "1 1 1", "--colors", "p2,1")
+    rc, out, _ = run(capsys, *args)
+    rc_zero, out_zero, _ = run(capsys, *args, "--framing", "zero")
+    assert rc == rc_zero == 0
+    assert parse_xpoly(out_zero.strip()) \
+        == parse_xpoly(out.strip()) * XPoly.x_power(-9)
+
+
+def test_eval_partition_refusals(capsys):
+    for colors, msg in (("e1 p1", "first component only"),
+                        ("p1 p1", "at most one partition"),
+                        ("p1 e1 h1", "mixed e and h colors")):
+        rc, out, err = run(capsys, "eval", "--strands", str(len(colors.split())),
+                           "--braid", "", "--colors", colors)
+        assert rc == 2 and out == "" and msg in err
 
 
 def test_eval_partition_trace_refused_before_computing(capsys):

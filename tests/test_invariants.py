@@ -111,6 +111,14 @@ def _unit_framing(a):
 def test_framing_factor_closed_form():
     for a in range(0, 4):
         assert _unit_framing(a) == XPoly.mono(RatQ.q_power(a - a * a), a)
+        # one column (1^a) is e_a, one row (a) has the row factor of
+        # torus_reference, q^(a^2 - a) x^a
+        assert adjust_framing(XPoly.one(), Partition((1,) * a), 1) == _unit_framing(a)
+        assert adjust_framing(XPoly.one(), Partition((a,)), 1) \
+            == XPoly.mono(RatQ.q_power(a * a - a), a)
+    # 2 kappa of (3, 1) is 2 (0 + 1 + 2 - 1)
+    assert adjust_framing(XPoly.one(), Partition((3, 1)), -2) \
+        == XPoly.mono(RatQ.q_power(-8), -8)
 
 
 def test_framing_factor_matches_engine():
@@ -221,24 +229,79 @@ def test_mirror_duality_specialized():
 
 def test_partition_single_row_is_rows():
     for a in (1, 2):
-        got = homfly_partition(ColoredBraid(TREFOIL, (0,)), Partition((a,)), 1)
+        got = invariant(ColoredBraid(TREFOIL, (0,)), "h", partition=Partition((a,)))
         assert got == invariant(ColoredBraid(TREFOIL, (a,)), "h")
 
 
-def test_partition_row_on_unknot_via_ell2():
-    got = homfly_partition(ColoredBraid(UNKNOT, (0,)), Partition((2,)), 2)
+def test_partition_row_on_unknot_via_columns():
+    # two cables: det(e_{1+j-i}) with colors (1, 1) and (2, 0)
+    got = invariant(ColoredBraid(UNKNOT, (0,)), "e", partition=Partition((2,)))
     assert got == invariant(ColoredBraid(UNKNOT, (2,)), "h")
-
-
-def test_partition_requires_enough_rows():
-    with pytest.raises(ValueError):
-        homfly_partition(ColoredBraid(UNKNOT, (0,)), Partition((1, 1)), 1)
 
 
 @pytest.mark.slow
 def test_partition_column_cross_check(trefoil_cols):
-    got = homfly_partition(ColoredBraid(TREFOIL, (0,)), Partition((1, 1)), 2)
+    # two cables: the row colors of (1,1)^t = (2)
+    got = invariant(ColoredBraid(TREFOIL, (0,)), "h", partition=Partition((1, 1)))
     assert got == trefoil_cols[2]
+
+
+def test_homfly_partition_is_the_column_form():
+    # the e-form of mu in column colors, framed and transposed by nobody
+    cb = ColoredBraid(parse_braid("1 1", 2), (0, 1))
+    for parts in ((1, 1), (2, 1)):
+        mu = Partition(parts)
+        assert homfly_partition(cb, mu) == invariant(cb, "e", partition=mu)
+        assert homfly_partition(cb, mu.transpose()).q_bar() \
+            == invariant(cb, "h", partition=mu)
+    assert homfly_partition(ColoredBraid(UNKNOT, (0,)), Partition(())) == XPoly.one()
+
+
+def test_partition_refuses_an_evaluator():
+    with pytest.raises(ValueError, match="evaluator"):
+        invariant(ColoredBraid(UNKNOT, (0,)), "e", partition=Partition((1,)),
+                  evaluator=Evaluator(2))
+
+
+def test_partition_zero_framing_is_kink_invariant():
+    # the closures of sigma_1 and sigma_1^-1 on two strands are the unknot
+    # framed +1 and -1: zero framing must not see the kink, blackboard must
+    flat = ColoredBraid(UNKNOT, (0,))
+    for parts in ((2, 1), (3, 1), (2, 1, 1)):
+        lam = Partition(parts)
+        family = "e" if len(lam.transpose()) < len(lam) else "h"
+        want = invariant(flat, family, "zero", partition=lam)
+        assert want == invariant(flat, family, partition=lam)
+        for word in ("1", "-1"):
+            kink = ColoredBraid(parse_braid(word, 2), (0,))
+            assert invariant(kink, family, "zero", partition=lam) == want
+            assert invariant(kink, family, partition=lam) != want
+
+
+def test_partition_routes_agree():
+    # s_lambda by lambda_1 cables of column colors or by l(lambda) cables of
+    # row colors: the same value when every other color is 0
+    cases = [(TREFOIL, (0,), (1, 1)), (TREFOIL, (0,), (2,)),
+             (parse_braid("", 2), (0, 0), (2, 1, 1))]
+    for braid, colors, parts in cases:
+        cb, lam = ColoredBraid(braid, colors), Partition(parts)
+        for framing in ("blackboard", "zero"):
+            assert invariant(cb, "e", framing, partition=lam) \
+                == invariant(cb, "h", framing, partition=lam)
+
+
+def test_partition_next_to_integer_colors():
+    # one-column (1^b) beside e_a is e_b e_a, one-row (b) beside h_a is
+    # h_b h_a: one-strand cables, so this checks the plumbing
+    hopf = parse_braid("1 1", 2)
+    for a, b in ((1, 2), (2, 1), (0, 2)):
+        for framing in ("blackboard", "zero"):
+            for family, parts in (("e", (1,) * b), ("h", (b,))):
+                got = invariant(ColoredBraid(hopf, (0, a)), family, framing,
+                                partition=Partition(parts))
+                assert got == invariant(ColoredBraid(hopf, (b, a)), family, framing)
+    assert invariant(ColoredBraid(hopf, (0, -1)), "e",
+                     partition=Partition((2, 1))).is_zero()
 
 
 def test_writhe_two_unknot_on_three_strands():
@@ -281,12 +344,14 @@ def _hook_content(parts):
 
 def test_partition_unknot_hook_content():
     for parts in ((2, 1), (3, 1), (2, 2)):
-        got = homfly_partition(ColoredBraid(UNKNOT, (0,)), Partition(parts), 2)
-        assert got == _hook_content(parts)
+        for family in ("e", "h"):
+            got = invariant(ColoredBraid(UNKNOT, (0,)), family,
+                            partition=Partition(parts))
+            assert got == _hook_content(parts)
 
 
 def test_self_conjugate_color_is_qbar_invariant():
-    got = homfly_partition(ColoredBraid(UNKNOT, (0,)), Partition((2, 1)), 2)
+    got = invariant(ColoredBraid(UNKNOT, (0,)), "h", partition=Partition((2, 1)))
     assert got.q_bar() == got
 
 
