@@ -15,7 +15,6 @@ from .braid import (BraidError, ColoredBraid, closure_info, is_int_token,
                     parse_braid)
 from .invariants import (Partition, invariant, torus_reference,
                          trefoil_reference)
-from .pbw import Evaluator
 from .recurrence import OperatorError, guess, parse_operator, require_window
 from .rings import XPoly
 
@@ -72,17 +71,12 @@ def _eval_value(args) -> tuple[XPoly, ColoredBraid]:
         raise UsageError("at most one partition-colored component is supported"
                          if partition is not None else
                          "partition colors are supported on the first component only")
-    if partition is not None and args.trace:
-        raise UsageError("--trace is not supported with partition colors")
     family = set(kinds) - {"p"}
     if len(family) > 1:
         raise UsageError("mixed e and h colors on one link are not supported")
-    if not family:  # a lone partition takes the family with the narrower cable
-        family = {"e" if len(partition.transpose()) < len(partition) else "h"}
-    ev = (Evaluator(2 * cb.braid.strands, trace=lambda s: print(s, file=sys.stderr))
-          if args.trace else None)
-    return invariant(cb, family.pop(), args.framing, partition=partition,
-                     evaluator=ev), cb
+    trace = (lambda s: print(s, file=sys.stderr)) if args.trace else None
+    return invariant(cb, family.pop() if family else "e", args.framing,
+                     partition=partition, trace=trace), cb
 
 
 def _emit(value, meta: dict, args) -> None:

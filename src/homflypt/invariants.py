@@ -3,9 +3,9 @@
 The engine computes the two-variable invariant of a blackboard-framed braid
 closure with column colors natively (``homfly_columns``), and a partition
 color as a Jacobi-Trudi sum of column colors on a cable (``homfly_partition``).
-``invariant`` is the one place that frames and transposes: zero framing
-removes each component's blackboard self-framing, a monomial per unit
-(``adjust_framing``), and row colors then take the value under q -> -q^{-1}.
+``invariant`` makes every engine choice: it picks a partition's cable,
+builds the ``Evaluator``, frames (zero framing removes each component's
+self-framing, ``adjust_framing``) and transposes rows by q -> -q^{-1}.
 
 ``trefoil_reference`` and ``torus_reference`` are independent closed forms
 used as oracles by the test suite: a terminating six-fold quantum-binomial
@@ -15,6 +15,7 @@ sum for the trefoil in column colors, and a one-dimensional sum for the
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from itertools import permutations
 
 from .braid import ColoredBraid, cable_first_component
@@ -84,12 +85,13 @@ def homfly_columns(cb: ColoredBraid, *,
 def invariant(cb: ColoredBraid, family: str = "e",
               framing: str = "blackboard", *,
               partition: Partition | None = None,
-              evaluator: Evaluator | None = None) -> XPoly:
+              trace: Callable[[str], None] | None = None) -> XPoly:
     """The invariant with every component i colored by e_{a_i}
     (``family="e"``) or h_{a_i} (``family="h"``), in the blackboard or the
     zero framing.  With ``partition`` lambda the first component's column
-    color is lambda (``family="e"``) or its transpose (``family="h"``);
-    ``evaluator``, sized for ``cb``, cannot go with it.
+    color is lambda (``family="e"``) or its transpose (``family="h"``); if
+    every other color is 0, the narrower cable's family (same value) is taken:
+    ``e`` if lambda_1 < l(lambda), else ``h``.  ``trace`` logs each rewrite.
 
     The column value is framed first (``adjust_framing``): zero framing
     removes each component's self-framing, its signed self-crossing count.
@@ -103,16 +105,17 @@ def invariant(cb: ColoredBraid, family: str = "e",
         raise ValueError(f"unknown framing {framing!r} (want 'blackboard' or 'zero')")
     colors = cb.colors
     if partition is not None:
-        if evaluator is not None:
-            raise ValueError("an evaluator is sized for the braid, not for a cable")
         colors = colors[1:]
+        if not any(colors):
+            family = "e" if len(partition.transpose()) < len(partition) else "h"
     if any(a < 0 for a in colors):
         return XPoly.zero()
     if partition is None:
-        value = homfly_columns(cb, evaluator=evaluator)
+        ev = Evaluator(2 * cb.braid.strands, trace=trace)
+        value = homfly_columns(cb, evaluator=ev)
     else:
         colors = (partition if family == "e" else partition.transpose(),) + colors
-        value = homfly_partition(cb, colors[0])
+        value = homfly_partition(cb, colors[0], trace=trace)
     if framing == "zero":
         for i, color in enumerate(colors):
             value = adjust_framing(value, color, -cb.closure.linking[i][i])
@@ -143,7 +146,8 @@ def _perm_sign(perm: tuple[int, ...]) -> int:
     return -1 if inv % 2 else 1
 
 
-def homfly_partition(cb: ColoredBraid, mu: Partition) -> XPoly:
+def homfly_partition(cb: ColoredBraid, mu: Partition, *,
+                     trace: Callable[[str], None] | None = None) -> XPoly:
     """The blackboard-framed invariant with the first component colored by
     ``mu`` and the others by e_{a_i}, by s_mu = det(e_{mu^t_i - i + j}): the
     first component becomes mu_1 parallels, and the signed ``homfly_columns``
@@ -158,8 +162,7 @@ def homfly_partition(cb: ColoredBraid, mu: Partition) -> XPoly:
         if any(c < 0 for c in colors):
             continue
         cab = cable_first_component(cb, ell, colors)
-        if ev is None:
-            ev = Evaluator(2 * cab.braid.strands)
+        ev = ev or Evaluator(2 * cab.braid.strands, trace=trace)
         term = homfly_columns(cab, evaluator=ev)
         terms.append(term if _perm_sign(sigma) > 0 else -term)
     return xpoly_sum(terms)

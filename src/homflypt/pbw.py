@@ -59,7 +59,6 @@ class Evaluator:
     """Evaluation session for one ladder size and specialization; owns the memo."""
 
     def __init__(self, sides: int, n: int | None = None, *,
-                 memoize: bool = True,
                  trace: Callable[[str], None] | None = None):
         if sides < 2 or sides % 2:
             raise ValueError("sides must be an even integer >= 2")
@@ -67,7 +66,6 @@ class Evaluator:
         self.m = sides // 2
         self.n = n
         self.ring = XPoly if n is None else RatQ
-        self.memoize = memoize
         self.trace = trace
         self._memo: dict[Word, State] = {}
         self._unit: State = {(): self.ring.one()}
@@ -188,10 +186,9 @@ class Evaluator:
         if not w:
             return self._unit
         # a stored word is never tail-negative, so the memo goes first
-        if self.memoize:
-            hit = self._memo.get(w)
-            if hit is not None:
-                return hit
+        hit = self._memo.get(w)
+        if hit is not None:
+            return hit
         if self._tail_negative(w):
             if self.trace:
                 self.trace(f"tail-negative: {_dump(w)}")
@@ -205,8 +202,7 @@ class Evaluator:
         finally:
             self._depth -= 1
 
-        if self.memoize:
-            self._memo[w] = res
+        self._memo[w] = res
         return res
 
     def _coeff(self, r: int, lin: int, t: int):

@@ -171,15 +171,13 @@ def test_eval_partition_refusals(capsys):
         assert rc == 2 and out == "" and msg in err
 
 
-def test_eval_partition_trace_refused_before_computing(capsys):
-    # the partition pipeline has no rewrite log; --trace must not be ignored
-    rc, out, err = run(capsys, "eval", "--strands", "1", "--braid", "",
-                       "--colors", "p1,1", "--trace")
-    assert rc == 2 and out == ""
-    assert "--trace is not supported with partition colors" in err
-    rc, out, err = run(capsys, "eval", "--strands", "2", "--braid", "1 1 1",
-                       "--colors", "p2,1", "--trace")
-    assert rc == 2 and out == ""
+def test_eval_partition_trace(capsys):
+    # the cables' evaluator logs to stderr; stdout is the untraced value
+    for strands, braid, colors in (("1", "", "p1,1"), ("2", "1 1 1", "p2,1")):
+        args = ("eval", "--strands", strands, "--braid", braid, "--colors", colors)
+        rc, out, err = run(capsys, *args, "--trace")
+        assert rc == 0 and err
+        assert out == run(capsys, *args)[1]
 
 
 def test_oracle_commands(capsys):

@@ -257,10 +257,54 @@ def test_homfly_partition_is_the_column_form():
     assert homfly_partition(ColoredBraid(UNKNOT, (0,)), Partition(())) == XPoly.one()
 
 
-def test_partition_refuses_an_evaluator():
-    with pytest.raises(ValueError, match="evaluator"):
-        invariant(ColoredBraid(UNKNOT, (0,)), "e", partition=Partition((1,)),
-                  evaluator=Evaluator(2))
+def test_partition_trace_logs_the_untraced_value():
+    # the one evaluator of the cables logs to the caller's trace
+    hopf = parse_braid("1 1", 2)
+    for cb, lam in ((ColoredBraid(UNKNOT, (0,)), Partition((2, 1))),
+                    (ColoredBraid(hopf, (0, 1)), Partition((1, 1)))):
+        for framing in ("blackboard", "zero"):
+            lines = []
+            got = invariant(cb, "e", framing, partition=lam, trace=lines.append)
+            assert lines and got == invariant(cb, "e", framing, partition=lam)
+
+
+class _Cabled(Exception):
+    pass
+
+
+def _cable_width(monkeypatch, cb, family, parts):
+    # the width of the first cable that invariant builds; every cable of one
+    # Jacobi-Trudi sum has the same width, so the sum is cut off there
+    from homflypt import invariants
+    widths = []
+
+    def recording(cb, width, colors):
+        widths.append(width)
+        raise _Cabled
+    monkeypatch.setattr(invariants, "cable_first_component", recording)
+    with pytest.raises(_Cabled):
+        invariant(cb, family, partition=Partition(parts))
+    return widths[0]
+
+
+@pytest.mark.parametrize("parts", [(3,), (1, 1, 1), (2, 1, 1), (3, 1), (2, 1)])
+def test_lone_partition_takes_the_narrower_cable(monkeypatch, parts):
+    for family in ("e", "h"):
+        width = _cable_width(monkeypatch, ColoredBraid(TREFOIL, (0,)), family, parts)
+        assert width == min(parts[0], len(parts))
+
+
+def test_partition_next_to_a_color_keeps_its_family(monkeypatch):
+    # a 0 neighbour still narrows; e_1 or h_1 beside it fixes the family
+    hopf = parse_braid("1 1", 2)
+    for parts in ((2, 1, 1), (3, 1)):
+        for family in ("e", "h"):
+            width = _cable_width(monkeypatch, ColoredBraid(hopf, (0, 0)), family, parts)
+            assert width == min(parts[0], len(parts))
+        assert _cable_width(monkeypatch, ColoredBraid(hopf, (0, 1)), "h", parts) \
+            == len(parts)
+        assert _cable_width(monkeypatch, ColoredBraid(hopf, (0, 1)), "e", parts) \
+            == parts[0]
 
 
 def test_partition_zero_framing_is_kink_invariant():
@@ -268,26 +312,28 @@ def test_partition_zero_framing_is_kink_invariant():
     # framed +1 and -1: zero framing must not see the kink, blackboard must
     flat = ColoredBraid(UNKNOT, (0,))
     for parts in ((2, 1), (3, 1), (2, 1, 1)):
-        lam = Partition(parts)
-        family = "e" if len(lam.transpose()) < len(lam) else "h"
-        want = invariant(flat, family, "zero", partition=lam)
-        assert want == invariant(flat, family, partition=lam)
+        lam = Partition(parts)  # invariant takes the narrower cable itself
+        want = invariant(flat, "e", "zero", partition=lam)
+        assert want == invariant(flat, "e", partition=lam)
         for word in ("1", "-1"):
             kink = ColoredBraid(parse_braid(word, 2), (0,))
-            assert invariant(kink, family, "zero", partition=lam) == want
-            assert invariant(kink, family, partition=lam) != want
+            assert invariant(kink, "e", "zero", partition=lam) == want
+            assert invariant(kink, "e", partition=lam) != want
 
 
 def test_partition_routes_agree():
     # s_lambda by lambda_1 cables of column colors or by l(lambda) cables of
-    # row colors: the same value when every other color is 0
+    # row colors: the same value when every other color is 0.  invariant
+    # takes the narrower route alone, so both are called here directly
     cases = [(TREFOIL, (0,), (1, 1)), (TREFOIL, (0,), (2,)),
              (parse_braid("", 2), (0, 0), (2, 1, 1))]
     for braid, colors, parts in cases:
         cb, lam = ColoredBraid(braid, colors), Partition(parts)
-        for framing in ("blackboard", "zero"):
-            assert invariant(cb, "e", framing, partition=lam) \
-                == invariant(cb, "h", framing, partition=lam)
+        e_route, h_route = homfly_partition(cb, lam), homfly_partition(cb, lam.transpose())
+        assert e_route == h_route.q_bar()
+        kink = -cb.closure.linking[0][0]
+        assert adjust_framing(e_route, lam, kink) \
+            == adjust_framing(h_route, lam.transpose(), kink).q_bar()
 
 
 def test_partition_next_to_integer_colors():
@@ -343,11 +389,14 @@ def _hook_content(parts):
 
 
 def test_partition_unknot_hook_content():
+    # both routes directly, and invariant, which takes only the narrower one
+    cb = ColoredBraid(UNKNOT, (0,))
     for parts in ((2, 1), (3, 1), (2, 2)):
+        lam, want = Partition(parts), _hook_content(parts)
+        assert homfly_partition(cb, lam) == want
+        assert homfly_partition(cb, lam.transpose()).q_bar() == want
         for family in ("e", "h"):
-            got = invariant(ColoredBraid(UNKNOT, (0,)), family,
-                            partition=Partition(parts))
-            assert got == _hook_content(parts)
+            assert invariant(cb, family, partition=lam) == want
 
 
 def test_self_conjugate_color_is_qbar_invariant():
