@@ -88,13 +88,23 @@ def test_generic_specialized_agreement_random():
     assert checked == 50
 
 
+class _NoMemo(dict):
+    """A memo that stores nothing, so every subword is evaluated afresh."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
 def test_memo_purity():
-    # a memo warmed by earlier words gives what a fresh evaluator gives
+    # a memo warmed by earlier words gives what a fresh evaluator gives,
+    # and what one that never memoizes gives
     rng = random.Random(12)
     cached = Evaluator(4)
     for _ in range(25):
         w = rand_word(rng, max_len=6)
-        assert cached.ev(w) == Evaluator(4).ev(w)
+        bare = Evaluator(4)
+        bare._memo = _NoMemo()
+        assert cached.ev(w) == Evaluator(4).ev(w) == bare.ev(w)
 
 
 def test_commuting_letter_swap_invariance():
