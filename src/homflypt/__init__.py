@@ -10,7 +10,7 @@ from .invariants import (Partition, adjust_framing, homfly_columns,
                          homfly_partition, invariant, torus_reference,
                          trefoil_reference)
 from .ladder import (Letter, build_cap, build_cup, crossing_sums,
-                     crossing_weights, enumerate_terms, weight_offsets)
+                     crossing_weights, enumerate_terms)
 from .pbw import Evaluator
 from .qcomb import qbinom, qfactorial, qint, xbinom
 from .recurrence import (OperatorError, RecurrenceOperator, guess,
@@ -28,5 +28,5 @@ __all__ = [
     "homfly_partition", "invariant", "laurent_gcd", "parse_braid",
     "parse_operator", "parse_xpoly", "qbinom", "qfactorial", "qint",
     "torus_reference", "trefoil_recurrence", "trefoil_reference",
-    "weight_offsets", "xbinom", "xpoly_divexact", "xpoly_gcd",
+    "xbinom", "xpoly_divexact", "xpoly_gcd",
 ]

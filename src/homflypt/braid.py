@@ -117,38 +117,28 @@ def closure_info(b: Braid) -> ClosureInfo:
     return ClosureInfo(ncomp, tuple(comp_of), link)
 
 
-class ColoredBraid:
-    """A braid with one nonnegative integer color per closure component.
-    Immutable; equal and hashed on (braid, colors), since ``closure`` is
-    derived from the braid."""
-    __slots__ = ("braid", "colors", "closure")
+class ColoredBraid(namedtuple("ColoredBraid", "braid colors closure")):
+    """A braid with one nonnegative integer color per closure component, and
+    the ``closure`` of the braid, derived from it."""
+    __slots__ = ()
 
-    def __init__(self, braid: Braid, colors):
+    def __new__(cls, braid: Braid, colors):
         info = closure_info(braid)
         colors = tuple(colors)
         if len(colors) != info.component_count:
             raise BraidError(
                 f"{len(colors)} colors given for {info.component_count} components")
-        object.__setattr__(self, "braid", braid)
-        object.__setattr__(self, "colors", colors)
-        object.__setattr__(self, "closure", info)
+        return super().__new__(cls, braid, colors, info)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: ColoredBraid is immutable")
+    @classmethod
+    def _make(cls, iterable):
+        """Through the constructor, which recomputes ``closure``; so is ``_replace``."""
+        braid, colors, *_ = iterable
+        return cls(braid, colors)
 
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: ColoredBraid is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not ColoredBraid:
-            return NotImplemented
-        return self.braid == other.braid and self.colors == other.colors
-
-    def __hash__(self):
-        return hash((self.braid, self.colors))
-
-    def __repr__(self):
-        return f"ColoredBraid(braid={self.braid!r}, colors={self.colors!r})"
+    def __getnewargs__(self):
+        # copy and pickle call __new__ with these
+        return self.braid, self.colors
 
     @property
     def strand_colors(self) -> tuple[int, ...]:

@@ -37,19 +37,6 @@ class Letter(namedtuple("Letter", "kind index power")):
 Word = tuple[Letter, ...]
 
 
-def weight_offsets(letters: Word, sides: int) -> list[int]:
-    """Total weight of a word as offsets d_1..d_sides from (n^m, 0^m)."""
-    d = [0] * sides
-    for kind, i, p in letters:
-        if kind == "E":
-            d[i - 1] += p
-            d[i] -= p
-        else:
-            d[i - 1] -= p
-            d[i] += p
-    return d
-
-
 def build_cup(colors, m: int) -> Word:
     """The cup word: F letters carrying the strand colors from the highest
     weight down to (n-b_m,...,n-b_1, b_1,...,b_m); a color 0 emits none."""

@@ -29,7 +29,9 @@ letter rightward:
    reaches the right end annihilates the idempotent;
 4. E_r^(b) F_r^(b') with equal indices swap through a binomial sum over t,
    with coefficient the x-shifted binomial exactly when r = m (the slot
-   where the symbolic n sits) and a plain quantum binomial otherwise.
+   where the symbolic n sits) and a plain quantum binomial otherwise.  Both
+   read the weight of the letters right of F_r, which are F letters only,
+   since E_r was the rightmost E.
 
 Each swap moves one E letter right of one F letter with the same index and
 creates no new such pair, so the recursion depth is at most I(w) + 1, where
@@ -165,20 +167,16 @@ class Evaluator:
 
     def _lin_form(self, tail: Word, r: int, bl: int, bl1: int) -> int:
         # <weight offsets of tail, alpha_r> + bl - bl1; the n part of the
-        # pairing appears only at r = m and is handled by the caller.
-        # a letter at index i moves slot i by +-p and slot i+1 by the
-        # opposite amount
-        dr = dr1 = 0
-        for kind, i, p in tail:
-            s = p if kind == "E" else -p
+        # pairing appears only at r = m and is handled by the caller.  The
+        # tail lies right of the rightmost E, so it is F-only: F_i^(p)
+        # pairs with alpha_r as -2p at i = r and +p at i = r +- 1
+        lin = bl - bl1
+        for _, i, p in tail:
             if i == r:
-                dr += s
-                dr1 -= s
-            elif i == r - 1:
-                dr -= s
-            elif i == r + 1:
-                dr1 += s
-        return dr - dr1 + bl - bl1
+                lin -= 2 * p
+            elif i == r - 1 or i == r + 1:
+                lin += p
+        return lin
 
     # -- the recursion
 

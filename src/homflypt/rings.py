@@ -82,13 +82,11 @@ def _list_trim(cs: list[int]) -> list[int]:
 
 
 def _list_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    # lc(b)^(deg a - deg b + 1) * a  mod  b, over Z
+    # lc(b)^(deg a - deg b + 1) * a  mod  b, over Z; a and b are trimmed
+    # (b nonzero), and so is a after every step
     a = list(a)
     db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
+    while len(a) - 1 >= db:
         da, la = len(a) - 1, a[-1]
         a = [c * lb for c in a]
         shift = da - db
@@ -301,7 +299,6 @@ def _ratq(num: "LaurentQ", den: "LaurentQ") -> "RatQ":
     r = RatQ.__new__(RatQ)
     r.num = num
     r.den = den
-    r._hash = None
     return r
 
 
@@ -309,7 +306,6 @@ def _xpoly(c: dict[int, "RatQ"]) -> "XPoly":
     # c holds no zero coefficient
     r = XPoly.__new__(XPoly)
     r.c = c
-    r._hash = None
     return r
 
 
@@ -668,7 +664,7 @@ class RatQ:
     is therefore structural.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentQ, den: LaurentQ = _L_ONE):
         if den.is_zero():
@@ -690,7 +686,6 @@ class RatQ:
                 nb = [x // c for x in nb]
             self.num, self.den = _shift_sign(LaurentQ._from_dense(va, na),
                                              LaurentQ._from_dense(vb, nb))
-        self._hash = None
 
     # -- constructors
 
@@ -764,9 +759,7 @@ class RatQ:
                 and self.den == other.den)
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.num, self.den))
-        return self._hash
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         return f"RatQ({self.text()})"
@@ -787,13 +780,12 @@ _R_ONE = RatQ(_L_ONE)
 class XPoly:
     """A Laurent polynomial in x over Q(q); the ring the invariants live in."""
 
-    __slots__ = ("c", "_hash")
+    __slots__ = ("c",)
 
     def __init__(self, coeffs: dict[int, RatQ] | None = None):
         self.c: dict[int, RatQ] = {}
         if coeffs:
             self.c = {e: v for e, v in coeffs.items() if not v.is_zero()}
-        self._hash: int | None = None
 
     @staticmethod
     def zero() -> "XPoly":
@@ -911,9 +903,7 @@ class XPoly:
         return isinstance(other, XPoly) and self.c == other.c
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(tuple(sorted((e, v) for e, v in self.c.items())))
-        return self._hash
+        return hash(tuple(sorted(self.c.items())))
 
     def __repr__(self) -> str:
         return f"XPoly({self.text()})"
@@ -926,12 +916,9 @@ class XPoly:
         parts = []
         for e in sorted(self.c, reverse=True):
             v = self.c[e]
-            if v.den.is_one() and len(v.num.c) == 1:
-                coef = v.num.text()
-            elif v.den.is_one():
-                coef = f"({v.num.text()})"
-            else:
-                coef = f"({v.num.text()})/({v.den.text()})"
+            coef = v.text()
+            if v.den.is_one() and len(v.num.c) > 1:
+                coef = f"({coef})"
             parts.append(coef if e == 0 else f"{coef} * x^{e}")
         return " + ".join(parts)
 

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -39,6 +41,14 @@ def test_make_and_replace_run_the_constructor_checks():
         b._replace(strands=1)
     assert Braid._make([3, (2, -1)]) == b._replace(strands=3, word=(2, -1))
     assert type(b._replace(word=(-1,))) is Braid
+    cb = ColoredBraid(parse_braid("1 1 1", 2), (2,))
+    with pytest.raises(BraidError, match="2 colors given for 1 components"):
+        cb._replace(colors=(1, 2))
+    hopf = cb._replace(braid=parse_braid("1 1", 2), colors=(1, 3))
+    assert type(hopf) is ColoredBraid and hopf.colors == (1, 3)
+    assert hopf.closure == closure_info(hopf.braid) != cb.closure
+    assert ColoredBraid._make((hopf.braid, [1, 3])) == hopf
+    assert copy.deepcopy(hopf) == pickle.loads(pickle.dumps(hopf)) == hopf
 
 
 def test_values_are_immutable_and_compare_by_fields():

@@ -75,6 +75,16 @@ def test_eval_specialized_json_meta(capsys):
         '"framing": "blackboard", "specialize": 2, "integral": true}}\n')
 
 
+def test_eval_partition_link_json_meta(capsys):
+    rc, out, _ = run(capsys, "eval", "--strands", "2", "--braid", "1 1",
+                     "--colors", "p2,1 e1", "--format", "json")
+    assert rc == 0
+    assert out.endswith(
+        '"meta": {"kind": "eval", "strands": 2, "word": [1, 1], '
+        '"components": 2, "colors": [0, 1], "linking": [[0, 1], [1, 0]], '
+        '"color_spec": ["p2,1", "e1"], "framing": "blackboard"}}\n')
+
+
 def test_eval_framing_zero(capsys):
     rc, out, _ = run(capsys, "eval", "--strands", "2", "--braid", "1 1 1",
                      "--colors", "h1", "--framing", "zero", "--specialize", "2")

@@ -1,13 +1,25 @@
 from itertools import product
 
 from homflypt import (ColoredBraid, Evaluator, Letter, build_cap, build_cup,
-                      crossing_weights, enumerate_terms, parse_braid,
-                      weight_offsets)
+                      crossing_weights, enumerate_terms, parse_braid)
 from homflypt.rings import LaurentQ, RatQ
 
 
 def letters(word):
     return [l.dump() for l in word]
+
+
+def weight_offsets(word, sides):
+    """Total weight of a word as offsets d_1..d_sides from (n^m, 0^m)."""
+    d = [0] * sides
+    for kind, i, p in word:
+        if kind == "E":
+            d[i - 1] += p
+            d[i] -= p
+        else:
+            d[i - 1] -= p
+            d[i] += p
+    return d
 
 
 def test_cup_m1():
