@@ -10,10 +10,11 @@ and division by q-scalars are accepted, and noncommutative products are
 normalized with L^j M^k = q^{jk} M^k L^j.  ``guess`` finds a recurrence for
 a computed sequence by an exact fraction-free nullspace: each row of the
 linear system is lifted once to a common denominator and its content over
-Z[q^{±1}] divided out, so the elimination runs in Z[q^{±1}][x^{±1}].  There
-a large x-polynomial product is one integer-polynomial product (``XPoly *``),
-and an updated column is divided by its content exactly, with a gcd only
-where a coefficient is not a multiple of the content so far.
+Z[q^{±1}] divided out, so the elimination runs in Z[q^{±1}][x^{±1}], where
+a large x-polynomial product is one integer-polynomial product (``XPoly *``).
+It updates only the columns' tracking vectors, reads each row once, when it
+is reached, and divides each updated vector by its content exactly, with a
+gcd only where a coefficient is not a multiple of the content so far.
 """
 
 from __future__ import annotations
@@ -350,37 +351,36 @@ def _vector_normalize(vec: list[XPoly]) -> list[XPoly]:
     return [XPoly({e: RatQ(next(it)) for e in p.c}) for p in vec]
 
 
+def _dot(row: list[XPoly], vec: list[XPoly]) -> XPoly:
+    return sum((a * b for a, b in zip(row, vec)
+                if not (a.is_zero() or b.is_zero())), XPoly.zero())
+
+
 def _nullspace_columns(rows: list[list[XPoly]], ncols: int) -> list[list[XPoly]]:
     """Kernel vectors of the homogeneous system, by fraction-free column
-    elimination carrying a tracking block.  The rows come normalized, so
-    every entry stays in Z[q^±1][x^±1], where a product of two large
-    entries is one packed integer-polynomial product.  Each updated column is
-    divided exactly by its content (``_vector_normalize``), which keeps the
-    entries from growing.  A column is one list: its nrows values, then
-    its tracking block."""
-    nrows = len(rows)
-    cols = [[rows[r][i] for r in range(nrows)]
-            + [XPoly.one() if t == i else XPoly.zero() for t in range(ncols)]
-            for i in range(ncols)]
+    elimination on tracking vectors alone: column i is carried as T_i, the
+    combination of original columns it stands for, and each row is read
+    once, when it is reached, as the entries row · T_i.  The rows come
+    normalized, so every entry stays in Z[q^±1][x^±1], and each updated T_i
+    is divided exactly by its content (``_vector_normalize``)."""
+    tracks = [[XPoly.one() if t == i else XPoly.zero() for t in range(ncols)]
+              for i in range(ncols)]
     active = list(range(ncols))
-    for r in range(nrows):
-        hot = [ci for ci in active if not cols[ci][r].is_zero()]
+    for row in rows:
+        entry = {ci: _dot(row, tracks[ci]) for ci in active}
+        hot = [ci for ci in active if not entry[ci].is_zero()]
         if not hot:
             continue
-        # the smallest column keeps intermediate growth down
-        pi = min(hot, key=lambda ci: sum(len(p.c) for p in cols[ci][:nrows]))
-        pcol = cols[pi]
-        pr = pcol[r]
+        # the sparsest tracking vector keeps intermediate growth down
+        pi = min(hot, key=lambda ci: sum(len(p.c) for p in tracks[ci]))
+        pvec, pr = tracks[pi], entry[pi]
         for ci in hot:
             if ci != pi:
-                cr = cols[ci][r]
-                cols[ci] = _vector_normalize(
-                    [pr * a - cr * b for a, b in zip(cols[ci], pcol)])
+                tracks[ci] = _vector_normalize(
+                    [pr * a - entry[ci] * b for a, b in zip(tracks[ci], pvec)])
         active.remove(pi)
-    kernels = []
-    for ci in active:
-        assert all(v.is_zero() for v in cols[ci][:nrows])
-        kernels.append(cols[ci][nrows:])
+    kernels = [tracks[ci] for ci in active]
+    assert all(_dot(row, k).is_zero() for row in rows for k in kernels)
     return kernels
 
 

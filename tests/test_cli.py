@@ -370,15 +370,31 @@ def test_recur_guess_bounds_refused_before_computing(capsys, monkeypatch):
         assert err == f"error: {msg}\n"
 
 
+UNKNOT_OPERATORS = {
+    "e": "(q^2 * x^1)*M^2*L^1 + (-1 * x^1)*L^1 + (q)*M^2 + (-q * x^2)\n",
+    "h": "(q^2 * x^1)*M^2*L^1 + (-1 * x^1)*L^1 + (-q * x^2)*M^2 + (q)\n",
+}
+
+
 def test_recur_guess_unknot(capsys):
-    expected = {
-        "e": "(q^2 * x^1)*M^2*L^1 + (-1 * x^1)*L^1 + (q)*M^2 + (-q * x^2)\n",
-        "h": "(q^2 * x^1)*M^2*L^1 + (-1 * x^1)*L^1 + (-q * x^2)*M^2 + (q)\n",
-    }
-    for family, text in expected.items():
+    for family, text in UNKNOT_OPERATORS.items():
         rc, out, err = run(capsys, "recur", "guess", "--strands", "1",
                            "--braid", "", "--family", family, "--m-range", "0:8",
                            "--max-order", "1", "--max-m-degree", "2")
+        assert (rc, out, err) == (0, text, "")
+
+
+# with M-degree 3 the order-1 kernel holds P and M P, and which operator is
+# printed depends on the elimination's pivot order; with max order 2 the
+# order-1 operator is found first
+@pytest.mark.parametrize("window", [("0:9", "1", "3"), ("0:10", "2", "2")])
+def test_recur_guess_unknot_wider_kernel(capsys, window):
+    m_range, order, degree = window
+    for family, text in UNKNOT_OPERATORS.items():
+        rc, out, err = run(capsys, "recur", "guess", "--strands", "1",
+                           "--braid", "", "--family", family,
+                           "--m-range", m_range, "--max-order", order,
+                           "--max-m-degree", degree)
         assert (rc, out, err) == (0, text, "")
 
 

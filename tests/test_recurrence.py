@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -275,6 +276,82 @@ def test_elimination_takes_at_most_one_gcd_per_column_update(monkeypatch,
     assert len(_nullspace_columns(rows, 6)) == 1
     assert len(per_update) == 14
     assert max(per_update) <= 1
+
+
+@pytest.mark.parametrize("family", "eh")
+def test_elimination_reads_each_row_once(monkeypatch, family):
+    """Only the tracking vectors are updated; a row is read as its dot
+    products when it is reached, so a row past the last pivot costs one
+    product per nonzero term."""
+    rows = [_vector_normalize(row) for row in _unknot_rows(family)]
+    products, mul = [0], XPoly.__mul__
+
+    def counted(a, b):
+        products[0] += 1
+        return mul(a, b)
+    monkeypatch.setattr(XPoly, "__mul__", counted)
+    assert len(_nullspace_columns(rows, 6)) == 1
+    assert products[0] == 261
+
+
+def _at(p, q, x):
+    """p in Q(q)[x^±1] at rational q and x."""
+    def lq(n):
+        return sum(Fraction(v) * q ** e for e, v in n.c.items())
+    return sum(lq(r.num) / lq(r.den) * x ** e for e, r in p.c.items())
+
+
+def _rank(matrix):
+    """The rank of a rational matrix, by Gaussian elimination over Q."""
+    matrix, rank = [list(row) for row in matrix], 0
+    for col in range(len(matrix[0]) if matrix else 0):
+        pivot = next((i for i in range(rank, len(matrix)) if matrix[i][col]),
+                     None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        for i in range(rank + 1, len(matrix)):
+            f = matrix[i][col] / matrix[rank][col]
+            matrix[i] = [a - f * b for a, b in zip(matrix[i], matrix[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("ncols, dim, mixed, zero_col", [
+    (4, 0, False, False), (3, 0, True, False), (4, 1, True, False),
+    (5, 1, False, False), (5, 2, True, True), (6, 3, True, False),
+    (5, 3, False, True), (3, 3, True, False)])
+def test_nullspace_against_rational_oracle(ncols, dim, mixed, zero_col):
+    """A system of known rank ncols - dim: that many random rows, then a
+    zero row, a repeated row and a combination with coefficients in x and q,
+    shuffled; with zero_col, one column is zero throughout.  The kernel's
+    size and independence are checked at a rational point (the rank there
+    is at most the generic rank), its annihilation exactly."""
+    rng = random.Random(ncols * 100 + dim * 10 + mixed * 2 + zero_col)
+    L = LaurentQ
+
+    def entry():
+        if not mixed:
+            return XPoly.from_int(rng.randint(-4, 4))
+        return XPoly({e: RatQ(L({k: rng.randint(-3, 3)
+                                 for k in rng.sample(range(-2, 3), 2)}))
+                      for e in rng.sample(range(-1, 3), rng.randint(1, 2))})
+    zero = rng.randrange(ncols) if zero_col else None
+    basis = [[XPoly.zero() if i == zero else entry() for i in range(ncols)]
+             for _ in range(ncols - dim)]
+    rows = basis + [[XPoly.zero()] * ncols] + basis[:1]
+    if len(basis) >= 2:
+        a, b = XPoly.x_power(1), XPoly.from_ratq(RatQ.q_power(-1))
+        rows.append([a * u - b * v for u, v in zip(basis[0], basis[1])])
+    rng.shuffle(rows)
+    q, x = Fraction(7, 3), Fraction(-5, 2)
+    rank = _rank([[_at(p, q, x) for p in row] for row in rows])
+    assert rank == ncols - dim
+    kernels = _nullspace_columns(rows, ncols)
+    assert all(sum((a * b for a, b in zip(row, k)), XPoly.zero()).is_zero()
+               for row in rows for k in kernels)
+    assert _rank([[_at(p, q, x) for p in k] for k in kernels]) == len(kernels)
+    assert len(kernels) == ncols - rank
 
 
 def test_guess_window_too_small():
