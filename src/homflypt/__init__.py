@@ -4,8 +4,8 @@ Values live in Q(q)[x^{±1}]; substituting x = q^n recovers the sl_n
 quantum invariant in its integral normalization.  All arithmetic is exact.
 """
 
-from .braid import (Braid, BraidError, ClosureInfo, ColoredBraid,
-                    cable_first_component, closure_info, parse_braid)
+from .braid import (Braid, BraidError, ClosureInfo, ColoredBraid, cable,
+                    closure_info, parse_braid)
 from .invariants import (Partition, adjust_framing, homfly_columns,
                          homfly_partition, invariant, torus_reference,
                          trefoil_reference)
@@ -23,7 +23,7 @@ __all__ = [
     "Braid", "BraidError", "ClosureInfo", "ColoredBraid", "Evaluator",
     "LaurentQ", "Letter", "OperatorError", "Partition", "RatQ",
     "RecurrenceOperator", "XPoly", "adjust_framing", "build_cap",
-    "build_cup", "cable_first_component", "closure_info", "crossing_sums",
+    "build_cup", "cable", "closure_info", "crossing_sums",
     "crossing_weights", "enumerate_terms", "guess", "homfly_columns",
     "homfly_partition", "invariant", "laurent_gcd", "parse_braid",
     "parse_operator", "parse_xpoly", "qbinom", "qfactorial", "qint",

@@ -33,9 +33,10 @@ def _int(text: str) -> int:
 _int.__name__ = "int"  # argparse names the type when it refuses a value
 
 
-def _parse_colors(text: str) -> list[tuple[str, object]]:
-    """Tokens like ``e1``, ``h2``, ``p2,1`` (whitespace separated)."""
-    out: list[tuple[str, object]] = []
+def _parse_colors(text: str) -> list[tuple[int, int | Partition]]:
+    """Tokens ``e<k>``, ``h<k>``, ``p<parts>`` as pairs: k (0 for ``p``), as
+    the meta lists it, and the color k, ``Partition((k,))`` or the parts'."""
+    out: list[tuple[int, int | Partition]] = []
     for tok in text.split():
         kind = tok[0]
         if kind == "e" or kind == "h":
@@ -45,7 +46,7 @@ def _parse_colors(text: str) -> list[tuple[str, object]]:
                 raise UsageError(f"bad color token {tok!r}") from None
             if k < 0:
                 raise UsageError(f"bad color token {tok!r}: colors must be nonnegative")
-            out.append((kind, k))
+            out.append((k, k if kind == "e" else Partition((k,))))
         elif kind == "p":
             try:
                 parts = [_int(s) for s in tok[1:].split(",")]
@@ -53,30 +54,12 @@ def _parse_colors(text: str) -> list[tuple[str, object]]:
                 raise UsageError(f"bad partition color {tok!r}: parts must be "
                                  "nonnegative integers separated by commas") from None
             try:
-                out.append(("p", Partition(parts)))
+                out.append((0, Partition(parts)))
             except ValueError as e:
                 raise UsageError(f"bad partition color {tok!r}: {e}") from None
         else:
             raise UsageError(f"bad color token {tok!r} (want e<k>, h<k> or p<parts>)")
     return out
-
-
-def _eval_value(args) -> tuple[XPoly, ColoredBraid]:
-    braid = parse_braid(args.braid, args.strands)
-    colors = _parse_colors(args.colors)
-    cb = ColoredBraid(braid, [c if kind != "p" else 0 for kind, c in colors])
-    kinds = [k for k, _ in colors]
-    partition = colors[0][1] if kinds[0] == "p" else None
-    if "p" in kinds[1:]:
-        raise UsageError("at most one partition-colored component is supported"
-                         if partition is not None else
-                         "partition colors are supported on the first component only")
-    family = set(kinds) - {"p"}
-    if len(family) > 1:
-        raise UsageError("mixed e and h colors on one link are not supported")
-    trace = (lambda s: print(s, file=sys.stderr)) if args.trace else None
-    return invariant(cb, family.pop() if family else "e", args.framing,
-                     partition=partition, trace=trace), cb
 
 
 def _emit(value, meta: dict, args) -> None:
@@ -93,7 +76,11 @@ def _emit(value, meta: dict, args) -> None:
 
 
 def _cmd_eval(args) -> int:
-    value, cb = _eval_value(args)
+    braid = parse_braid(args.braid, args.strands)
+    colors = _parse_colors(args.colors)
+    cb = ColoredBraid(braid, [k for k, _ in colors])
+    trace = (lambda s: print(s, file=sys.stderr)) if args.trace else None
+    value = invariant(braid, [c for _, c in colors], args.framing, trace=trace)
     meta = {"kind": "eval", **cb.json_obj(), "color_spec": args.colors.split(),
             "framing": args.framing}
     _emit(value, meta, args)
@@ -131,8 +118,8 @@ def _build_sequence(args, lo: int, hi: int) -> dict[int, XPoly]:
     """W(family_m) for m in [lo, hi]; every component gets the color m."""
     braid = parse_braid(args.braid, args.strands)
     ncomp = closure_info(braid).component_count
-    return {m: invariant(ColoredBraid(braid, (m,) * ncomp), args.family,
-                         args.framing)
+    return {m: invariant(braid, (m if args.family == "e" else Partition((m,)),)
+                         * ncomp, args.framing)
             for m in range(lo, hi + 1)}
 
 
@@ -191,8 +178,7 @@ def main(argv=None) -> int:
                     help="whitespace-separated signed generators, bottom to top")
     pe.add_argument("--colors", required=True,
                     help="per-component colors ordered by smallest strand: "
-                         "e<k> (column), h<k> (row) or p<l1,l2,...> (partition, "
-                         "first component only)")
+                         "e<k> (column), h<k> (row) or p<l1,l2,...> (partition)")
     pe.add_argument("--framing", choices=("blackboard", "zero"), default="blackboard")
     pe.add_argument("--trace", action="store_true",
                     help="log rewrite steps to stderr")

@@ -2,10 +2,11 @@
 
 The engine computes the two-variable invariant of a blackboard-framed braid
 closure with column colors natively (``homfly_columns``), and a partition
-color as a Jacobi-Trudi sum of column colors on a cable (``homfly_partition``).
-``invariant`` makes every engine choice: it picks a partition's cable,
+color on any component as a Jacobi-Trudi sum of column colors on a cable
+(``homfly_partition``).  ``invariant`` makes every engine choice: it takes
+the colors or their transposes, whichever has the cable with fewer strands,
 builds the ``Evaluator``, frames (zero framing removes each component's
-self-framing, ``adjust_framing``) and transposes rows by q -> -q^{-1}.
+self-framing, ``adjust_framing``) and undoes the transpose by q -> -q^{-1}.
 
 ``trefoil_reference`` and ``torus_reference`` are independent closed forms
 used as oracles by the test suite: a terminating six-fold quantum-binomial
@@ -16,9 +17,10 @@ sum for the trefoil in column colors, and a one-dimensional sum for the
 from __future__ import annotations
 
 from collections.abc import Callable
-from itertools import permutations
+from itertools import permutations, product
+from math import prod
 
-from .braid import ColoredBraid, cable_first_component
+from .braid import Braid, ColoredBraid, cable, closure_info
 from .ladder import build_cap, build_cup, crossing_sums
 from .pbw import Evaluator
 from .qcomb import qbinom, qint, xbinom
@@ -26,12 +28,14 @@ from .rings import LaurentQ, RatQ, XPoly, xpoly_sum
 
 
 class Partition:
-    """Weakly decreasing nonnegative parts, trailing zeros trimmed.
+    """Weakly decreasing nonnegative integer parts, trailing zeros trimmed.
     Immutable; equal and hashed on ``parts``."""
     __slots__ = ("parts",)
 
     def __init__(self, parts):
         parts = tuple(parts)
+        if not all(isinstance(p, int) for p in parts):
+            raise ValueError(f"partition parts must be integers, got {parts!r}")
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         if any(p < 0 for p in parts):
@@ -82,44 +86,38 @@ def homfly_columns(cb: ColoredBraid, *,
                        build_cup(cb.strand_colors, m))
 
 
-def invariant(cb: ColoredBraid, family: str = "e",
-              framing: str = "blackboard", *,
-              partition: Partition | None = None,
+def invariant(braid: Braid, colors, framing: str = "blackboard", *,
               trace: Callable[[str], None] | None = None) -> XPoly:
-    """The invariant with every component i colored by e_{a_i}
-    (``family="e"``) or h_{a_i} (``family="h"``), in the blackboard or the
-    zero framing.  With ``partition`` lambda the first component's column
-    color is lambda (``family="e"``) or its transpose (``family="h"``); if
-    every other color is 0, the narrower cable's family (same value) is taken:
-    ``e`` if lambda_1 < l(lambda), else ``h``.  ``trace`` logs each rewrite.
+    """The invariant with component i colored by ``colors[i]``, an int a
+    for the column e_a = (1^a) or a ``Partition``, in the blackboard or the
+    zero framing.  ``trace`` logs each rewrite.  Any negative int gives 0.
 
-    The column value is framed first (``adjust_framing``): zero framing
-    removes each component's self-framing, its signed self-crossing count.
-    Row colors then take the framed value under q -> -q^{-1}, once, since
-    transposing every color acts by that involution and (h_a)^t = e_a.
-    Any negative integer color gives 0.
+    Transposing every color acts by q -> -q^{-1}, so ``homfly_partition``
+    runs on the colors or their transposes, whichever cable has fewer
+    strands (a tie keeps the colors).  The value is framed on that side
+    (``adjust_framing``): zero framing removes each component's signed
+    self-crossing count.  A transposed value then takes q -> -q^{-1}, once.
     """
-    if family not in ("e", "h"):
-        raise ValueError(f"unknown color family {family!r} (want 'e' or 'h')")
     if framing not in ("blackboard", "zero"):
         raise ValueError(f"unknown framing {framing!r} (want 'blackboard' or 'zero')")
-    colors = cb.colors
-    if partition is not None:
-        colors = colors[1:]
-        if not any(colors):
-            family = "e" if len(partition.transpose()) < len(partition) else "h"
-    if any(a < 0 for a in colors):
+    info = closure_info(braid)
+    colors = info.per_component(colors, "colors")
+    if not all(isinstance(c, (int, Partition)) for c in colors):
+        raise TypeError(f"colors must be ints or Partitions, got {colors!r}")
+    if any(isinstance(c, int) and c < 0 for c in colors):
         return XPoly.zero()
-    if partition is None:
-        ev = Evaluator(2 * cb.braid.strands, trace=trace)
-        value = homfly_columns(cb, evaluator=ev)
-    else:
-        colors = (partition if family == "e" else partition.transpose(),) + colors
-        value = homfly_partition(cb, colors[0], trace=trace)
+    mus = [c if isinstance(c, Partition) else Partition((1,) * c) for c in colors]
+    # a strand of column color mu has max(mu_1, 1) parallels; (mu^t)_1 = l(mu)
+    comp = info.component_of_strand
+    flip = (sum(max(len(mus[c]), 1) for c in comp)
+            < sum(max(mus[c].parts[:1] + (1,)) for c in comp))
+    if flip:
+        mus = [mu.transpose() for mu in mus]
+    value = homfly_partition(braid, mus, trace=trace)
     if framing == "zero":
-        for i, color in enumerate(colors):
-            value = adjust_framing(value, color, -cb.closure.linking[i][i])
-    return value.q_bar() if family == "h" else value
+        for i, mu in enumerate(mus):
+            value = adjust_framing(value, mu, -info.linking[i][i])
+    return value.q_bar() if flip else value
 
 
 def adjust_framing(value: XPoly, color: int | Partition,
@@ -146,26 +144,28 @@ def _perm_sign(perm: tuple[int, ...]) -> int:
     return -1 if inv % 2 else 1
 
 
-def homfly_partition(cb: ColoredBraid, mu: Partition, *,
+def homfly_partition(braid: Braid, mus, *,
                      trace: Callable[[str], None] | None = None) -> XPoly:
-    """The blackboard-framed invariant with the first component colored by
-    ``mu`` and the others by e_{a_i}, by s_mu = det(e_{mu^t_i - i + j}): the
-    first component becomes mu_1 parallels, and the signed ``homfly_columns``
-    values with colors mu^t_i + sigma(i) - i, sigma in Sym_{mu_1}, are summed
-    in one ``xpoly_sum``.  Negative colors contribute nothing."""
-    cols = mu.transpose().parts or (0,)
-    ell = len(cols)
+    """The blackboard-framed invariant with component i colored by the
+    partition ``mus[i]``, by s_mu = det(e_{mu^t_k - k + l}) on every
+    component: component i becomes max(mu_1, 1) parallels, one permutation
+    sigma_i of them per component colors parallel k by mu^t_k + sigma_i(k) - k,
+    and the ``homfly_columns`` values, signed by the product of the
+    sign(sigma_i), are summed once.  Negative colors contribute nothing."""
+    cols = [mu.transpose().parts or (0,) for mu in mus]
+    widths = [len(c) for c in cols]
     ev = None  # every cable has the same strand count, so one memo serves all
     terms = []
-    for sigma in permutations(range(ell)):
-        colors = tuple(cols[i] + sigma[i] - i for i in range(ell))
+    for sigmas in product(*(permutations(range(w)) for w in widths)):
+        colors = [c[k] + sigma[k] - k for c, sigma in zip(cols, sigmas)
+                  for k in range(len(c))]
         if any(c < 0 for c in colors):
             continue
-        cab = cable_first_component(cb, ell, colors)
+        cab = cable(braid, widths, colors)
         ev = ev or Evaluator(2 * cab.braid.strands, trace=trace)
         term = homfly_columns(cab, evaluator=ev)
-        terms.append(term if _perm_sign(sigma) > 0 else -term)
-    return xpoly_sum(terms)
+        terms.append(term if prod(map(_perm_sign, sigmas)) > 0 else -term)
+    return terms[0] if len(terms) == 1 else xpoly_sum(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ def test_criterion_3_torus_cross_check():
     ok = True
     for s, braid in ((3, TREFOIL), (5, CINQUEFOIL)):
         for m in range(0, 3):
-            bb = invariant(ColoredBraid(braid, (m,)), "h")
+            bb = invariant(braid, (Partition((m,)),))
             if bb != torus_reference(s, m):
                 ok = False
             zero = adjust_framing(bb.q_bar(), m, -s).q_bar()
@@ -68,7 +68,7 @@ def test_criterion_5_integrality(trefoil_cols, trefoil_rows_zero):
         values.append((m, torus_reference(3, m)))
         values.append((m, torus_reference(5, m, zero_framed=True)))
         values.append((m, trefoil_rows_zero[m]))
-        values.append((m, invariant(ColoredBraid(CINQUEFOIL, (m,)), "h")))
+        values.append((m, invariant(CINQUEFOIL, (Partition((m,)),))))
     for a in range(0, 6):
         values.append((a, homfly_columns(ColoredBraid(UNKNOT, (a,)))))
     ok = True
@@ -95,7 +95,7 @@ def test_criterion_6_internal_consistency():
 def test_criterion_7_jacobi_trudi(trefoil_cols):
     # the h-form of (1,1) by its two-cable sum: invariant would take the
     # one-cable e_2 route, the very value it is compared with
-    got = homfly_partition(ColoredBraid(TREFOIL, (0,)), Partition((2,))).q_bar()
+    got = homfly_partition(TREFOIL, (Partition((2,)),)).q_bar()
     ok = got == trefoil_cols[2]
     _report(7, "w_partition(trefoil, (1,1)) by two cables equals "
                "w_columns(trefoil, e_2)", ok)

@@ -4,8 +4,8 @@ import pickle
 
 import pytest
 
-from homflypt import (Braid, BraidError, ColoredBraid, cable_first_component,
-                      closure_info, parse_braid)
+from homflypt import (Braid, BraidError, ColoredBraid, cable, closure_info,
+                      parse_braid)
 
 
 def test_parse_examples():
@@ -101,22 +101,26 @@ def test_color_count_checked():
         ColoredBraid(parse_braid("1 1", 2), (1,))
 
 
+def test_colors_must_be_integers():
+    for colors in ((2.0,), (2.5,), ("1",), (None,)):
+        with pytest.raises(BraidError, match="colors must be integers"):
+            ColoredBraid(parse_braid("1 1 1", 2), colors)
+
+
 def test_strand_colors():
     cb = ColoredBraid(parse_braid("1 1", 2), (3, 5))
     assert cb.strand_colors == (3, 5)
 
 
 def test_cable_unknot():
-    cb = ColoredBraid(parse_braid("", 1), (7,))
-    out = cable_first_component(cb, 2, (1, 2))
+    out = cable(parse_braid("", 1), (2,), (1, 2))
     assert out.braid.strands == 2 and out.braid.word == ()
     assert out.closure.component_count == 2
     assert out.colors == (1, 2)
 
 
 def test_cable_single_crossing_block():
-    cb = ColoredBraid(parse_braid("1", 2), (0,))
-    out = cable_first_component(cb, 2, (0, 0))
+    out = cable(parse_braid("1", 2), (2,), (0, 0))
     assert out.braid.strands == 4 and len(out.braid.word) == 4
     assert all(g > 0 for g in out.braid.word)
     # bundles swap as blocks
@@ -124,14 +128,13 @@ def test_cable_single_crossing_block():
 
 
 def test_cable_negative_crossing_inverts():
-    pos = cable_first_component(ColoredBraid(parse_braid("1", 2), (0,)), 2, (0, 0))
-    neg = cable_first_component(ColoredBraid(parse_braid("-1", 2), (0,)), 2, (0, 0))
+    pos = cable(parse_braid("1", 2), (2,), (0, 0))
+    neg = cable(parse_braid("-1", 2), (2,), (0, 0))
     assert neg.braid.word == tuple(-g for g in reversed(pos.braid.word))
 
 
 def test_cable_trefoil_components():
-    cb = ColoredBraid(parse_braid("1 1 1", 2), (1,))
-    out = cable_first_component(cb, 2, (1, 1))
+    out = cable(parse_braid("1 1 1", 2), (2,), (1, 1))
     assert out.closure.component_count == 2
     # blackboard parallels of a framing-3 knot link each other 3 times
     assert out.closure.linking[0][1] == 3
@@ -139,9 +142,45 @@ def test_cable_trefoil_components():
 
 
 def test_cable_rejects_zero_width():
-    cb = ColoredBraid(parse_braid("1", 2), (0,))
     with pytest.raises(BraidError):
-        cable_first_component(cb, 0, ())
+        cable(parse_braid("1", 2), (0,), ())
+
+
+def test_cable_rejects_a_width_count_off_the_components():
+    hopf = parse_braid("1 1", 2)
+    for widths in ((2,), (1, 1, 1), ()):
+        with pytest.raises(BraidError, match="widths given for 2 components"):
+            cable(hopf, widths, (0,) * sum(widths))
+    with pytest.raises(BraidError):
+        cable(hopf, (1, 0), (0,))
+
+
+def _cabled_numbering(braid, widths):
+    # copy k of component c is component sum(widths[:c]) + k, at every strand
+    comp = closure_info(braid).component_of_strand
+    return tuple(sum(widths[:c]) + k for c in comp for k in range(widths[c]))
+
+
+def test_cable_later_and_several_components():
+    hopf = parse_braid("1 1", 2)
+    out = cable(hopf, (1, 2), (1, 2, 3))
+    assert out.braid.strands == 3 and out.braid.word == (1, 2, 2, 1)
+    assert out.closure.component_of_strand == (0, 1, 2) and out.colors == (1, 2, 3)
+    # the parallels of the 0-framed component are unlinked from each other
+    # and each links the other component once
+    assert out.closure.linking == ((0, 1, 1), (1, 0, 0), (1, 0, 0))
+    both = cable(hopf, (2, 2), (0,) * 4)
+    assert both.braid.strands == 4
+    assert both.braid.word == (2, 3, 1, 2) * 2
+    assert both.closure.component_of_strand == (0, 1, 2, 3)
+    for word, strands, widths in (("2 1 1 -2", 3, (2, 1, 3)),
+                                  ("1 2 1 1 -2", 3, (3, 2)),
+                                  ("1 -2 1 -2", 3, (2,)),
+                                  ("", 2, (2, 3))):
+        b = parse_braid(word, strands)
+        out = cable(b, widths, (0,) * sum(widths))
+        assert out.braid.strands == len(out.closure.component_of_strand)
+        assert out.closure.component_of_strand == _cabled_numbering(b, widths)
 
 
 def test_cable_permutation_is_block_substitution():
@@ -152,7 +191,7 @@ def test_cable_permutation_is_block_substitution():
                 b = Braid(m, word)
                 ncomp = closure_info(b).component_count
                 cb = ColoredBraid(b, (0,) * ncomp)
-                out = cable_first_component(cb, 2, (0, 0))
+                out = cable(b, (2,) + (1,) * (ncomp - 1), (0,) * (ncomp + 1))
                 comp = cb.closure.component_of_strand
                 width = [2 if comp[s] == 0 else 1 for s in range(m)]
                 start = [sum(width[:s]) for s in range(m)]

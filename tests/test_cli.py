@@ -99,9 +99,6 @@ def test_eval_usage_errors(capsys):
     rc, _, err = run(capsys, "eval", "--strands", "2", "--braid", "7",
                      "--colors", "e1")
     assert rc == 2
-    rc, _, err = run(capsys, "eval", "--strands", "2", "--braid", "1 1",
-                     "--colors", "e1 h1")
-    assert rc == 2
 
 
 def test_eval_negative_color_refused(capsys):
@@ -135,12 +132,12 @@ def test_eval_partition_color(capsys):
 def test_eval_lone_partition_takes_the_narrower_cable(capsys, monkeypatch, parts):
     from homflypt import invariants
     widths = []
-    cable = invariants.cable_first_component
+    cable = invariants.cable
 
-    def recording(cb, width, colors):
-        widths.append(width)
-        return cable(cb, width, colors)
-    monkeypatch.setattr(invariants, "cable_first_component", recording)
+    def recording(braid, w, colors):
+        widths.append(*w)
+        return cable(braid, w, colors)
+    monkeypatch.setattr(invariants, "cable", recording)
     rc, _, _ = run(capsys, "eval", "--strands", "1", "--braid", "",
                    "--colors", "p" + parts)
     lam = [int(p) for p in parts.split(",")]
@@ -172,13 +169,18 @@ def test_eval_partition_zero_framing(capsys):
         == parse_xpoly(out.strip()) * XPoly.x_power(-9)
 
 
-def test_eval_partition_refusals(capsys):
-    for colors, msg in (("e1 p1", "first component only"),
-                        ("p1 p1", "at most one partition"),
-                        ("p1 e1 h1", "mixed e and h colors")):
-        rc, out, err = run(capsys, "eval", "--strands", str(len(colors.split())),
-                           "--braid", "", "--colors", colors)
-        assert rc == 2 and out == "" and msg in err
+def test_eval_any_component_and_family_mix(capsys):
+    # a partition on a later component, two partitions, and e beside h
+    from homflypt import Partition, invariant, parse_braid
+    p1 = Partition((1,))
+    for braid, colors, lib in (("", "e1 p1", (1, p1)), ("", "p1 p1", (p1, p1)),
+                               ("", "p1 e1 h1", (p1, 1, p1)),
+                               ("1 1", "e1 h1", (1, p1))):
+        strands = str(len(lib))
+        rc, out, err = run(capsys, "eval", "--strands", strands, "--braid", braid,
+                           "--colors", colors)
+        want = invariant(parse_braid(braid, len(lib)), lib).text()
+        assert (rc, out, err) == (0, want + "\n", "")
 
 
 def test_eval_partition_trace(capsys):
@@ -203,8 +205,8 @@ def test_oracle_commands(capsys):
 def test_oracle_torus_s1_consistent_with_framed_unknot(capsys):
     rc, out, _ = run(capsys, "oracle", "torus", "--s", "1", "--m", "1")
     assert rc == 0
-    from homflypt import ColoredBraid, adjust_framing, invariant, parse_braid
-    v = invariant(ColoredBraid(parse_braid("", 1), (1,)), "h")
+    from homflypt import Partition, adjust_framing, invariant, parse_braid
+    v = invariant(parse_braid("", 1), (Partition((1,)),))
     v = adjust_framing(v.q_bar(), 1, 1).q_bar()
     assert parse_xpoly(out.strip()) == v
 

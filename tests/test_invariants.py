@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from homflypt import (Braid, ColoredBraid, Evaluator, Partition,
-                      adjust_framing, build_cap, build_cup,
-                      cable_first_component, closure_info, crossing_sums,
+from homflypt import (Braid, BraidError, ColoredBraid, Evaluator, Partition,
+                      adjust_framing, build_cap, build_cup, cable,
+                      closure_info, crossing_sums,
                       enumerate_terms, homfly_columns, homfly_partition,
                       invariant, parse_braid, qbinom, torus_reference,
                       trefoil_reference, xbinom)
@@ -11,6 +11,11 @@ from homflypt.rings import LaurentQ, RatQ, XPoly, xpoly_divexact, xpoly_sum
 
 TREFOIL = parse_braid("1 1 1", 2)
 UNKNOT = parse_braid("", 1)
+HOPF = parse_braid("1 1", 2)
+
+
+def _row(a):
+    return Partition((a,))
 
 
 def test_partition_basics():
@@ -21,6 +26,12 @@ def test_partition_basics():
         assert Partition(parts).transpose().transpose() == Partition(parts)
     with pytest.raises(ValueError):
         Partition((1, 2))
+
+
+def test_partition_parts_must_be_integers():
+    for parts in ((2.5, 1), (2.0, 1), (1, 1.0), ("2",)):
+        with pytest.raises(ValueError, match="parts must be integers"):
+            Partition(parts)
 
 
 def test_partition_is_an_immutable_value():
@@ -51,11 +62,9 @@ def test_color_zero_is_one():
 
 def test_negative_color_vanishes():
     assert homfly_columns(ColoredBraid(TREFOIL, (-1,))).is_zero()
-    hopf = parse_braid("1 1", 2)
-    for cb in (ColoredBraid(TREFOIL, (-1,)), ColoredBraid(hopf, (2, -1))):
-        for family in ("e", "h"):
-            for framing in ("blackboard", "zero"):
-                assert invariant(cb, family, framing) == XPoly.zero()
+    for braid, colors in ((TREFOIL, (-1,)), (HOPF, (2, -1)), (HOPF, (_row(2), -1))):
+        for framing in ("blackboard", "zero"):
+            assert invariant(braid, colors, framing) == XPoly.zero()
 
 
 def test_trefoil_matches_reference(trefoil_cols):
@@ -76,31 +85,32 @@ def test_reference_support_is_finite():
 
 def test_rows_are_qbar_of_columns(trefoil_cols):
     for a in range(0, 3):
-        rows = invariant(ColoredBraid(TREFOIL, (a,)), "h")
+        rows = invariant(TREFOIL, (_row(a),))
         assert rows == trefoil_cols[a].q_bar()
 
 
 def test_zero_framing_commutes_with_transpose():
     # two components, the first with blackboard self-framing 3
     braid = parse_braid("1 1 1 2 2", 3)
+    assert closure_info(braid).linking == ((3, 1), (1, 0))
     for colors in ((1, 1), (2, 1)):
-        cb = ColoredBraid(braid, colors)
-        assert cb.closure.linking == ((3, 1), (1, 0))
-        zero = invariant(cb, "e", "zero")
-        assert invariant(cb, "h", "zero") == zero.q_bar()
-        assert zero != invariant(cb, "e")
+        zero = invariant(braid, colors, "zero")
+        assert invariant(braid, tuple(map(_row, colors)), "zero") == zero.q_bar()
+        assert zero != invariant(braid, colors)
 
 
-def test_invariant_rejects_unknown_family_and_framing():
-    cb = ColoredBraid(UNKNOT, (1,))
+def test_invariant_rejects_unknown_framing_and_colors():
     with pytest.raises(ValueError):
-        invariant(cb, "p")
-    with pytest.raises(ValueError):
-        invariant(cb, "e", "zero-framed")
+        invariant(UNKNOT, (1,), "zero-framed")
+    for colors in (("e1",), (1.0,), (None,)):
+        with pytest.raises(TypeError):
+            invariant(UNKNOT, colors)
+    with pytest.raises(BraidError):
+        invariant(HOPF, (1,))
 
 
 def test_unknot_row_color_one_fixed():
-    v = invariant(ColoredBraid(UNKNOT, (1,)), "h")
+    v = invariant(UNKNOT, (_row(1),))
     assert v == xbinom(0, 1)
 
 
@@ -129,8 +139,8 @@ def test_framing_factor_matches_engine():
         flat = ColoredBraid(UNKNOT, (a,))
         assert xpoly_divexact(homfly_columns(kink), homfly_columns(flat)) \
             == _unit_framing(a)
-        assert invariant(kink, "h") \
-            == adjust_framing(invariant(flat, "h").q_bar(), a, 1).q_bar()
+        assert invariant(kink_braid, (_row(a),)) \
+            == adjust_framing(invariant(UNKNOT, (_row(a),)).q_bar(), a, 1).q_bar()
 
 
 def test_columns_match_binary_fold():
@@ -138,9 +148,8 @@ def test_columns_match_binary_fold():
     # cables that the trefoil colored by p(1,1) evaluates
     cases = [ColoredBraid(TREFOIL, (a,)) for a in (1, 2, 3)] + [
         ColoredBraid(parse_braid("1 -2 1 -2", 3), (2,)),
-        ColoredBraid(parse_braid("1 1", 2), (1, 3))] + [
-        cable_first_component(ColoredBraid(TREFOIL, (0,)), 2, colors)
-        for colors in ((1, 1), (2, 0))]
+        ColoredBraid(HOPF, (1, 3))] + [
+        cable(TREFOIL, (2,), colors) for colors in ((1, 1), (2, 0))]
     for cb in cases:
         ev = Evaluator(2 * cb.braid.strands)
         fold = XPoly.zero()
@@ -182,14 +191,14 @@ def test_zero_framed_rows_match_torus_closed_form():
     for s in (1, 3, 5):
         braid = parse_braid(" ".join(["1"] * s), 2)
         for m in (2, 3):
-            assert invariant(ColoredBraid(braid, (m,)), "h", "zero") \
+            assert invariant(braid, (_row(m),), "zero") \
                 == torus_reference(s, m, zero_framed=True)
 
 
 def test_torus_s1_is_framed_unknot():
     # closure of sigma_1 is the unknot with framing 1
     for m in range(0, 4):
-        flat = invariant(ColoredBraid(UNKNOT, (m,)), "h")
+        flat = invariant(UNKNOT, (_row(m),))
         expect = adjust_framing(flat.q_bar(), m, 1).q_bar()
         assert torus_reference(1, m) == expect
 
@@ -200,9 +209,8 @@ def test_torus_zero_framed_needs_odd_s():
 
 
 def test_component_permutation_symmetry():
-    hopf = parse_braid("1 1", 2)
-    a = homfly_columns(ColoredBraid(hopf, (1, 2)))
-    b = homfly_columns(ColoredBraid(hopf, (2, 1)))
+    a = homfly_columns(ColoredBraid(HOPF, (1, 2)))
+    b = homfly_columns(ColoredBraid(HOPF, (2, 1)))
     assert a == b
 
 
@@ -228,128 +236,149 @@ def test_mirror_duality_specialized():
 
 
 def test_partition_single_row_is_rows():
+    # a Partition row against the closed form of the (2,3) torus knot in rows
     for a in (1, 2):
-        got = invariant(ColoredBraid(TREFOIL, (0,)), "h", partition=Partition((a,)))
-        assert got == invariant(ColoredBraid(TREFOIL, (a,)), "h")
+        assert invariant(TREFOIL, (_row(a),)) == torus_reference(3, a)
 
 
 def test_partition_row_on_unknot_via_columns():
     # two cables: det(e_{1+j-i}) with colors (1, 1) and (2, 0); invariant
     # would take the one-cable h_2 route, so the sum is called directly
-    got = homfly_partition(ColoredBraid(UNKNOT, (0,)), Partition((2,)))
-    assert got == invariant(ColoredBraid(UNKNOT, (2,)), "h")
+    got = homfly_partition(UNKNOT, (_row(2),))
+    assert got == invariant(UNKNOT, (_row(2),))
 
 
 @pytest.mark.slow
 def test_partition_column_cross_check(trefoil_cols):
     # two cables: the column colors of (1,1)^t = (2), called directly since
     # invariant would take the one-cable e_2 route
-    got = homfly_partition(ColoredBraid(TREFOIL, (0,)), Partition((2,))).q_bar()
+    got = homfly_partition(TREFOIL, (_row(2),)).q_bar()
     assert got == trefoil_cols[2]
 
 
 def test_homfly_partition_is_the_column_form():
     # the e-form of mu in column colors, framed and transposed by nobody
-    cb = ColoredBraid(parse_braid("1 1", 2), (0, 1))
     for parts in ((1, 1), (2, 1)):
         mu = Partition(parts)
-        assert homfly_partition(cb, mu) == invariant(cb, "e", partition=mu)
-        assert homfly_partition(cb, mu.transpose()).q_bar() \
-            == invariant(cb, "h", partition=mu)
-    assert homfly_partition(ColoredBraid(UNKNOT, (0,)), Partition(())) == XPoly.one()
+        assert homfly_partition(HOPF, (mu, _row(1))) == invariant(HOPF, (mu, 1))
+        assert homfly_partition(HOPF, (mu.transpose(), _row(1))).q_bar() \
+            == invariant(HOPF, (mu, _row(1)))
+    assert homfly_partition(UNKNOT, (Partition(()),)) == XPoly.one()
 
 
 def test_partition_trace_logs_the_untraced_value():
     # the one evaluator of the cables logs to the caller's trace
-    hopf = parse_braid("1 1", 2)
-    for cb, lam in ((ColoredBraid(UNKNOT, (0,)), Partition((2, 1))),
-                    (ColoredBraid(hopf, (0, 1)), Partition((1, 1)))):
+    for braid, colors in ((UNKNOT, (Partition((2, 1)),)),
+                          (HOPF, (Partition((1, 1)), 1))):
         for framing in ("blackboard", "zero"):
             lines = []
-            got = invariant(cb, "e", framing, partition=lam, trace=lines.append)
-            assert lines and got == invariant(cb, "e", framing, partition=lam)
+            got = invariant(braid, colors, framing, trace=lines.append)
+            assert lines and got == invariant(braid, colors, framing)
 
 
 class _Cabled(Exception):
     pass
 
 
-def _cable_width(monkeypatch, cb, family, parts):
-    # the width of the first cable that invariant builds; every cable of one
-    # Jacobi-Trudi sum has the same width, so the sum is cut off there
+def _cable_widths(monkeypatch, braid, colors):
+    # the widths of the first cable that invariant builds; every cable of
+    # one Jacobi-Trudi sum has the same widths, so the sum is cut off there
     from homflypt import invariants
     widths = []
 
-    def recording(cb, width, colors):
-        widths.append(width)
+    def recording(braid, w, colors):
+        widths.append(w)
         raise _Cabled
-    monkeypatch.setattr(invariants, "cable_first_component", recording)
+    monkeypatch.setattr(invariants, "cable", recording)
     with pytest.raises(_Cabled):
-        invariant(cb, family, partition=Partition(parts))
-    return widths[0]
+        invariant(braid, colors)
+    return tuple(widths[0])
 
 
 @pytest.mark.parametrize("parts", [(3,), (1, 1, 1), (2, 1, 1), (3, 1), (2, 1)])
 def test_lone_partition_takes_the_narrower_cable(monkeypatch, parts):
-    for family in ("e", "h"):
-        width = _cable_width(monkeypatch, ColoredBraid(TREFOIL, (0,)), family, parts)
+    lam = Partition(parts)
+    for color in (lam, lam.transpose()):
+        width, = _cable_widths(monkeypatch, TREFOIL, (color,))
         assert width == min(parts[0], len(parts))
 
 
-def test_partition_next_to_a_color_keeps_its_family(monkeypatch):
-    # a 0 neighbour still narrows; e_1 or h_1 beside it fixes the family
-    hopf = parse_braid("1 1", 2)
-    for parts in ((2, 1, 1), (3, 1)):
-        for family in ("e", "h"):
-            width = _cable_width(monkeypatch, ColoredBraid(hopf, (0, 0)), family, parts)
-            assert width == min(parts[0], len(parts))
-        assert _cable_width(monkeypatch, ColoredBraid(hopf, (0, 1)), "h", parts) \
-            == len(parts)
-        assert _cable_width(monkeypatch, ColoredBraid(hopf, (0, 1)), "e", parts) \
-            == parts[0]
+def _column(color):
+    return color if isinstance(color, Partition) else Partition((1,) * color)
+
+
+def _widths(mus):
+    # a component of column color mu has max(mu_1, 1) parallels
+    return tuple(max(len(mu.transpose()), 1) for mu in mus)
+
+
+def _strands(braid, mus):
+    widths = _widths(mus)
+    return sum(widths[c] for c in closure_info(braid).component_of_strand)
+
+
+def test_partition_next_to_a_color_takes_the_fewer_strands(monkeypatch):
+    # the cables corpus of the benchmark, and neighbours of every kind: the
+    # cable has the fewer strands of the column colors and their transposes,
+    # and a tie keeps the colors as given
+    t24, unlink = parse_braid("1 1 1 1", 2), parse_braid("", 2)
+    p = Partition
+    cases = [(TREFOIL, (p((1, 1)),)), (HOPF, (p((2, 1)), _row(1))),
+             (HOPF, (p((2, 1, 1)), _row(1))), (HOPF, (p((3, 2)), _row(1))),
+             (t24, (p((2, 1)), _row(1))), (UNKNOT, (p((2, 1)),)),
+             (UNKNOT, (p((2, 2, 1)),))]
+    for parts in ((2, 1, 1), (3, 1), (3, 3, 1)):
+        for other in (0, 1, _row(1), 2, _row(2), p((2, 1)), p((3,))):
+            cases += [(HOPF, (p(parts), other)), (unlink, (other, p(parts)))]
+    for braid, colors in cases:
+        given = [_column(c) for c in colors]
+        flipped = [mu.transpose() for mu in given]
+        want = given if _strands(braid, given) <= _strands(braid, flipped) else flipped
+        assert _cable_widths(monkeypatch, braid, colors) == _widths(want)
+    # the corpus case that leaves the 4-strand cable, a tie and a transpose
+    for colors, widths in (((p((2, 1, 1)), _row(1)), (2, 1)),
+                           ((p((3, 1)), 2), (3, 1)), ((p((3, 1)), _row(2)), (2, 1))):
+        assert _cable_widths(monkeypatch, HOPF, colors) == widths
 
 
 def test_partition_zero_framing_is_kink_invariant():
     # the closures of sigma_1 and sigma_1^-1 on two strands are the unknot
     # framed +1 and -1: zero framing must not see the kink, blackboard must
-    flat = ColoredBraid(UNKNOT, (0,))
     for parts in ((2, 1), (3, 1), (2, 1, 1)):
-        lam = Partition(parts)  # invariant takes the narrower cable itself
-        want = invariant(flat, "e", "zero", partition=lam)
-        assert want == invariant(flat, "e", partition=lam)
+        lam = (Partition(parts),)  # invariant takes the narrower cable itself
+        want = invariant(UNKNOT, lam, "zero")
+        assert want == invariant(UNKNOT, lam)
         for word in ("1", "-1"):
-            kink = ColoredBraid(parse_braid(word, 2), (0,))
-            assert invariant(kink, "e", "zero", partition=lam) == want
-            assert invariant(kink, "e", partition=lam) != want
+            kink = parse_braid(word, 2)
+            assert invariant(kink, lam, "zero") == want
+            assert invariant(kink, lam) != want
 
 
 def test_partition_routes_agree():
     # s_lambda by lambda_1 cables of column colors or by l(lambda) cables of
     # row colors: the same value when every other color is 0.  invariant
     # takes the narrower route alone, so both are called here directly
-    cases = [(TREFOIL, (0,), (1, 1)), (TREFOIL, (0,), (2,)),
-             (parse_braid("", 2), (0, 0), (2, 1, 1))]
-    for braid, colors, parts in cases:
-        cb, lam = ColoredBraid(braid, colors), Partition(parts)
-        e_route, h_route = homfly_partition(cb, lam), homfly_partition(cb, lam.transpose())
+    cases = [(TREFOIL, (1, 1)), (TREFOIL, (2,)), (parse_braid("", 2), (2, 1, 1))]
+    for braid, parts in cases:
+        ncomp = closure_info(braid).component_count
+        lam, empty = Partition(parts), (Partition(()),) * (ncomp - 1)
+        e_route = homfly_partition(braid, (lam,) + empty)
+        h_route = homfly_partition(braid, (lam.transpose(),) + empty)
         assert e_route == h_route.q_bar()
-        kink = -cb.closure.linking[0][0]
+        kink = -closure_info(braid).linking[0][0]
         assert adjust_framing(e_route, lam, kink) \
             == adjust_framing(h_route, lam.transpose(), kink).q_bar()
 
 
 def test_partition_next_to_integer_colors():
-    # one-column (1^b) beside e_a is e_b e_a, one-row (b) beside h_a is
-    # h_b h_a: one-strand cables, so this checks the plumbing
-    hopf = parse_braid("1 1", 2)
+    # one-column (1^b) beside e_a is e_b e_a: one-strand cables, so this
+    # checks the plumbing; rows (b) beside (a) are their transposes
     for a, b in ((1, 2), (2, 1), (0, 2)):
         for framing in ("blackboard", "zero"):
-            for family, parts in (("e", (1,) * b), ("h", (b,))):
-                got = invariant(ColoredBraid(hopf, (0, a)), family, framing,
-                                partition=Partition(parts))
-                assert got == invariant(ColoredBraid(hopf, (b, a)), family, framing)
-    assert invariant(ColoredBraid(hopf, (0, -1)), "e",
-                     partition=Partition((2, 1))).is_zero()
+            columns = invariant(HOPF, (b, a), framing)
+            assert invariant(HOPF, (Partition((1,) * b), a), framing) == columns
+            assert invariant(HOPF, (_row(b), _row(a)), framing) == columns.q_bar()
+    assert invariant(HOPF, (Partition((2, 1)), -1)).is_zero()
 
 
 def test_writhe_two_unknot_on_three_strands():
@@ -371,7 +400,7 @@ def test_even_torus_links_match_reference():
     for s in (2, 4):
         braid = parse_braid(" ".join(["1"] * s), 2)
         for m in (1, 2):
-            eng = invariant(ColoredBraid(braid, (m, m)), "h")
+            eng = invariant(braid, (_row(m),) * 2)
             assert eng == torus_reference(s, m)
 
 
@@ -392,17 +421,64 @@ def _hook_content(parts):
 
 def test_partition_unknot_hook_content():
     # both routes directly, and invariant, which takes only the narrower one
-    cb = ColoredBraid(UNKNOT, (0,))
     for parts in ((2, 1), (3, 1), (2, 2)):
         lam, want = Partition(parts), _hook_content(parts)
-        assert homfly_partition(cb, lam) == want
-        assert homfly_partition(cb, lam.transpose()).q_bar() == want
-        for family in ("e", "h"):
-            assert invariant(cb, family, partition=lam) == want
+        assert homfly_partition(UNKNOT, (lam,)) == want
+        assert homfly_partition(UNKNOT, (lam.transpose(),)).q_bar() == want
+        assert invariant(UNKNOT, (lam,)) == want
+        assert invariant(UNKNOT, (lam.transpose(),)).q_bar() == want
+
+
+# the colors the oracles below pair up: e_2, h_2, (2,1), (1,1), (3,1) and the
+# empty partition, each as an int or a Partition
+_MIXED = (2, _row(2), Partition((2, 1)), Partition((1, 1)), Partition((3, 1)),
+          Partition(()))
+
+
+def _pairs(braid, sides, max_strands):
+    # unordered pairs of distinct colors whose cables, as given and
+    # transposed, have at most max_strands strands on the sides that are run
+    # (min: the one invariant takes, max: both); the time of a cable grows
+    # fast with its strand count
+    for i, lam in enumerate(_MIXED):
+        for mu in _MIXED[i + 1:]:
+            mus = [_column(lam), _column(mu)]
+            if sides(_strands(braid, mus),
+                     _strands(braid, [m.transpose() for m in mus])) <= max_strands:
+                yield lam, mu
+
+
+@pytest.mark.parametrize("framing", ["blackboard", "zero"])
+def test_split_unlink_is_the_product_of_its_unknots(framing):
+    unlink = parse_braid("", 2)
+    for lam in _MIXED:
+        for mu in _MIXED:
+            assert invariant(unlink, (lam, mu), framing) \
+                == _hook_content(_column(lam).parts) * _hook_content(_column(mu).parts)
+
+
+@pytest.mark.parametrize("framing", ["blackboard", "zero"])
+@pytest.mark.parametrize("word", ["1 1", "1 1 1 1"])
+def test_two_component_torus_links_are_symmetric_in_their_colors(word, framing):
+    # swapping the colors swaps which component is cabled
+    braid = parse_braid(word, 2)
+    for lam, mu in _pairs(braid, min, 3):
+        assert invariant(braid, (lam, mu), framing) \
+            == invariant(braid, (mu, lam), framing)
+
+
+def test_mixed_colors_transpose_by_q_bar():
+    # both sides of the transpose rule, called directly: invariant runs only
+    # the one with fewer strands
+    for braid in (HOPF, parse_braid("", 2)):
+        for lam, mu in _pairs(braid, max, 4):
+            mus = [_column(lam), _column(mu)]
+            assert homfly_partition(braid, mus) \
+                == homfly_partition(braid, [m.transpose() for m in mus]).q_bar()
 
 
 def test_self_conjugate_color_is_qbar_invariant():
-    got = invariant(ColoredBraid(UNKNOT, (0,)), "h", partition=Partition((2, 1)))
+    got = invariant(UNKNOT, (Partition((2, 1)),))
     assert got.q_bar() == got
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from homflypt import (ColoredBraid, OperatorError, RecurrenceOperator, guess,
+from homflypt import (OperatorError, Partition, RecurrenceOperator, guess,
                       invariant, parse_braid, parse_operator, parse_xpoly, qint,
                       rings, torus_reference, trefoil_recurrence, xbinom)
 from homflypt.recurrence import _nullspace_columns, _vector_normalize
@@ -231,7 +231,8 @@ def _unknot_rows(family):
     """The rows of the linear system of `recur guess` on the unknot, m 0:8,
     order 1, M-degree 2, before normalization: eight rows, six unknowns."""
     unknot = parse_braid("", 1)
-    f = {m: invariant(ColoredBraid(unknot, (m,)), family) for m in range(9)}
+    f = {m: invariant(unknot, (m if family == "e" else Partition((m,)),))
+         for m in range(9)}
     return [[f[m + j].scale(RatQ.q_power(m * k))
              for j in range(2) for k in range(3)] for m in range(8)]
 
