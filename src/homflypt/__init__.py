@@ -9,8 +9,7 @@ from .braid import (Braid, BraidError, ClosureInfo, ColoredBraid, cable,
 from .invariants import (Partition, adjust_framing, homfly_columns,
                          homfly_partition, invariant, torus_reference,
                          trefoil_reference)
-from .ladder import (Letter, build_cap, build_cup, crossing_sums,
-                     crossing_weights, enumerate_terms)
+from .ladder import Letter, build_cap, build_cup, crossing_sums, enumerate_terms
 from .pbw import Evaluator
 from .qcomb import qbinom, qfactorial, qint, xbinom
 from .recurrence import (OperatorError, RecurrenceOperator, guess,
@@ -24,9 +23,9 @@ __all__ = [
     "LaurentQ", "Letter", "OperatorError", "Partition", "RatQ",
     "RecurrenceOperator", "XPoly", "adjust_framing", "build_cap",
     "build_cup", "cable", "closure_info", "crossing_sums",
-    "crossing_weights", "enumerate_terms", "guess", "homfly_columns",
-    "homfly_partition", "invariant", "laurent_gcd", "parse_braid",
-    "parse_operator", "parse_xpoly", "qbinom", "qfactorial", "qint",
-    "torus_reference", "trefoil_recurrence", "trefoil_reference",
-    "xbinom", "xpoly_divexact", "xpoly_gcd",
+    "enumerate_terms", "guess", "homfly_columns", "homfly_partition",
+    "invariant", "laurent_gcd", "parse_braid", "parse_operator",
+    "parse_xpoly", "qbinom", "qfactorial", "qint", "torus_reference",
+    "trefoil_recurrence", "trefoil_reference", "xbinom", "xpoly_divexact",
+    "xpoly_gcd",
 ]

@@ -6,7 +6,9 @@ are read bottom to top.  Closing the braid joins top position p to bottom
 position p; components are the cycles of the underlying permutation and are
 numbered by their smallest strand.
 ``Braid.crossings`` is the one place that moves per-strand labels through
-a crossing; every walk over the crossings reads its labels from it.
+a crossing; every walk over the crossings reads its labels from it, the
+ladder's per-crossing colors included.  ``closure_info`` checks a count of
+per-component values before it builds the linking matrix.
 ``cable`` replaces the strands of each component by blackboard parallels,
 as many as that component's width.
 """
@@ -93,16 +95,17 @@ class ClosureInfo(namedtuple("ClosureInfo",
     """
     __slots__ = ()
 
-    def per_component(self, values, what: str) -> tuple:
-        """``values`` as a tuple, checked to hold one entry per component."""
-        values = tuple(values)
-        if len(values) != self.component_count:
-            raise BraidError(
-                f"{len(values)} {what} given for {self.component_count} components")
-        return values
 
-
-def closure_info(b: Braid) -> ClosureInfo:
+def closure_info(b: Braid, count: int | None = None, what: str = "") -> ClosureInfo:
+    """The closure's ``ClosureInfo``.  Given ``count``, the number of
+    ``what`` supplied one per component, it is checked before the matrix is
+    built: first in O(1) against strands - len(word), a lower bound on the
+    component count since each crossing joins or splits one cycle, then
+    exactly."""
+    low = b.strands - len(b.word)
+    if count is not None and count < low:
+        raise BraidError(f"{count} {what} given for "
+                         f"{'at least ' if b.word else ''}{low} components")
     perm = b.permutation()
     comp_of = [-1] * b.strands
     ncomp = 0
@@ -114,6 +117,8 @@ def closure_info(b: Braid) -> ClosureInfo:
             comp_of[t] = ncomp
             t = perm[t]
         ncomp += 1
+    if count is not None and count != ncomp:
+        raise BraidError(f"{count} {what} given for {ncomp} components")
     cross = [[0] * ncomp for _ in range(ncomp)]
     for i, eps, comps in b.crossings(list(comp_of)):
         cu, cv = comps[i], comps[i + 1]
@@ -133,8 +138,8 @@ class ColoredBraid(namedtuple("ColoredBraid", "braid colors closure")):
     __slots__ = ()
 
     def __new__(cls, braid: Braid, colors):
-        info = closure_info(braid)
-        colors = info.per_component(colors, "colors")
+        colors = tuple(colors)
+        info = closure_info(braid, len(colors), "colors")
         if not all(isinstance(a, int) for a in colors):
             raise BraidError(f"colors must be integers, got {colors!r}")
         return super().__new__(cls, braid, colors, info)
@@ -152,15 +157,6 @@ class ColoredBraid(namedtuple("ColoredBraid", "braid colors closure")):
     @property
     def strand_colors(self) -> tuple[int, ...]:
         return tuple(self.colors[c] for c in self.closure.component_of_strand)
-
-    def json_obj(self) -> dict:
-        return {
-            "strands": self.braid.strands,
-            "word": list(self.braid.word),
-            "components": self.closure.component_count,
-            "colors": list(self.colors),
-            "linking": [list(r) for r in self.closure.linking],
-        }
 
 
 def _block_cross_positive(p: int, u: int, v: int) -> list[int]:
@@ -180,8 +176,8 @@ def cable(braid: Braid, widths, new_colors) -> ColoredBraid:
     the closure's own smallest-strand numbering, and colored by new_colors
     in that order.
     """
-    info = closure_info(braid)
-    widths = info.per_component(widths, "widths")
+    widths = tuple(widths)
+    info = closure_info(braid, len(widths), "widths")
     if any(w < 1 for w in widths):
         raise BraidError("cable widths must be positive integers")
     width = [widths[c] for c in info.component_of_strand]

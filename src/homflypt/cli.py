@@ -11,8 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .braid import (BraidError, ColoredBraid, closure_info, is_int_token,
-                    parse_braid)
+from .braid import BraidError, closure_info, is_int_token, parse_braid
 from .invariants import (Partition, invariant, torus_reference,
                          trefoil_reference)
 from .recurrence import OperatorError, guess, parse_operator, require_window
@@ -78,11 +77,13 @@ def _emit(value, meta: dict, args) -> None:
 def _cmd_eval(args) -> int:
     braid = parse_braid(args.braid, args.strands)
     colors = _parse_colors(args.colors)
-    cb = ColoredBraid(braid, [k for k, _ in colors])
     trace = (lambda s: print(s, file=sys.stderr)) if args.trace else None
     value = invariant(braid, [c for _, c in colors], args.framing, trace=trace)
-    meta = {"kind": "eval", **cb.json_obj(), "color_spec": args.colors.split(),
-            "framing": args.framing}
+    info = closure_info(braid)
+    meta = {"kind": "eval", "strands": braid.strands, "word": list(braid.word),
+            "components": info.component_count, "colors": [k for k, _ in colors],
+            "linking": [list(r) for r in info.linking],
+            "color_spec": args.colors.split(), "framing": args.framing}
     _emit(value, meta, args)
     return 0
 

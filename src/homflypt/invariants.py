@@ -80,10 +80,9 @@ def homfly_columns(cb: ColoredBraid, *,
     """
     if any(a < 0 for a in cb.colors):
         return XPoly.zero()
-    m = cb.braid.strands
-    ev = evaluator or Evaluator(2 * m)
-    return ev.contract(build_cap(cb.strand_colors, m), crossing_sums(cb),
-                       build_cup(cb.strand_colors, m))
+    ev = evaluator or Evaluator(2 * cb.braid.strands)
+    return ev.contract(build_cap(cb.strand_colors), crossing_sums(cb),
+                       build_cup(cb.strand_colors))
 
 
 def invariant(braid: Braid, colors, framing: str = "blackboard", *,
@@ -100,8 +99,8 @@ def invariant(braid: Braid, colors, framing: str = "blackboard", *,
     """
     if framing not in ("blackboard", "zero"):
         raise ValueError(f"unknown framing {framing!r} (want 'blackboard' or 'zero')")
-    info = closure_info(braid)
-    colors = info.per_component(colors, "colors")
+    colors = tuple(colors)
+    info = closure_info(braid, len(colors), "colors")
     if not all(isinstance(c, (int, Partition)) for c in colors):
         raise TypeError(f"colors must be ints or Partitions, got {colors!r}")
     if any(isinstance(c, int) and c < 0 for c in colors):

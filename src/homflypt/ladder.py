@@ -3,8 +3,9 @@
 An m-strand colored braid closure is evaluated on a ladder with 2m sides at
 the highest weight (n^m, 0^m), n symbolic.  A word is a tuple of letters
 (``Word``); X^(0) letters, the identity, are never emitted.  This module
-emits the cup word (all F letters), the cap word (its mirror in E letters),
-the per-crossing data, and each crossing's terminating sum of letters.  The
+emits the cup word (all F letters) and the cap word (its mirror in E
+letters) of the strand colors, and each crossing's terminating sum of
+letters at its ladder index, read straight from ``Braid.crossings``.  The
 engine contracts these sums crossing by crossing (``crossing_sums``);
 ``enumerate_terms`` expands their product into (scalar, word) pairs, the
 test suite's oracle.
@@ -37,14 +38,14 @@ class Letter(namedtuple("Letter", "kind index power")):
 Word = tuple[Letter, ...]
 
 
-def build_cup(colors, m: int) -> Word:
-    """The cup word: F letters carrying the strand colors from the highest
-    weight down to (n-b_m,...,n-b_1, b_1,...,b_m); a color 0 emits none."""
+def build_cup(colors) -> Word:
+    """The cup word of the strand colors b_1..b_m: F letters carrying them
+    from the highest weight down to (n-b_m,...,n-b_1, b_1,...,b_m); a color
+    0 emits none."""
     colors = tuple(colors)
-    if len(colors) != m:
-        raise ValueError("need one color per strand")
     if any(b < 0 for b in colors):
         raise ValueError("strand colors must be nonnegative")
+    m = len(colors)
     letters: list[Letter] = []
     for k in range(1, m + 1):
         b = colors[k - 1]
@@ -57,39 +58,29 @@ def build_cup(colors, m: int) -> Word:
     return tuple(letters)
 
 
-def build_cap(colors, m: int) -> Word:
+def build_cap(colors) -> Word:
     """The cap word: the mirror of the cup (reversed order, F -> E)."""
-    return tuple(Letter("E", i, p) for _, i, p in reversed(build_cup(colors, m)))
+    return tuple(Letter("E", i, p) for _, i, p in reversed(build_cup(colors)))
 
 
-class CrossingTerm(namedtuple("CrossingTerm", "position ladder_index "
-                              "color_left color_right eps")):
-    """One braid letter located on the ladder, with its local colors: its
-    0-based ``position`` in the braid word (bottom to top), its
-    ``ladder_index`` m + |generator|, the colors on strands i and i+1 when
-    the crossing is applied and its sign ``eps``."""
-    __slots__ = ()
-
-
-def crossing_weights(cb: ColoredBraid) -> list[CrossingTerm]:
-    """Per-crossing local color pairs, the strand colors pushed up through
-    the crossings below each one (``Braid.crossings``).  The braid acts on
-    the right m ladder strands only, so user generator i sits at ladder
-    index m + i."""
-    m, colors = cb.braid.strands, list(cb.strand_colors)
-    return [CrossingTerm(j, m + i + 1, c[i], c[i + 1], eps)
-            for j, (i, eps, c) in enumerate(cb.braid.crossings(colors))]
-
-
-def _crossing_sum(c: CrossingTerm, top: int) -> list[tuple[Word, int, int]]:
-    """One crossing's E^{(s + a_r - a_l)} F^{(s)} at its ladder index (zero
-    powers dropped), sign parity a_l + a_l a_r + s and q-exponent
-    eps (a_l - s), for max(0, a_l - a_r) <= s <= top."""
-    al, ar, i = c.color_left, c.color_right, c.ladder_index
-    return [(tuple(l for l in (Letter("E", i, s + ar - al), Letter("F", i, s))
-                   if l.power),
-             al + al * ar + s, c.eps * (al - s))
-            for s in range(max(0, al - ar), top + 1)]
+def _crossing_sums(cb: ColoredBraid,
+                   top: int | None) -> list[list[tuple[Word, int, int]]]:
+    """Per crossing of ``Braid.crossings``, bottom to top, with (a_l, a_r)
+    the colors on its strands i, i+1 just below it: E^{(s + a_r - a_l)}
+    F^{(s)} at ladder index m + i + 1 (the braid acts on the right m ladder
+    strands only; zero powers dropped), sign parity a_l + a_l a_r + s and
+    q-exponent eps (a_l - s), for max(0, a_l - a_r) <= s <= ``top``, or
+    <= a_l when ``top`` is None."""
+    m = cb.braid.strands
+    sums = []
+    for i, eps, c in cb.braid.crossings(list(cb.strand_colors)):
+        al, ar, x = c[i], c[i + 1], m + i + 1
+        hi = al if top is None else top
+        sums.append([(tuple(l for l in (Letter("E", x, s + ar - al), Letter("F", x, s))
+                            if l.power),
+                      al + al * ar + s, eps * (al - s))
+                     for s in range(max(0, al - ar), hi + 1)])
+    return sums
 
 
 def crossing_sums(cb: ColoredBraid) -> list[list[tuple[Word, RatQ]]]:
@@ -101,8 +92,8 @@ def crossing_sums(cb: ColoredBraid) -> list[list[tuple[Word, RatQ]]]:
     between the cup and the cap, their product is the invariant of the
     blackboard-framed closure."""
     return [[(letters, RatQ(LaurentQ.mono(-1 if parity % 2 else 1, qexp)))
-             for letters, parity, qexp in _crossing_sum(c, c.color_left)]
-            for c in crossing_weights(cb)]
+             for letters, parity, qexp in terms]
+            for terms in _crossing_sums(cb, None)]
 
 
 def enumerate_terms(cb: ColoredBraid) -> Iterator[tuple[RatQ, Word]]:
@@ -118,11 +109,9 @@ def enumerate_terms(cb: ColoredBraid) -> Iterator[tuple[RatQ, Word]]:
     Pairs are yielded in lexicographic s order; summing scalar * ev(word)
     over all of them gives the invariant of the blackboard-framed closure.
     """
-    m = cb.braid.strands
-    cap = build_cap(cb.strand_colors, m)
-    cup = build_cup(cb.strand_colors, m)
-    bound = max(cb.colors, default=0)
-    factors = [_crossing_sum(c, bound) for c in crossing_weights(cb)]
+    cap = build_cap(cb.strand_colors)
+    cup = build_cup(cb.strand_colors)
+    factors = _crossing_sums(cb, max(cb.colors, default=0))
     for pick in product(*factors):
         mid = tuple(l for letters, _, _ in reversed(pick) for l in letters)
         sign = -1 if sum(f[1] for f in pick) % 2 else 1

@@ -101,6 +101,24 @@ def test_color_count_checked():
         ColoredBraid(parse_braid("1 1", 2), (1,))
 
 
+def test_count_below_the_crossing_bound_refused_first(monkeypatch):
+    # each crossing joins or splits one cycle, so 4 strands and one crossing
+    # close up to at least 3 components; fewer values are refused without
+    # walking the permutation, and the empty word's bound is exact
+    def walked(self):
+        raise AssertionError("the permutation was walked")
+    monkeypatch.setattr(Braid, "permutation", walked)
+    b = parse_braid("1", 4)
+    with pytest.raises(BraidError, match="^2 colors given for at least 3 components$"):
+        closure_info(b, 2, "colors")
+    with pytest.raises(BraidError, match="^2 widths given for 4 components$"):
+        closure_info(parse_braid("", 4), 2, "widths")
+    monkeypatch.undo()
+    with pytest.raises(BraidError, match="^4 colors given for 3 components$"):
+        closure_info(b, 4, "colors")
+    assert closure_info(b, 3, "colors") == closure_info(b)
+
+
 def test_colors_must_be_integers():
     for colors in ((2.0,), (2.5,), ("1",), (None,)):
         with pytest.raises(BraidError, match="colors must be integers"):

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -83,6 +84,39 @@ def test_eval_partition_link_json_meta(capsys):
         '"meta": {"kind": "eval", "strands": 2, "word": [1, 1], '
         '"components": 2, "colors": [0, 1], "linking": [[0, 1], [1, 0]], '
         '"color_spec": ["p2,1", "e1"], "framing": "blackboard"}}\n')
+
+
+def test_eval_three_component_link_json_meta(capsys):
+    # e1, h2 and p2,1 on a chain of three components, linking numbers 1
+    base = ("eval", "--strands", "3", "--braid", "1 1 2 2", "--colors",
+            "e1 h2 p2,1", "--format", "json")
+    values = []
+    for framing in ("blackboard", "zero"):
+        rc, out, err = run(capsys, *base, "--framing", framing)
+        assert (rc, err) == (0, "")
+        assert out.endswith(
+            '"meta": {"kind": "eval", "strands": 3, "word": [1, 1, 2, 2], '
+            '"components": 3, "colors": [1, 2, 0], '
+            '"linking": [[0, 1, 0], [1, 0, 1], [0, 1, 0]], '
+            '"color_spec": ["e1", "h2", "p2,1"], '
+            f'"framing": "{framing}"}}}}\n')
+        values.append(json.loads(out)["value"])
+    # no component crosses itself, so both framings agree
+    assert values[0] == values[1]
+
+
+def test_eval_color_count_refused_before_the_linking_matrix(capsys):
+    # the closure of the empty word on 3000 strands has 3000 components;
+    # one color is refused without their 3000 x 3000 linking matrix
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, "eval", "--strands", "3000", "--braid", "",
+                           "--colors", "e1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rc, out, err) == (2, "", "error: 1 colors given for 3000 components\n")
+    assert peak < 5_000_000
 
 
 def test_eval_framing_zero(capsys):

@@ -635,8 +635,7 @@ def test_columns_match_product_oracle(cb):
     ev = Evaluator(sides)
     value = homfly_columns(cb)
     assert value == xpoly_sum(ev.ev(w).scale(c) for c, w in enumerate_terms(cb))
-    m = cb.braid.strands
-    at_two = Evaluator(sides, 2).contract(build_cap(cb.strand_colors, m),
+    at_two = Evaluator(sides, 2).contract(build_cap(cb.strand_colors),
                                           crossing_sums(cb),
-                                          build_cup(cb.strand_colors, m))
+                                          build_cup(cb.strand_colors))
     assert at_two == value.subst_x_eq_qn(2)

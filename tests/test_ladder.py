@@ -1,7 +1,7 @@
 from itertools import product
 
 from homflypt import (ColoredBraid, Evaluator, Letter, build_cap, build_cup,
-                      crossing_weights, enumerate_terms, parse_braid)
+                      crossing_sums, enumerate_terms, parse_braid)
 from homflypt.rings import LaurentQ, RatQ
 
 
@@ -23,58 +23,74 @@ def weight_offsets(word, sides):
 
 
 def test_cup_m1():
-    assert letters(build_cup((4,), 1)) == ["F1^(4)"]
+    assert letters(build_cup((4,))) == ["F1^(4)"]
 
 
 def test_cup_m2_matches_worked_order():
-    got = letters(build_cup((3, 3), 2))
+    got = letters(build_cup((3, 3)))
     assert got == ["F2^(3)", "F3^(3)", "F1^(3)", "F2^(3)"]
 
 
 def test_cup_offsets():
-    cup = build_cup((2, 2), 2)
+    cup = build_cup((2, 2))
     assert weight_offsets(cup, 4) == [-2, -2, 2, 2]
 
 
 def test_cup_offsets_reversed_left_labels():
     # left sides hold n - b_i in reversed order, right sides hold b in order
-    cup = build_cup((1, 2, 3), 3)
+    cup = build_cup((1, 2, 3))
     assert weight_offsets(cup, 6) == [-3, -2, -1, 1, 2, 3]
 
 
 def test_cap_m1():
-    assert letters(build_cap((4,), 1)) == ["E1^(4)"]
+    assert letters(build_cap((4,))) == ["E1^(4)"]
 
 
 def test_cap_m2_matches_worked_order():
-    assert letters(build_cap((3, 3), 2)) == ["E2^(3)", "E1^(3)", "E3^(3)", "E2^(3)"]
+    assert letters(build_cap((3, 3))) == ["E2^(3)", "E1^(3)", "E3^(3)", "E2^(3)"]
 
 
 def test_cap_cup_weight_closure():
-    for m, colors in ((1, (2,)), (2, (1, 3)), (3, (2, 2, 1))):
-        cap = build_cap(colors, m)
-        cup = build_cup(colors, m)
-        assert weight_offsets(cap + cup, 2 * m) == [0] * (2 * m)
+    for colors in ((2,), (1, 3), (2, 2, 1)):
+        cap = build_cap(colors)
+        cup = build_cup(colors)
+        assert weight_offsets(cap + cup, 2 * len(colors)) == [0] * (2 * len(colors))
 
 
-def test_crossing_weights_trefoil():
-    cb = ColoredBraid(parse_braid("1 1 1", 2), (5,))
-    recs = crossing_weights(cb)
-    assert [(r.ladder_index, r.color_left, r.color_right, r.eps) for r in recs] \
-        == [(3, 5, 5, 1)] * 3
+def _dump_sums(cb):
+    return [[(letters(word), scalar.text()) for word, scalar in terms]
+            for terms in crossing_sums(cb)]
 
 
-def test_crossing_weights_single():
+def test_crossing_sums_trefoil():
+    # a_l = a_r = 5 at every crossing, ladder index m + 1 = 3: s = 0..5 of
+    # E3^(s) F3^(s) with (-1)^(30 + s) q^(eps (5 - s)); the mirror flips eps
+    for word, eps in (("1 1 1", 1), ("-1 -1 -1", -1)):
+        cb = ColoredBraid(parse_braid(word, 2), (5,))
+        expected = [([f"E3^({s})", f"F3^({s})"] if s else [],
+                     RatQ(LaurentQ.mono(-1 if s % 2 else 1, eps * (5 - s))).text())
+                    for s in range(6)]
+        assert _dump_sums(cb) == [expected] * 3
+
+
+def test_crossing_sums_single():
+    # a_l = a_r = 1: s = 0 gives the empty word
     cb = ColoredBraid(parse_braid("1", 2), (1,))
-    (r,) = crossing_weights(cb)
-    assert (r.color_left, r.color_right) == (1, 1)
+    assert _dump_sums(cb) == [[([], "q"), (["E3^(1)", "F3^(1)"], "-1")]]
 
 
-def test_crossing_weights_distinct_colors_permute():
-    cb = ColoredBraid(parse_braid("1 1", 2), (1, 2))
-    recs = crossing_weights(cb)
-    assert (recs[0].color_left, recs[0].color_right) == (1, 2)
-    assert (recs[1].color_left, recs[1].color_right) == (2, 1)
+def test_crossing_sums_distinct_colors_permute():
+    # (a_l, a_r) = (1, 2) below the first crossing: s from 0, E^(s + 1);
+    # the crossing swaps the colors, so (2, 1) below the second: s from 1,
+    # E^(s - 1).  Generator 2 of three strands sits at ladder index 5.
+    hopf = ColoredBraid(parse_braid("1 1", 2), (1, 2))
+    assert _dump_sums(hopf) == [
+        [(["E3^(1)"], "-q"), (["E3^(2)", "F3^(1)"], "1")],
+        [(["F3^(1)"], "-q"), (["E3^(1)", "F3^(2)"], "1")]]
+    mirror = ColoredBraid(parse_braid("-2 -2", 3), (3, 1, 2))
+    assert _dump_sums(mirror) == [
+        [(["E5^(1)"], "-q^-1"), (["E5^(2)", "F5^(1)"], "1")],
+        [(["F5^(1)"], "-q^-1"), (["E5^(1)", "F5^(2)"], "1")]]
 
 
 def test_enumerate_counts_trefoil():
@@ -104,24 +120,28 @@ def _parity_sign(k):
     return -1 if k % 2 else 1
 
 
+def _crossings(cb):
+    """(ladder index m + i + 1, a_l, a_r, eps) per crossing, bottom to top,
+    read from ``Braid.crossings``."""
+    m = cb.braid.strands
+    return [(m + i + 1, c[i], c[i + 1], eps)
+            for i, eps, c in cb.braid.crossings(list(cb.strand_colors))]
+
+
 def _crossing_word(cb, s):
     """The (scalar, word) pair of enumerate_terms for the tuple s, built by
     hand from its docstring: the cap, E^{(s_j + a_r - a_l)} F^{(s_j)} per
     crossing from top to bottom, the cup, and the scalar
     prod_j (-1)^{a_l + a_l a_r} q^{eps_j a_l} (-q)^{-eps_j s_j}."""
-    m = cb.braid.strands
+    picked = list(zip(_crossings(cb), s))
     mid = []
-    for c in reversed(crossing_weights(cb)):
-        sj = s[c.position]
-        mid += [Letter("E", c.ladder_index, sj + c.color_right - c.color_left),
-                Letter("F", c.ladder_index, sj)]
+    for (x, al, ar, _), sj in reversed(picked):
+        mid += [Letter("E", x, sj + ar - al), Letter("F", x, sj)]
     scalar = LaurentQ.one()
-    for c in crossing_weights(cb):
-        al, ar, sj = c.color_left, c.color_right, s[c.position]
-        scalar = (scalar * LaurentQ.mono(_parity_sign(al + al * ar), c.eps * al)
-                  * LaurentQ.mono(_parity_sign(c.eps * sj), -c.eps * sj))
-    letters = build_cap(cb.strand_colors, m) + tuple(mid) \
-        + build_cup(cb.strand_colors, m)
+    for (_, al, ar, eps), sj in picked:
+        scalar = (scalar * LaurentQ.mono(_parity_sign(al + al * ar), eps * al)
+                  * LaurentQ.mono(_parity_sign(eps * sj), -eps * sj))
+    letters = build_cap(cb.strand_colors) + tuple(mid) + build_cup(cb.strand_colors)
     return RatQ(scalar), tuple(l for l in letters if l.power != 0)
 
 
@@ -130,9 +150,8 @@ def test_terms_match_hand_built_words():
     # (figure-eight): every term of the box, in lexicographic s order
     for word, strands, colors in (("1 1", 2, (1, 3)), ("1 -2 1 -2", 3, (2,))):
         cb = ColoredBraid(parse_braid(word, strands), colors)
-        box = list(product(*(range(max(0, c.color_left - c.color_right),
-                                   max(colors) + 1)
-                             for c in crossing_weights(cb))))
+        box = list(product(*(range(max(0, al - ar), max(colors) + 1)
+                             for _, al, ar, _ in _crossings(cb))))
         terms = list(enumerate_terms(cb))
         assert len(terms) == len(box)
         for s, term in zip(box, terms):

@@ -220,8 +220,8 @@ def test_f_word_normal_form():
     # value, and every commuting order of a word has the same normal form
     rng = random.Random(18)
     colors = (1, 2, 1)
-    cap = build_cap(colors, 3)
-    cup = build_cup(colors, 3)
+    cap = build_cap(colors)
+    cup = build_cup(colors)
     e = Evaluator(6)
     nonzero = 0
     for _ in range(60):
