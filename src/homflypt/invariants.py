@@ -1,12 +1,14 @@
 """Colored HOMFLYPT invariants of braid closures, plus closed-form references.
 
 The engine computes the two-variable invariant of a blackboard-framed braid
-closure with column colors natively (``homfly_columns``), and a partition
-color on any component as a Jacobi-Trudi sum of column colors on a cable
-(``homfly_partition``).  ``invariant`` makes every engine choice: it takes
-the colors or their transposes, whichever has the cable with fewer strands,
-builds the ``Evaluator``, frames (zero framing removes each component's
-self-framing, ``adjust_framing``) and undoes the transpose by q -> -q^{-1}.
+closure with a partition color on each component (``homfly_partition``): a
+Jacobi-Trudi sum over cables with column colors, each the cup, the crossing
+sums and the cap contracted by one ``Evaluator`` (``Evaluator.contract``).
+``invariant`` makes every engine choice: it takes the colors or their
+transposes, whichever has the cable with fewer strands, frames (zero
+framing removes each component's self-framing, ``adjust_framing``) and
+undoes the transpose by q -> -q^{-1}.  ``homfly_columns`` is ``invariant``
+of a ``ColoredBraid``.
 
 ``trefoil_reference`` and ``torus_reference`` are independent closed forms
 used as oracles by the test suite: a terminating six-fold quantum-binomial
@@ -69,20 +71,11 @@ class Partition:
                          for j in range(max(self.parts, default=0)))
 
 
-def homfly_columns(cb: ColoredBraid, *,
-                   evaluator: Evaluator | None = None) -> XPoly:
+def homfly_columns(cb: ColoredBraid) -> XPoly:
     """The invariant of the blackboard-framed closure with component i
-    colored by the one-column partition e_{a_i}: the cup, each crossing's
-    sum of letters (``crossing_sums``) and the cap, contracted crossing by
-    crossing from the bottom (``Evaluator.contract``).
-
-    Any negative color gives 0.
-    """
-    if any(a < 0 for a in cb.colors):
-        return XPoly.zero()
-    ev = evaluator or Evaluator(2 * cb.braid.strands)
-    return ev.contract(build_cap(cb.strand_colors), crossing_sums(cb),
-                       build_cup(cb.strand_colors))
+    colored by the one-column partition e_{a_i}: ``invariant`` of its braid
+    and colors.  Any negative color gives 0."""
+    return invariant(cb.braid, cb.colors)
 
 
 def invariant(braid: Braid, colors, framing: str = "blackboard", *,
@@ -149,8 +142,10 @@ def homfly_partition(braid: Braid, mus, *,
     partition ``mus[i]``, by s_mu = det(e_{mu^t_k - k + l}) on every
     component: component i becomes max(mu_1, 1) parallels, one permutation
     sigma_i of them per component colors parallel k by mu^t_k + sigma_i(k) - k,
-    and the ``homfly_columns`` values, signed by the product of the
-    sign(sigma_i), are summed once.  Negative colors contribute nothing."""
+    and the values of these column-colored cables, signed by the product of
+    the sign(sigma_i), are summed once.  Each value is the cable's cup,
+    crossing sums and cap, contracted (``Evaluator.contract``).  Negative
+    colors contribute nothing."""
     cols = [mu.transpose().parts or (0,) for mu in mus]
     widths = [len(c) for c in cols]
     ev = None  # every cable has the same strand count, so one memo serves all
@@ -162,7 +157,8 @@ def homfly_partition(braid: Braid, mus, *,
             continue
         cab = cable(braid, widths, colors)
         ev = ev or Evaluator(2 * cab.braid.strands, trace=trace)
-        term = homfly_columns(cab, evaluator=ev)
+        sc = cab.strand_colors
+        term = ev.contract(build_cap(sc), crossing_sums(cab), build_cup(sc))
         terms.append(term if prod(map(_perm_sign, sigmas)) > 0 else -term)
     return terms[0] if len(terms) == 1 else xpoly_sum(terms)
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 from itertools import product
+from math import prod
 
 from .braid import ColoredBraid
 from .rings import LaurentQ, RatQ
@@ -64,13 +65,13 @@ def build_cap(colors) -> Word:
 
 
 def _crossing_sums(cb: ColoredBraid,
-                   top: int | None) -> list[list[tuple[Word, int, int]]]:
+                   top: int | None) -> list[list[tuple[Word, RatQ]]]:
     """Per crossing of ``Braid.crossings``, bottom to top, with (a_l, a_r)
-    the colors on its strands i, i+1 just below it: E^{(s + a_r - a_l)}
-    F^{(s)} at ladder index m + i + 1 (the braid acts on the right m ladder
-    strands only; zero powers dropped), sign parity a_l + a_l a_r + s and
-    q-exponent eps (a_l - s), for max(0, a_l - a_r) <= s <= ``top``, or
-    <= a_l when ``top`` is None."""
+    the colors on its strands i, i+1 just below it: the pairs of
+    E^{(s + a_r - a_l)} F^{(s)} at ladder index m + i + 1 (the braid acts on
+    the right m ladder strands only; zero powers dropped) and the scalar
+    (-1)^{a_l + a_l a_r + s} q^{eps (a_l - s)}, for
+    max(0, a_l - a_r) <= s <= ``top``, or <= a_l when ``top`` is None."""
     m = cb.braid.strands
     sums = []
     for i, eps, c in cb.braid.crossings(list(cb.strand_colors)):
@@ -78,7 +79,8 @@ def _crossing_sums(cb: ColoredBraid,
         hi = al if top is None else top
         sums.append([(tuple(l for l in (Letter("E", x, s + ar - al), Letter("F", x, s))
                             if l.power),
-                      al + al * ar + s, eps * (al - s))
+                      RatQ(LaurentQ.mono(-1 if (al + al * ar + s) % 2 else 1,
+                                         eps * (al - s))))
                      for s in range(max(0, al - ar), hi + 1)])
     return sums
 
@@ -91,9 +93,7 @@ def crossing_sums(cb: ColoredBraid) -> list[list[tuple[Word, RatQ]]]:
     lowers the slot of the crossing's left strand below zero.  Applied
     between the cup and the cap, their product is the invariant of the
     blackboard-framed closure."""
-    return [[(letters, RatQ(LaurentQ.mono(-1 if parity % 2 else 1, qexp)))
-             for letters, parity, qexp in terms]
-            for terms in _crossing_sums(cb, None)]
+    return _crossing_sums(cb, None)
 
 
 def enumerate_terms(cb: ColoredBraid) -> Iterator[tuple[RatQ, Word]]:
@@ -113,7 +113,5 @@ def enumerate_terms(cb: ColoredBraid) -> Iterator[tuple[RatQ, Word]]:
     cup = build_cup(cb.strand_colors)
     factors = _crossing_sums(cb, max(cb.colors, default=0))
     for pick in product(*factors):
-        mid = tuple(l for letters, _, _ in reversed(pick) for l in letters)
-        sign = -1 if sum(f[1] for f in pick) % 2 else 1
-        qexp = sum(f[2] for f in pick)
-        yield RatQ(LaurentQ.mono(sign, qexp)), cap + mid + cup
+        mid = tuple(l for letters, _ in reversed(pick) for l in letters)
+        yield prod((c for _, c in pick), start=RatQ.one()), cap + mid + cup

@@ -128,11 +128,13 @@ class Evaluator:
 
     def _letters(self, word: Iterable[Letter]) -> Word | None:
         """The letters of a word with its X^(0) letters dropped, or None if
-        a letter has a negative power (the word is zero).  Every index is
-        checked either way."""
+        a letter has a negative power (the word is zero).  Every kind and
+        index is checked either way."""
         kept = []
         zero = False
         for let in word:
+            if let.kind not in ("E", "F"):
+                raise ValueError(f"letter kind {let.kind!r} is not 'E' or 'F'")
             if not 1 <= let.index <= self.sides - 1:
                 raise ValueError(f"letter index {let.index} outside [1, {self.sides - 1}]")
             if let.power > 0:

@@ -18,8 +18,8 @@ denominator the engine produces is a product prod Phi_k^e_k, and such
 fractions are multiplied and added without a gcd.  A product cancels each
 numerator against the other side's Phi_k.  Every sum goes through one
 kernel, ``_ratq_sum``: the binary ``RatQ +`` (and ``-``), the n-ary
-``xpoly_sum`` (the term sum of ``homfly_columns`` and the Jacobi-Trudi sum
-of ``homfly_partition``, which add the numerators that share a denominator
+``xpoly_sum`` (the state sums of ``Evaluator.contract`` and the Jacobi-Trudi
+sum of ``homfly_partition``, which add the numerators that share a denominator
 first) and the substitution x = q^n.  It lifts the numerators once
 (``lift_fractions``, which also clears the denominators of a vector in
 recurrence guessing) to prod Phi^top, top the elementwise maximum of the

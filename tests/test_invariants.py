@@ -155,7 +155,15 @@ def test_columns_match_binary_fold():
         fold = XPoly.zero()
         for c, w in enumerate_terms(cb):
             fold = fold + ev.ev(w).scale(c)
-        assert homfly_columns(cb, evaluator=ev) == fold
+        sc = cb.strand_colors
+        assert ev.contract(build_cap(sc), crossing_sums(cb), build_cup(sc)) == fold
+        assert homfly_columns(cb) == fold
+
+
+def test_columns_take_no_evaluator():
+    # the engine sizes its evaluator; a caller's of the wrong size gave 0
+    with pytest.raises(TypeError):
+        homfly_columns(ColoredBraid(TREFOIL, (1,)), evaluator=Evaluator(6))
 
 
 def test_adjust_framing_group_law():

@@ -255,6 +255,16 @@ def test_index_validation():
                             entry(w)
 
 
+def test_kind_validation():
+    # any other kind is refused, whatever its power, instead of read as F
+    for bad in (("e", 1, 1), ("f", 1, 1), ("X", 1, 0), ("G", 1, -1)):
+        for w in (word(bad, ("F", 1, 1)), word(("E", 1, 1), bad)):
+            for e in (Evaluator(2), Evaluator(2, 3)):
+                for entry in (e.ev, e.state):
+                    with pytest.raises(ValueError, match="kind"):
+                        entry(w)
+
+
 def test_trace_emits_rewrite_steps():
     lines = []
     e = Evaluator(2, trace=lines.append)

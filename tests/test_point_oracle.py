@@ -10,7 +10,8 @@ computed mod P.  A mismatch is a proven bug; a match is evidence only.
 
 import pytest
 
-from homflypt import ColoredBraid, Evaluator, homfly_columns, parse_braid, qbinom
+from homflypt import (ColoredBraid, Evaluator, build_cap, build_cup, cable,
+                      crossing_sums, homfly_columns, parse_braid, qbinom)
 
 P = 2 ** 61 - 1
 A, B = 3, 5
@@ -90,6 +91,9 @@ CASES = [
     (parse_braid("1 1 1 1", 2), (2, 2)),
     (parse_braid("1 2 1 2 1 2 1 2", 3), (1,)),
     (parse_braid("1 1 1 2 -1 2", 3), (2,)),
+    # the two cables that the trefoil colored by p(1,1) evaluates
+    *((cab.braid, cab.colors)
+      for cab in (cable(TREFOIL, (2,), colors) for colors in ((1, 1), (2, 0)))),
 ]
 
 
@@ -97,7 +101,9 @@ CASES = [
                          ids=[f"{' '.join(map(str, b.word))}:{c}" for b, c in CASES])
 def test_point_evaluator_matches_generic_value(braid, colors, trefoil_cols):
     cb = ColoredBraid(braid, colors)
-    point = homfly_columns(cb, evaluator=PointEvaluator(2 * braid.strands))
+    sc = cb.strand_colors
+    point = PointEvaluator(2 * braid.strands).contract(
+        build_cap(sc), crossing_sums(cb), build_cup(sc))
     generic = (trefoil_cols[colors[0]] if braid == TREFOIL
                else homfly_columns(cb))
     assert type(point) is Fp
