@@ -4,8 +4,8 @@ Values live in Q(q)[x^{±1}]; substituting x = q^n recovers the sl_n
 quantum invariant in its integral normalization.  All arithmetic is exact.
 """
 
-from .braid import (Braid, BraidError, ClosureInfo, ColoredBraid, cable,
-                    closure_info, parse_braid)
+from .braid import (Braid, BraidError, Cable, ClosureInfo, cable, closure_info,
+                    parse_braid)
 from .invariants import (Partition, adjust_framing, homfly_columns,
                          homfly_partition, invariant, torus_reference,
                          trefoil_reference)
@@ -19,7 +19,7 @@ from .rings import LaurentQ, RatQ, XPoly, laurent_gcd, xpoly_divexact, xpoly_gcd
 __version__ = "0.1.0"
 
 __all__ = [
-    "Braid", "BraidError", "ClosureInfo", "ColoredBraid", "Evaluator",
+    "Braid", "BraidError", "Cable", "ClosureInfo", "Evaluator",
     "LaurentQ", "Letter", "OperatorError", "Partition", "RatQ",
     "RecurrenceOperator", "XPoly", "adjust_framing", "build_cap",
     "build_cup", "cable", "closure_info", "crossing_sums",

@@ -10,7 +10,9 @@ a crossing; every walk over the crossings reads its labels from it, the
 ladder's per-crossing colors included.  ``closure_info`` checks a count of
 per-component values before it builds the linking matrix.
 ``cable`` replaces the strands of each component by blackboard parallels,
-as many as that component's width.
+as many as that component's width, and returns the cabled braid with the
+cabled component of each of its strands (``Cable``); strand colors are read
+off that, so a cable serves every coloring of its parallels.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from collections.abc import Iterator
+from itertools import accumulate
 
 
 class BraidError(ValueError):
@@ -132,33 +135,6 @@ def closure_info(b: Braid, count: int | None = None, what: str = "") -> ClosureI
     return ClosureInfo(ncomp, tuple(comp_of), link)
 
 
-class ColoredBraid(namedtuple("ColoredBraid", "braid colors closure")):
-    """A braid with one integer color a, the column e_a, per closure
-    component, and the ``closure`` of the braid, derived from it."""
-    __slots__ = ()
-
-    def __new__(cls, braid: Braid, colors):
-        colors = tuple(colors)
-        info = closure_info(braid, len(colors), "colors")
-        if not all(isinstance(a, int) for a in colors):
-            raise BraidError(f"colors must be integers, got {colors!r}")
-        return super().__new__(cls, braid, colors, info)
-
-    @classmethod
-    def _make(cls, iterable):
-        """Through the constructor, which recomputes ``closure``; so is ``_replace``."""
-        braid, colors, *_ = iterable
-        return cls(braid, colors)
-
-    def __getnewargs__(self):
-        # copy and pickle call __new__ with these
-        return self.braid, self.colors
-
-    @property
-    def strand_colors(self) -> tuple[int, ...]:
-        return tuple(self.colors[c] for c in self.closure.component_of_strand)
-
-
 def _block_cross_positive(p: int, u: int, v: int) -> list[int]:
     # bundle of u strands at positions p..p+u-1 crosses over bundle of v
     # strands to its right; u*v positive generators, 1-based
@@ -166,20 +142,26 @@ def _block_cross_positive(p: int, u: int, v: int) -> list[int]:
             for k in range(start, start + v)]
 
 
-def cable(braid: Braid, widths, new_colors) -> ColoredBraid:
-    """Replace every strand of component i by widths[i] blackboard parallels.
+class Cable(namedtuple("Cable", "braid component_of_strand")):
+    """A cabled ``braid`` and, per strand, the cabled component through it."""
+    __slots__ = ()
+
+
+def cable(braid: Braid, widths) -> Cable:
+    """Replace every strand of component c by widths[c] blackboard parallels.
 
     Each crossing between bundles of widths u, v becomes the u*v crossings of
     the same sign realizing the block transposition; no twist corrections are
-    inserted (planar closure arcs carry the blackboard framing exactly).  The
-    parallels are numbered component by component, left copy first, which is
-    the closure's own smallest-strand numbering, and colored by new_colors
-    in that order.
+    inserted (planar closure arcs carry the blackboard framing exactly).
+    Parallel k of component c is cabled component first[c] + k, with first
+    the prefix sums of the widths: the closure's own smallest-strand
+    numbering, so the cabled braid is not walked again.
     """
     widths = tuple(widths)
     info = closure_info(braid, len(widths), "widths")
     if any(w < 1 for w in widths):
         raise BraidError("cable widths must be positive integers")
+    first = list(accumulate(widths, initial=0))
     width = [widths[c] for c in info.component_of_strand]
     word: list[int] = []
     for i, eps, w in braid.crossings(width):
@@ -189,7 +171,9 @@ def cable(braid: Braid, widths, new_colors) -> ColoredBraid:
             word.extend(_block_cross_positive(p, u, v))
         else:
             word.extend(-k for k in reversed(_block_cross_positive(p, v, u)))
-    return ColoredBraid(Braid(sum(width), tuple(word)), new_colors)
+    return Cable(Braid(sum(width), tuple(word)),
+                 tuple(first[c] + k for c in info.component_of_strand
+                       for k in range(widths[c])))
 
 
 # the benchmark's tracer patches and counts the cabling under this name

@@ -2,13 +2,14 @@
 
 The engine computes the two-variable invariant of a blackboard-framed braid
 closure with a partition color on each component (``homfly_partition``): a
-Jacobi-Trudi sum over cables with column colors, each the cup, the crossing
-sums and the cap contracted by one ``Evaluator`` (``Evaluator.contract``).
+Jacobi-Trudi sum over column colorings of one cable, each the cup, the
+crossing sums and the cap of its strand colors contracted by one
+``Evaluator`` (``Evaluator.contract``).
 ``invariant`` makes every engine choice: it takes the colors or their
 transposes, whichever has the cable with fewer strands, frames (zero
 framing removes each component's self-framing, ``adjust_framing``) and
 undoes the transpose by q -> -q^{-1}.  ``homfly_columns`` is ``invariant``
-of a ``ColoredBraid``.
+with int colors.
 
 ``trefoil_reference`` and ``torus_reference`` are independent closed forms
 used as oracles by the test suite: a terminating six-fold quantum-binomial
@@ -22,7 +23,7 @@ from collections.abc import Callable
 from itertools import permutations, product
 from math import prod
 
-from .braid import Braid, ColoredBraid, cable, closure_info
+from .braid import Braid, cable, closure_info
 from .ladder import build_cap, build_cup, crossing_sums
 from .pbw import Evaluator
 from .qcomb import qbinom, qint, xbinom
@@ -71,11 +72,11 @@ class Partition:
                          for j in range(max(self.parts, default=0)))
 
 
-def homfly_columns(cb: ColoredBraid) -> XPoly:
+def homfly_columns(braid: Braid, colors) -> XPoly:
     """The invariant of the blackboard-framed closure with component i
-    colored by the one-column partition e_{a_i}: ``invariant`` of its braid
-    and colors.  Any negative color gives 0."""
-    return invariant(cb.braid, cb.colors)
+    colored by the one-column partition e_{colors[i]}: ``invariant`` of the
+    braid and colors.  Any negative color gives 0."""
+    return invariant(braid, colors)
 
 
 def invariant(braid: Braid, colors, framing: str = "blackboard", *,
@@ -140,25 +141,26 @@ def homfly_partition(braid: Braid, mus, *,
                      trace: Callable[[str], None] | None = None) -> XPoly:
     """The blackboard-framed invariant with component i colored by the
     partition ``mus[i]``, by s_mu = det(e_{mu^t_k - k + l}) on every
-    component: component i becomes max(mu_1, 1) parallels, one permutation
-    sigma_i of them per component colors parallel k by mu^t_k + sigma_i(k) - k,
-    and the values of these column-colored cables, signed by the product of
-    the sign(sigma_i), are summed once.  Each value is the cable's cup,
-    crossing sums and cap, contracted (``Evaluator.contract``).  Negative
-    colors contribute nothing."""
+    component: component i becomes max(mu_1, 1) parallels in one cable, one
+    permutation sigma_i of them per component colors parallel k by
+    mu^t_k + sigma_i(k) - k, and the values of these column colorings,
+    signed by the product of the sign(sigma_i), are summed once.  Each value
+    is the cup, crossing sums and cap of the coloring's strand colors,
+    contracted by the one ``Evaluator`` of the cable
+    (``Evaluator.contract``).  Negative colors contribute nothing."""
     cols = [mu.transpose().parts or (0,) for mu in mus]
     widths = [len(c) for c in cols]
-    ev = None  # every cable has the same strand count, so one memo serves all
+    cab = cable(braid, widths)
+    ev = Evaluator(2 * cab.braid.strands, trace=trace)
     terms = []
     for sigmas in product(*(permutations(range(w)) for w in widths)):
         colors = [c[k] + sigma[k] - k for c, sigma in zip(cols, sigmas)
                   for k in range(len(c))]
         if any(c < 0 for c in colors):
             continue
-        cab = cable(braid, widths, colors)
-        ev = ev or Evaluator(2 * cab.braid.strands, trace=trace)
-        sc = cab.strand_colors
-        term = ev.contract(build_cap(sc), crossing_sums(cab), build_cup(sc))
+        sc = [colors[j] for j in cab.component_of_strand]
+        term = ev.contract(build_cap(sc), crossing_sums(cab.braid, sc),
+                           build_cup(sc))
         terms.append(term if prod(map(_perm_sign, sigmas)) > 0 else -term)
     return terms[0] if len(terms) == 1 else xpoly_sum(terms)
 

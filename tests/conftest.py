@@ -1,6 +1,6 @@
 import pytest
 
-from homflypt import ColoredBraid, adjust_framing, homfly_columns, parse_braid
+from homflypt import adjust_framing, homfly_columns, parse_braid
 
 TREFOIL = parse_braid("1 1 1", 2)
 
@@ -8,7 +8,7 @@ TREFOIL = parse_braid("1 1 1", 2)
 @pytest.fixture(scope="session")
 def trefoil_cols():
     """Engine values W(e_a) of the blackboard trefoil for a = 0..4."""
-    return {a: homfly_columns(ColoredBraid(TREFOIL, (a,))) for a in range(5)}
+    return {a: homfly_columns(TREFOIL, (a,)) for a in range(5)}
 
 
 @pytest.fixture(scope="session")

@@ -4,8 +4,8 @@ import pickle
 
 import pytest
 
-from homflypt import (Braid, BraidError, ColoredBraid, cable, closure_info,
-                      parse_braid)
+from homflypt import (Braid, BraidError, Cable, cable, closure_info,
+                      homfly_columns, parse_braid)
 
 
 def test_parse_examples():
@@ -41,32 +41,32 @@ def test_make_and_replace_run_the_constructor_checks():
         b._replace(strands=1)
     assert Braid._make([3, (2, -1)]) == b._replace(strands=3, word=(2, -1))
     assert type(b._replace(word=(-1,))) is Braid
-    cb = ColoredBraid(parse_braid("1 1 1", 2), (2,))
+    trefoil, hopf = parse_braid("1 1 1", 2), parse_braid("1 1", 2)
     with pytest.raises(BraidError, match="2 colors given for 1 components"):
-        cb._replace(colors=(1, 2))
-    hopf = cb._replace(braid=parse_braid("1 1", 2), colors=(1, 3))
-    assert type(hopf) is ColoredBraid and hopf.colors == (1, 3)
-    assert hopf.closure == closure_info(hopf.braid) != cb.closure
-    assert ColoredBraid._make((hopf.braid, [1, 3])) == hopf
-    assert copy.deepcopy(hopf) == pickle.loads(pickle.dumps(hopf)) == hopf
+        homfly_columns(trefoil, (1, 2))
+    cab = cable(hopf, (1, 2))
+    assert type(cab) is Cable and cab.component_of_strand == (0, 1, 2)
+    assert closure_info(hopf) != closure_info(trefoil)
+    assert Cable._make((cab.braid, (0, 1, 2))) == cab
+    assert copy.deepcopy(cab) == pickle.loads(pickle.dumps(cab)) == cab
 
 
 def test_values_are_immutable_and_compare_by_fields():
     b = parse_braid("1 1 1", 2)
     assert b == Braid(2, (1, 1, 1)) and hash(b) == hash(Braid(2, (1, 1, 1)))
     assert b != Braid(3, (1, 1, 1))
-    cb, again = ColoredBraid(b, (2,)), ColoredBraid(Braid(2, (1, 1, 1)), [2])
-    assert cb == again and hash(cb) == hash(again)
-    assert cb != ColoredBraid(b, (1,))
+    cab, again = cable(b, (2,)), cable(Braid(2, (1, 1, 1)), [2])
+    assert cab == again and hash(cab) == hash(again)
+    assert cab != cable(b, (1,))
     info = closure_info(b)
     assert info == closure_info(Braid(2, (1, 1, 1)))
-    for obj, name in ((b, "word"), (info, "linking"), (cb, "colors"),
-                      (cb, "closure"), (cb, "extra")):
+    for obj, name in ((b, "word"), (info, "linking"), (cab, "braid"),
+                      (cab, "component_of_strand"), (cab, "extra")):
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
     with pytest.raises(AttributeError):
-        del cb.braid
-    assert cb.braid is b
+        del cab.braid
+    assert cable(b, (1,)).braid == b
 
 
 def test_closure_trefoil():
@@ -98,7 +98,7 @@ def test_components_ordered_by_smallest_strand():
 
 def test_color_count_checked():
     with pytest.raises(BraidError):
-        ColoredBraid(parse_braid("1 1", 2), (1,))
+        homfly_columns(parse_braid("1 1", 2), (1,))
 
 
 def test_count_below_the_crossing_bound_refused_first(monkeypatch):
@@ -121,24 +121,27 @@ def test_count_below_the_crossing_bound_refused_first(monkeypatch):
 
 def test_colors_must_be_integers():
     for colors in ((2.0,), (2.5,), ("1",), (None,)):
-        with pytest.raises(BraidError, match="colors must be integers"):
-            ColoredBraid(parse_braid("1 1 1", 2), colors)
+        with pytest.raises(TypeError, match="colors must be ints or Partitions"):
+            homfly_columns(parse_braid("1 1 1", 2), colors)
 
 
 def test_strand_colors():
-    cb = ColoredBraid(parse_braid("1 1", 2), (3, 5))
-    assert cb.strand_colors == (3, 5)
+    # each strand carries the color of its cabled component
+    hopf = cable(parse_braid("1 1", 2), (1, 1))
+    assert tuple((3, 5)[c] for c in hopf.component_of_strand) == (3, 5)
+    trefoil = cable(parse_braid("1 1 1", 2), (2,))
+    assert tuple((3, 5)[c] for c in trefoil.component_of_strand) == (3, 5, 3, 5)
 
 
 def test_cable_unknot():
-    out = cable(parse_braid("", 1), (2,), (1, 2))
+    out = cable(parse_braid("", 1), (2,))
     assert out.braid.strands == 2 and out.braid.word == ()
-    assert out.closure.component_count == 2
-    assert out.colors == (1, 2)
+    assert closure_info(out.braid).component_count == 2
+    assert out.component_of_strand == (0, 1)
 
 
 def test_cable_single_crossing_block():
-    out = cable(parse_braid("1", 2), (2,), (0, 0))
+    out = cable(parse_braid("1", 2), (2,))
     assert out.braid.strands == 4 and len(out.braid.word) == 4
     assert all(g > 0 for g in out.braid.word)
     # bundles swap as blocks
@@ -146,31 +149,31 @@ def test_cable_single_crossing_block():
 
 
 def test_cable_negative_crossing_inverts():
-    pos = cable(parse_braid("1", 2), (2,), (0, 0))
-    neg = cable(parse_braid("-1", 2), (2,), (0, 0))
+    pos = cable(parse_braid("1", 2), (2,))
+    neg = cable(parse_braid("-1", 2), (2,))
     assert neg.braid.word == tuple(-g for g in reversed(pos.braid.word))
 
 
 def test_cable_trefoil_components():
-    out = cable(parse_braid("1 1 1", 2), (2,), (1, 1))
-    assert out.closure.component_count == 2
+    info = closure_info(cable(parse_braid("1 1 1", 2), (2,)).braid)
+    assert info.component_count == 2
     # blackboard parallels of a framing-3 knot link each other 3 times
-    assert out.closure.linking[0][1] == 3
-    assert out.closure.linking[0][0] == 3
+    assert info.linking[0][1] == 3
+    assert info.linking[0][0] == 3
 
 
 def test_cable_rejects_zero_width():
     with pytest.raises(BraidError):
-        cable(parse_braid("1", 2), (0,), ())
+        cable(parse_braid("1", 2), (0,))
 
 
 def test_cable_rejects_a_width_count_off_the_components():
     hopf = parse_braid("1 1", 2)
     for widths in ((2,), (1, 1, 1), ()):
         with pytest.raises(BraidError, match="widths given for 2 components"):
-            cable(hopf, widths, (0,) * sum(widths))
+            cable(hopf, widths)
     with pytest.raises(BraidError):
-        cable(hopf, (1, 0), (0,))
+        cable(hopf, (1, 0))
 
 
 def _cabled_numbering(braid, widths):
@@ -181,24 +184,28 @@ def _cabled_numbering(braid, widths):
 
 def test_cable_later_and_several_components():
     hopf = parse_braid("1 1", 2)
-    out = cable(hopf, (1, 2), (1, 2, 3))
+    out = cable(hopf, (1, 2))
     assert out.braid.strands == 3 and out.braid.word == (1, 2, 2, 1)
-    assert out.closure.component_of_strand == (0, 1, 2) and out.colors == (1, 2, 3)
+    info = closure_info(out.braid)
+    assert info.component_of_strand == out.component_of_strand == (0, 1, 2)
     # the parallels of the 0-framed component are unlinked from each other
     # and each links the other component once
-    assert out.closure.linking == ((0, 1, 1), (1, 0, 0), (1, 0, 0))
-    both = cable(hopf, (2, 2), (0,) * 4)
+    assert info.linking == ((0, 1, 1), (1, 0, 0), (1, 0, 0))
+    both = cable(hopf, (2, 2))
     assert both.braid.strands == 4
     assert both.braid.word == (2, 3, 1, 2) * 2
-    assert both.closure.component_of_strand == (0, 1, 2, 3)
+    assert closure_info(both.braid).component_of_strand == (0, 1, 2, 3)
     for word, strands, widths in (("2 1 1 -2", 3, (2, 1, 3)),
                                   ("1 2 1 1 -2", 3, (3, 2)),
                                   ("1 -2 1 -2", 3, (2,)),
                                   ("", 2, (2, 3))):
         b = parse_braid(word, strands)
-        out = cable(b, widths, (0,) * sum(widths))
-        assert out.braid.strands == len(out.closure.component_of_strand)
-        assert out.closure.component_of_strand == _cabled_numbering(b, widths)
+        out = cable(b, widths)
+        walked = closure_info(out.braid).component_of_strand
+        assert out.braid.strands == len(walked)
+        assert walked == _cabled_numbering(b, widths)
+        # the cable numbers its strands without walking the cabled closure
+        assert out.component_of_strand == walked
 
 
 def test_cable_permutation_is_block_substitution():
@@ -208,9 +215,8 @@ def test_cable_permutation_is_block_substitution():
             for word in itertools.product(gens, repeat=length):
                 b = Braid(m, word)
                 ncomp = closure_info(b).component_count
-                cb = ColoredBraid(b, (0,) * ncomp)
-                out = cable(b, (2,) + (1,) * (ncomp - 1), (0,) * (ncomp + 1))
-                comp = cb.closure.component_of_strand
+                out = cable(b, (2,) + (1,) * (ncomp - 1))
+                comp = closure_info(b).component_of_strand
                 width = [2 if comp[s] == 0 else 1 for s in range(m)]
                 start = [sum(width[:s]) for s in range(m)]
                 base = b.permutation()

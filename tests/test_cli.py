@@ -168,9 +168,9 @@ def test_eval_lone_partition_takes_the_narrower_cable(capsys, monkeypatch, parts
     widths = []
     cable = invariants.cable
 
-    def recording(braid, w, colors):
+    def recording(braid, w):
         widths.append(*w)
-        return cable(braid, w, colors)
+        return cable(braid, w)
     monkeypatch.setattr(invariants, "cable", recording)
     rc, _, _ = run(capsys, "eval", "--strands", "1", "--braid", "",
                    "--colors", "p" + parts)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from homflypt import (Braid, BraidError, ColoredBraid, Evaluator, Partition,
+from homflypt import (Braid, BraidError, Evaluator, Partition,
                       adjust_framing, build_cap, build_cup, cable,
                       closure_info, crossing_sums,
                       enumerate_terms, homfly_columns, homfly_partition,
@@ -16,6 +16,10 @@ HOPF = parse_braid("1 1", 2)
 
 def _row(a):
     return Partition((a,))
+
+
+def _strand_colors(braid, colors):
+    return tuple(colors[c] for c in closure_info(braid).component_of_strand)
 
 
 def test_partition_basics():
@@ -48,20 +52,19 @@ def test_partition_is_an_immutable_value():
 
 def test_unknot_columns():
     for a in range(0, 6):
-        v = homfly_columns(ColoredBraid(UNKNOT, (a,)))
+        v = homfly_columns(UNKNOT, (a,))
         assert v == xbinom(0, a)
         for n in range(2, 7):
             assert v.subst_x_eq_qn(n) == qbinom(n, a)
 
 
 def test_color_zero_is_one():
-    assert homfly_columns(ColoredBraid(TREFOIL, (0,))) == XPoly.one()
-    assert homfly_columns(ColoredBraid(parse_braid("1 -2 1", 3), (0, 0))) \
-        == XPoly.one()
+    assert homfly_columns(TREFOIL, (0,)) == XPoly.one()
+    assert homfly_columns(parse_braid("1 -2 1", 3), (0, 0)) == XPoly.one()
 
 
 def test_negative_color_vanishes():
-    assert homfly_columns(ColoredBraid(TREFOIL, (-1,))).is_zero()
+    assert homfly_columns(TREFOIL, (-1,)).is_zero()
     for braid, colors in ((TREFOIL, (-1,)), (HOPF, (2, -1)), (HOPF, (_row(2), -1))):
         for framing in ("blackboard", "zero"):
             assert invariant(braid, colors, framing) == XPoly.zero()
@@ -135,9 +138,8 @@ def test_framing_factor_matches_engine():
     # the closure of sigma_1 is the +1-framed unknot
     kink_braid = parse_braid("1", 2)
     for a in range(0, 4):
-        kink = ColoredBraid(kink_braid, (a,))
-        flat = ColoredBraid(UNKNOT, (a,))
-        assert xpoly_divexact(homfly_columns(kink), homfly_columns(flat)) \
+        assert xpoly_divexact(homfly_columns(kink_braid, (a,)),
+                              homfly_columns(UNKNOT, (a,))) \
             == _unit_framing(a)
         assert invariant(kink_braid, (_row(a),)) \
             == adjust_framing(invariant(UNKNOT, (_row(a),)).q_bar(), a, 1).q_bar()
@@ -146,28 +148,30 @@ def test_framing_factor_matches_engine():
 def test_columns_match_binary_fold():
     # the reference adds one term at a time; the last two cases are the
     # cables that the trefoil colored by p(1,1) evaluates
-    cases = [ColoredBraid(TREFOIL, (a,)) for a in (1, 2, 3)] + [
-        ColoredBraid(parse_braid("1 -2 1 -2", 3), (2,)),
-        ColoredBraid(HOPF, (1, 3))] + [
-        cable(TREFOIL, (2,), colors) for colors in ((1, 1), (2, 0))]
-    for cb in cases:
-        ev = Evaluator(2 * cb.braid.strands)
+    cabled = cable(TREFOIL, (2,)).braid
+    cases = [(TREFOIL, (a,)) for a in (1, 2, 3)] + [
+        (parse_braid("1 -2 1 -2", 3), (2,)),
+        (HOPF, (1, 3))] + [
+        (cabled, colors) for colors in ((1, 1), (2, 0))]
+    for braid, colors in cases:
+        ev = Evaluator(2 * braid.strands)
+        sc = _strand_colors(braid, colors)
         fold = XPoly.zero()
-        for c, w in enumerate_terms(cb):
+        for c, w in enumerate_terms(braid, sc):
             fold = fold + ev.ev(w).scale(c)
-        sc = cb.strand_colors
-        assert ev.contract(build_cap(sc), crossing_sums(cb), build_cup(sc)) == fold
-        assert homfly_columns(cb) == fold
+        assert ev.contract(build_cap(sc), crossing_sums(braid, sc),
+                           build_cup(sc)) == fold
+        assert homfly_columns(braid, colors) == fold
 
 
 def test_columns_take_no_evaluator():
     # the engine sizes its evaluator; a caller's of the wrong size gave 0
     with pytest.raises(TypeError):
-        homfly_columns(ColoredBraid(TREFOIL, (1,)), evaluator=Evaluator(6))
+        homfly_columns(TREFOIL, (1,), evaluator=Evaluator(6))
 
 
 def test_adjust_framing_group_law():
-    v = homfly_columns(ColoredBraid(UNKNOT, (2,)))
+    v = homfly_columns(UNKNOT, (2,))
     assert adjust_framing(v, 2, 0) == v
     for delta in range(-3, 4):
         there = adjust_framing(v, 2, delta)
@@ -217,8 +221,8 @@ def test_torus_zero_framed_needs_odd_s():
 
 
 def test_component_permutation_symmetry():
-    a = homfly_columns(ColoredBraid(HOPF, (1, 2)))
-    b = homfly_columns(ColoredBraid(HOPF, (2, 1)))
+    a = homfly_columns(HOPF, (1, 2))
+    b = homfly_columns(HOPF, (2, 1))
     assert a == b
 
 
@@ -230,15 +234,15 @@ def test_integrality_of_specializations(trefoil_cols):
 
 def test_mirror_duality_generic():
     a = 1
-    v = homfly_columns(ColoredBraid(TREFOIL, (a,)))
-    w = homfly_columns(ColoredBraid(TREFOIL.mirror(), (a,)))
+    v = homfly_columns(TREFOIL, (a,))
+    w = homfly_columns(TREFOIL.mirror(), (a,))
     assert w == v.q_inv().x_inv()
 
 
 def test_mirror_duality_specialized():
     for a in (1, 2):
-        v = homfly_columns(ColoredBraid(TREFOIL, (a,)))
-        w = homfly_columns(ColoredBraid(TREFOIL.mirror(), (a,)))
+        v = homfly_columns(TREFOIL, (a,))
+        w = homfly_columns(TREFOIL.mirror(), (a,))
         for n in (2, 3):
             assert w.subst_x_eq_qn(n) == v.subst_x_eq_qn(n).q_inv()
 
@@ -289,12 +293,12 @@ class _Cabled(Exception):
 
 
 def _cable_widths(monkeypatch, braid, colors):
-    # the widths of the first cable that invariant builds; every cable of
-    # one Jacobi-Trudi sum has the same widths, so the sum is cut off there
+    # the widths of the cable that invariant builds, one per Jacobi-Trudi
+    # sum; the sum is cut off there
     from homflypt import invariants
     widths = []
 
-    def recording(braid, w, colors):
+    def recording(braid, w):
         widths.append(w)
         raise _Cabled
     monkeypatch.setattr(invariants, "cable", recording)
@@ -309,6 +313,34 @@ def test_lone_partition_takes_the_narrower_cable(monkeypatch, parts):
     for color in (lam, lam.transpose()):
         width, = _cable_widths(monkeypatch, TREFOIL, (color,))
         assert width == min(parts[0], len(parts))
+
+
+def test_one_cable_and_one_evaluator_per_jacobi_trudi_sum(monkeypatch):
+    # p(2,1) is its own transpose: two columns, so two signed terms, and
+    # every term is a coloring of the same cable
+    from homflypt import invariants
+    calls = {}
+    cable_, evaluator = invariants.cable, invariants.Evaluator
+
+    def counted_cable(*args):
+        calls["cable"] += 1
+        return cable_(*args)
+
+    class CountedEvaluator(evaluator):
+        def __init__(self, *args, **kwargs):
+            calls["Evaluator"] += 1
+            super().__init__(*args, **kwargs)
+
+        def contract(self, *args):
+            calls["contract"] += 1
+            return super().contract(*args)
+    monkeypatch.setattr(invariants, "cable", counted_cable)
+    monkeypatch.setattr(invariants, "Evaluator", CountedEvaluator)
+    p21 = Partition((2, 1))
+    for braid, colors in ((UNKNOT, (p21,)), (HOPF, (p21, _row(1)))):
+        calls.update(cable=0, Evaluator=0, contract=0)
+        invariant(braid, colors)
+        assert calls == {"cable": 1, "Evaluator": 1, "contract": 2}
 
 
 def _column(color):
@@ -393,14 +425,13 @@ def test_writhe_two_unknot_on_three_strands():
     # closure of sigma_1 sigma_2 is the unknot with framing 2; exercises the
     # three-strand cup/cap words and mixed crossing indices
     for a in (1, 2):
-        v = homfly_columns(ColoredBraid(parse_braid("1 2", 3), (a,)))
-        unknot = homfly_columns(ColoredBraid(UNKNOT, (a,)))
+        v = homfly_columns(parse_braid("1 2", 3), (a,))
+        unknot = homfly_columns(UNKNOT, (a,))
         assert v == unknot * _unit_framing(a) * _unit_framing(a)
 
 
 def test_figure_eight_jones_value():
-    fig8 = ColoredBraid(parse_braid("1 -2 1 -2", 3), (1,))
-    got = homfly_columns(fig8).subst_x_eq_qn(2)
+    got = homfly_columns(parse_braid("1 -2 1 -2", 3), (1,)).subst_x_eq_qn(2)
     assert got == RatQ(LaurentQ({5: 1, -5: 1}))
 
 
@@ -497,15 +528,15 @@ def test_generic_values_match_classical_homfly():
     dim = XPoly({1: RatQ.one() / d, -1: -(RatQ.one() / d)})
     z2 = XPoly.from_ratq(d * d)
 
-    fig8 = homfly_columns(ColoredBraid(parse_braid("1 -2 1 -2", 3), (1,)))
+    fig8 = homfly_columns(parse_braid("1 -2 1 -2", 3), (1,))
     assert fig8 == dim * (XPoly.x_power(2) + XPoly.x_power(-2)
                           - XPoly.one() - z2)
 
-    tre0 = adjust_framing(homfly_columns(ColoredBraid(TREFOIL, (1,))), 1, -3)
+    tre0 = adjust_framing(homfly_columns(TREFOIL, (1,)), 1, -3)
     xm2, xm4 = XPoly.x_power(-2), XPoly.x_power(-4)
     assert tre0 == dim * (xm2.scale(RatQ.from_int(2)) - xm4 + xm2 * z2)
 
-    cinq = homfly_columns(ColoredBraid(parse_braid("1 1 1 1 1", 2), (1,)))
+    cinq = homfly_columns(parse_braid("1 1 1 1 1", 2), (1,))
     cinq0 = adjust_framing(cinq, 1, -5)
     a4, a6 = XPoly.x_power(-4), XPoly.x_power(-6)
     assert cinq0 == dim * (a4.scale(RatQ.from_int(3))
@@ -517,8 +548,8 @@ def test_generic_values_match_classical_homfly():
 def test_mirror_duality_two_component_link():
     hopf = parse_braid("1 1", 2)
     for colors in ((1, 1), (1, 2)):
-        v = homfly_columns(ColoredBraid(hopf, colors))
-        w = homfly_columns(ColoredBraid(hopf.mirror(), colors))
+        v = homfly_columns(hopf, colors)
+        w = homfly_columns(hopf.mirror(), colors)
         assert w == v.q_inv().x_inv()
 
 
@@ -537,8 +568,7 @@ def _colored_braids(draw, max_strands=3, max_crossings=4):
         word = tuple(draw(st.lists(_generators(strands), max_size=max_crossings)))
     braid = Braid(strands, word)
     k = closure_info(braid).component_count
-    return ColoredBraid(braid, draw(st.lists(st.integers(0, 2), min_size=k,
-                                             max_size=k)))
+    return braid, tuple(draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)))
 
 
 def _colored(braid, strand_color):
@@ -548,7 +578,7 @@ def _colored(braid, strand_color):
     colors = [0] * (max(comp) + 1)
     for p, c in enumerate(comp):
         colors[c] = strand_color(p)
-    return ColoredBraid(braid, colors)
+    return braid, tuple(colors)
 
 
 @st.composite
@@ -556,15 +586,15 @@ def _conjugations(draw):
     """A colored braid beta, a rotation k and a braid gamma such that
     gamma . rotate_k(beta) . gamma^-1 has at most 4 crossings; rotate_k is
     conjugation by the first k letters of beta."""
-    cb = draw(_colored_braids())
-    strands, word = cb.braid.strands, cb.braid.word
+    braid, colors = draw(_colored_braids())
+    strands, word = braid.strands, braid.word
     k = draw(st.integers(0, len(word)))
     room = (4 - len(word)) // 2 if strands > 1 else 0
     gamma = ()
     if room:
         gamma = tuple(draw(st.lists(_generators(strands), min_size=1,
                                     max_size=room)))
-    return cb, k, gamma
+    return (braid, colors), k, gamma
 
 
 _PROPERTY = settings(max_examples=50, deadline=None)
@@ -574,11 +604,11 @@ _PROPERTY = settings(max_examples=50, deadline=None)
 @given(_conjugations())
 # a Hopf link and an unknot, moved between strands by the rotation, by
 # gamma, and by both (where the order of the two relabelings matters)
-@example((ColoredBraid(parse_braid("2 1 1 -2", 3), (1, 0, 2)), 1, ()))
-@example((ColoredBraid(parse_braid("1 1", 3), (1, 2, 0)), 1, (2,)))
+@example(((parse_braid("2 1 1 -2", 3), (1, 0, 2)), 1, ()))
+@example(((parse_braid("1 1", 3), (1, 2, 0)), 1, (2,)))
 def test_conjugation_invariance(case):
-    cb, k, gamma = case
-    strands, word = cb.braid.strands, cb.braid.word
+    (braid, colors), k, gamma = case
+    strands, word = braid.strands, braid.word
     conj = Braid(strands, gamma + word[k:] + word[:k]
                  + tuple(-g for g in reversed(gamma)))
     # bottom position p of conj is position via_gamma[p] at the bottom of the
@@ -586,9 +616,9 @@ def test_conjugation_invariance(case):
     via_gamma = Braid(strands, gamma).permutation()
     prefix = Braid(strands, word[:k]).permutation()
     to_bottom = {top: p for p, top in enumerate(prefix)}
-    sc = cb.strand_colors
+    sc = _strand_colors(braid, colors)
     other = _colored(conj, lambda p: sc[to_bottom[via_gamma[p]]])
-    assert homfly_columns(other) == homfly_columns(cb)
+    assert homfly_columns(*other) == homfly_columns(braid, colors)
 
 
 @_PROPERTY
@@ -596,25 +626,27 @@ def test_conjugation_invariance(case):
 def test_markov_stabilization_up_to_framing(cb, sign):
     # beta sigma_s^(+-1) on s + 1 strands: the new strand joins the
     # component of strand s, whose framing changes by +-1
-    s = cb.braid.strands
-    sc = cb.strand_colors
-    stab = _colored(Braid(s + 1, cb.braid.word + (sign * s,)),
+    braid, colors = cb
+    s = braid.strands
+    sc = _strand_colors(braid, colors)
+    stab = _colored(Braid(s + 1, braid.word + (sign * s,)),
                     lambda p: sc[min(p, s - 1)])
-    assert homfly_columns(stab) == adjust_framing(homfly_columns(cb),
-                                                  sc[s - 1], sign)
+    assert homfly_columns(*stab) == adjust_framing(homfly_columns(braid, colors),
+                                                   sc[s - 1], sign)
 
 
 @_PROPERTY
 @given(_colored_braids())
 def test_mirror_is_q_and_x_inverted(cb):
-    mirror = ColoredBraid(cb.braid.mirror(), cb.colors)
-    assert homfly_columns(mirror) == homfly_columns(cb).q_inv().x_inv()
+    braid, colors = cb
+    assert homfly_columns(braid.mirror(), colors) \
+        == homfly_columns(braid, colors).q_inv().x_inv()
 
 
 @_PROPERTY
 @given(_colored_braids())
 def test_integral_at_x_equals_q_power(cb):
-    value = homfly_columns(cb)
+    value = homfly_columns(*cb)
     for n in (1, 2, 3):
         assert value.subst_x_eq_qn(n).den.is_one()
 
@@ -622,9 +654,10 @@ def test_integral_at_x_equals_q_power(cb):
 @_PROPERTY
 @given(_colored_braids())
 def test_generic_agrees_with_specialized(cb):
-    sides = 2 * cb.braid.strands
+    braid, colors = cb
+    sides = 2 * braid.strands
     ev, spec = Evaluator(sides), {n: Evaluator(sides, n) for n in (2, 3)}
-    for _, w in enumerate_terms(cb):
+    for _, w in enumerate_terms(braid, _strand_colors(braid, colors)):
         generic = ev.ev(w)
         for n, ev_n in spec.items():
             assert generic.subst_x_eq_qn(n) == ev_n.ev(w)
@@ -633,17 +666,19 @@ def test_generic_agrees_with_specialized(cb):
 @_PROPERTY
 @given(_colored_braids())
 # both crossing signs with unequal colors, on three and on two components
-@example(ColoredBraid(parse_braid("2 -1 -1 2", 3), (2, 1, 0)))
-@example(ColoredBraid(parse_braid("1 -2 -2 1 1", 3), (2, 1)))
+@example((parse_braid("2 -1 -1 2", 3), (2, 1, 0)))
+@example((parse_braid("1 -2 -2 1 1", 3), (2, 1)))
 def test_columns_match_product_oracle(cb):
     # the crossing-by-crossing contraction over the tight box equals the sum
     # of the expanded product words over the wide box, generically and at
     # x = q^2
-    sides = 2 * cb.braid.strands
+    braid, colors = cb
+    sides = 2 * braid.strands
+    sc = _strand_colors(braid, colors)
     ev = Evaluator(sides)
-    value = homfly_columns(cb)
-    assert value == xpoly_sum(ev.ev(w).scale(c) for c, w in enumerate_terms(cb))
-    at_two = Evaluator(sides, 2).contract(build_cap(cb.strand_colors),
-                                          crossing_sums(cb),
-                                          build_cup(cb.strand_colors))
+    value = homfly_columns(braid, colors)
+    assert value == xpoly_sum(ev.ev(w).scale(c)
+                              for c, w in enumerate_terms(braid, sc))
+    at_two = Evaluator(sides, 2).contract(build_cap(sc), crossing_sums(braid, sc),
+                                          build_cup(sc))
     assert at_two == value.subst_x_eq_qn(2)

@@ -10,7 +10,7 @@ computed mod P.  A mismatch is a proven bug; a match is evidence only.
 
 import pytest
 
-from homflypt import (ColoredBraid, Evaluator, build_cap, build_cup, cable,
+from homflypt import (Evaluator, build_cap, build_cup, cable, closure_info,
                       crossing_sums, homfly_columns, parse_braid, qbinom)
 
 P = 2 ** 61 - 1
@@ -92,19 +92,17 @@ CASES = [
     (parse_braid("1 2 1 2 1 2 1 2", 3), (1,)),
     (parse_braid("1 1 1 2 -1 2", 3), (2,)),
     # the two cables that the trefoil colored by p(1,1) evaluates
-    *((cab.braid, cab.colors)
-      for cab in (cable(TREFOIL, (2,), colors) for colors in ((1, 1), (2, 0)))),
+    *((cable(TREFOIL, (2,)).braid, colors) for colors in ((1, 1), (2, 0))),
 ]
 
 
 @pytest.mark.parametrize("braid, colors", CASES,
                          ids=[f"{' '.join(map(str, b.word))}:{c}" for b, c in CASES])
 def test_point_evaluator_matches_generic_value(braid, colors, trefoil_cols):
-    cb = ColoredBraid(braid, colors)
-    sc = cb.strand_colors
+    sc = [colors[c] for c in closure_info(braid).component_of_strand]
     point = PointEvaluator(2 * braid.strands).contract(
-        build_cap(sc), crossing_sums(cb), build_cup(sc))
+        build_cap(sc), crossing_sums(braid, sc), build_cup(sc))
     generic = (trefoil_cols[colors[0]] if braid == TREFOIL
-               else homfly_columns(cb))
+               else homfly_columns(braid, colors))
     assert type(point) is Fp
     assert point.v == xpoly_at(generic)
