@@ -15,16 +15,17 @@ values (``RatQ`` instead of ``XPoly``) and the swap coefficient
 The entry point checks the word once: X^(0) letters are the identity and
 are dropped, and a negative divided power is the zero element, so such a
 word has the empty state without rewriting.  The recursion then sees
-positive powers only, and it creates no others.  It moves the rightmost E
-letter rightward:
+positive powers only, and it creates no others.  Every word it sees is
+settled: its F letters right of the rightmost E are in a normal form
+(``_normal``), where F_i F_j = F_j F_i for |i - j| >= 2 puts them in the
+lexicographically least order and F_i^(a) F_i^(b) = [a+b, a] F_i^(a+b)
+merges what meets.  A word is its merge scalar times its settled form
+(``_settled``).  It moves the rightmost E letter rightward:
 
 1. a word with a suffix whose weight goes negative in one of the last m
    slots is zero (the first m slots carry the symbolic n and are never
    range-checked);
-2. with no E letters left, the word is its own state, kept in a normal
-   form (``_normal``): F_i F_j = F_j F_i for |i - j| >= 2 puts it in the
-   lexicographically least order, and F_i^(a) F_i^(b) = [a+b, a] F_i^(a+b)
-   merges what meets;
+2. with no E letters left, the word is settled, so it is its own state;
 3. E past an F with a different index commutes freely; an E letter that
    reaches the right end annihilates the idempotent;
 4. E_r^(b) F_r^(b') with equal indices swap through a binomial sum over t,
@@ -33,12 +34,23 @@ letter rightward:
    read the weight of the letters right of F_r, which are F letters only,
    since E_r was the rightmost E.
 
+A swap child that keeps its E_r is settled already, since the letters
+right of E_r are a suffix of a settled tail, and a suffix of a normal form
+is one.  Only three words are settled explicitly: a swap child whose E_r
+is used up, the entry word of ``state``, and, in ``contract``, a pick that
+ends in an F followed by a state word.  The memo is keyed on settled words,
+so the words that differ only in the order or the splitting of their F
+tail share one entry; it is a pure accelerator and never changes results.
+A trace (``--trace``, on stderr) logs a rewrite once per settled word, so
+fewer lines than there are words; stdout does not depend on it.
+
 Each swap moves one E letter right of one F letter with the same index and
-creates no new such pair, so the recursion depth is at most I(w) + 1, where
-I(w) counts the pairs (E_i, F_i) with the E left of the F.  The recursion
-limit of the interpreter is left alone; a word too deep for it is refused
-with ``ValueError``.  The memo is keyed on the letter tuple alone; it is a
-pure accelerator and never changes results.
+creates no new such pair, and settling a word only reorders and merges F
+letters that lie right of every E, so it creates none either.  So the
+recursion depth is at most I(w) + 1, where I(w) counts the pairs
+(E_i, F_i) with the E left of the F.  The recursion limit of the
+interpreter is left alone; a word too deep for it is refused with
+``ValueError``.
 
 ``contract`` evaluates a sum of words that factors crossing by crossing:
 it carries the state of the cup up through each crossing's sum of letters
@@ -87,10 +99,14 @@ class Evaluator:
         letters = self._letters(word)
         if letters is None:
             return {}
+        c, letters = _settled(letters)
         try:
-            return self._ev(letters)
+            res = self._ev(letters)
         except RecursionError:
             raise _too_deep(len(letters)) from None
+        if c.is_one():
+            return res
+        return {u: _times(c, v) for u, v in res.items()}
 
     def contract(self, cap: Word, sums: list[list[tuple[Word, RatQ]]],
                  cup: Word) -> XPoly | RatQ:
@@ -106,9 +122,17 @@ class Evaluator:
             for picks in sums:
                 parts: dict[Word, list] = {}
                 for letters, c in picks:
+                    # a state word is in normal form, so letters + w is
+                    # settled unless the pick ends in an F
+                    settle = letters and letters[-1].kind == "F"
                     for w, v in state.items():
-                        cv = _times(c, v)
                         word = letters + w
+                        cv = c
+                        if settle:
+                            s, word = _settled(word)
+                            if not s.is_one():
+                                cv = c * s
+                        cv = _times(cv, v)
                         for u, x in self._ev(word).items():
                             parts.setdefault(u, []).append(cv * x)
                 state = {}
@@ -220,9 +244,8 @@ class Evaluator:
                 l = k
                 break
         if l is None:
-            # F letters only: the word is its own state
-            c, nf = _normal(w)
-            return {nf: _times(c, self.ring.one())}
+            # F letters only: settled, so the word is its own state
+            return {w: self.ring.one()}
         let = w[l]
         # slide right past every F with a different index (free commutation)
         j = l + 1
@@ -245,12 +268,15 @@ class Evaluator:
             c = self._coeff(r, lin, t)
             if c.is_zero():
                 continue
-            mid: list[Letter] = []
-            if bl1 - t:
-                mid.append(Letter("F", r, bl1 - t))
+            mid = (Letter("F", r, bl1 - t),) if bl1 - t else ()
             if bl - t:
-                mid.append(Letter("E", r, bl - t))
-            sub = self._ev(head + tuple(mid) + tail)
+                # the tail right of E_r is a suffix of a settled tail
+                child = head + mid + (Letter("E", r, bl - t),) + tail
+            else:
+                s, child = _settled(head + mid + tail)
+                if not s.is_one():
+                    c = _times(s, c)
+            sub = self._ev(child)
             if self.trace:
                 self.trace(f"swap E{r}^({bl}) F{r}^({bl1}) t={t} lin={lin}: {_dump(w)}")
             for u, v in sub.items():
@@ -294,6 +320,16 @@ def _normal(w: Word) -> tuple[RatQ, Word]:
             k += 1
         out.insert(k, let)
     return c, tuple(out)
+
+
+def _settled(w: Word) -> tuple[RatQ, Word]:
+    """A word as c times the word with its F letters right of the rightmost
+    E in normal form (``_normal``): its settled form, the memo's key."""
+    l = len(w)
+    while l and w[l - 1].kind == "F":
+        l -= 1
+    c, nf = _normal(w[l:])
+    return c, w[:l] + nf
 
 
 def _dump(w: Word) -> str:

@@ -26,6 +26,8 @@ recurrence guessing) to prod Phi^top, top the elementwise maximum of the
 exponent vectors, and cancels once: the terms folded modulo q^k - 1 tell
 which Phi_k divide, however sparse the numerator is, and only those are
 divided out exactly.  That is one cancellation per sum, or per power of x.
+About half of the engine's cancellations repeat an earlier numerator and
+exponent vector, so they are read from a bounded cache (``_cancel_by``).
 The result is canonical as it stands; so are an inverse and a
 q-substitution, after a shift and a sign.  The gcd canonicalization in ``RatQ.__init__``
 stays the reference and is the one path for every other denominator: once
@@ -481,6 +483,11 @@ def laurent_divexact(n: LaurentQ, g: LaurentQ) -> LaurentQ:
 
 _FACTORS: dict[LaurentQ, tuple[tuple[int, int], ...] | None] = {}
 
+# entries of the cyclotomic product and cancellation caches: a whole
+# `columns` pass makes about 740 distinct cancellations, and a full
+# cancellation cache holds about 1 MB on the larger cables
+_CACHE_SIZE = 1024
+
 
 def _cyclo_exponents(den: LaurentQ) -> tuple[tuple[int, int], ...] | None:
     """The exponent vector of a canonical denominator, as ascending (k, e)
@@ -513,36 +520,53 @@ def _cyclo_exponents(den: LaurentQ) -> tuple[tuple[int, int], ...] | None:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _cyclo_product(vec: tuple[tuple[int, int], ...]) -> LaurentQ:
-    """prod Phi_k^e over the (k, e) pairs of vec; registered as factored."""
+    """prod Phi_k^e over the (k, e) pairs of vec."""
     p = _L_ONE
     for k, e in vec:
         phik = LaurentQ._from_dense(0, list(_phi(k)))
         for _ in range(e):
             p = p * phik
-    _FACTORS[p] = vec
     return p
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _cancel_by(p: LaurentQ, vec: tuple[tuple[int, int], ...]
+               ) -> tuple[LaurentQ, tuple[tuple[int, int], ...]]:
+    """(p / prod Phi_k^c_k, the nonzero (k, c_k)), c_k <= e_k as large as
+    divides p, over the (k, e_k) pairs of vec; the quotient is p itself
+    when nothing divides."""
+    div = []
+    for k, e in vec:
+        c = _phi_multiplicity(p.c, k, e)
+        if c:
+            div.append((k, c))
+    if not div:
+        return p, ()
+    div = tuple(div)
+    return laurent_divexact(p, _cyclo_product(div)), div
 
 
 def _cancel(p: LaurentQ, vec: dict[int, int]) -> LaurentQ:
     """Divide p by prod Phi_k^c_k, c_k <= vec[k] as large as divides p, and
-    lower vec[k] by c_k."""
+    lower vec[k] by c_k.  Returns p itself when nothing divides."""
     if len(p.c) < 2 or not vec:
         return p
-    div = []
-    for k, e in vec.items():
-        c = _phi_multiplicity(p.c, k, e)
-        if c:
-            div.append((k, c))
-            vec[k] = e - c
+    q, div = _cancel_by(p, tuple(sorted(vec.items())))
     if not div:
         return p
-    return laurent_divexact(p, _cyclo_den(dict(div)))
+    for k, c in div:
+        vec[k] -= c
+    return q
 
 
 def _cyclo_den(vec: dict[int, int]) -> LaurentQ:
-    return _cyclo_product(tuple(sorted((k, e) for k, e in vec.items() if e)))
+    """The denominator prod Phi_k^vec[k], registered as factored."""
+    key = tuple(sorted((k, e) for k, e in vec.items() if e))
+    p = _cyclo_product(key)
+    _FACTORS[p] = key
+    return p
 
 
 def _cyclo_mul(x: "RatQ", fa, y: "RatQ", fb) -> "RatQ":
@@ -597,8 +621,9 @@ def lift_fractions(terms) -> tuple[list[LaurentQ], LaurentQ,
         else:
             c = lifts.get(vec)
             if c is None:
-                c = lifts[vec] = _cyclo_den({k: e - have.get(k, 0)
-                                             for k, e in top.items()})
+                c = lifts[vec] = _cyclo_product(tuple(
+                    (k, e - have.get(k, 0)) for k, e in sorted(top.items())
+                    if e > have.get(k, 0)))
             num = num * c
         nums.append(num)
     if common is None:

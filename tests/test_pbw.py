@@ -5,8 +5,9 @@ from itertools import combinations
 
 import pytest
 
-from homflypt import (Evaluator, Letter, build_cap, build_cup, qbinom, qint,
-                      xbinom)
+from homflypt import (Evaluator, Letter, Partition, build_cap, build_cup,
+                      invariant, parse_braid, qbinom, qint, xbinom)
+from homflypt import invariants
 from homflypt.pbw import _normal
 from homflypt.rings import RatQ, XPoly
 
@@ -170,29 +171,32 @@ def test_recursion_limit_left_alone():
         sys.setrecursionlimit(old)
 
 
+# (E2 E1)^6 (F1 F2)^6: its F run stays alternating under the normal form,
+# so it rewrites 37 deep; E1^12 F1^12 merges into E1^12 F1^(12)
+DEEP = word(*[("E", 2, 1), ("E", 1, 1)] * 6, *[("F", 1, 1), ("F", 2, 1)] * 6)
+
+
 def test_too_deep_word_is_refused():
-    deep = word(*[("E", 1, 1)] * 12, *[("F", 1, 1)] * 12)
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 60)
     try:
         with pytest.raises(ValueError, match="recursion limit"):
-            Evaluator(2).ev(deep)
+            Evaluator(4).ev(DEEP)
     finally:
         sys.setrecursionlimit(old)
-    assert not Evaluator(2).ev(deep).is_zero()
+    assert not Evaluator(4).ev(DEEP).is_zero()
 
 
 def test_too_deep_contraction_is_refused():
-    deep = tuple(Letter(k, 1, 1) for k in "E" * 12 + "F" * 12)
-    sums = [[(deep, RatQ.one())]]
+    sums = [[(DEEP, RatQ.one())]]
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 60)
     try:
         with pytest.raises(ValueError, match="recursion limit"):
-            Evaluator(2).contract((), sums, ())
+            Evaluator(4).contract((), sums, ())
     finally:
         sys.setrecursionlimit(old)
-    assert Evaluator(2).contract((), sums, ()) == Evaluator(2).ev(deep)
+    assert Evaluator(4).contract((), sums, ()) == Evaluator(4).ev(DEEP)
 
 
 def _split_shuffle(rng, e, letters):
@@ -230,7 +234,9 @@ def test_f_word_normal_form():
         value = e.ev(cap + u)
         assert value == e.ev(cap + nf).scale(c)
         assert e.state(u) in ({}, {nf: XPoly.from_ratq(c)})
-        assert _normal(nf) == (RatQ.one(), nf)
+        # every suffix of a normal form is one
+        for k in range(len(nf)):
+            assert _normal(nf[k:]) == (RatQ.one(), nf[k:])
         nonzero += not value.is_zero()
         w = list(u)
         for _ in range(20):
@@ -241,6 +247,49 @@ def test_f_word_normal_form():
                 w[i], w[i + 1] = w[i + 1], w[i]
         assert _normal(tuple(w)) == (c, nf)
     assert nonzero >= 10
+
+
+def _contracted(monkeypatch, strands, braid, colors):
+    """The evaluators that ``invariant`` builds for a case, memos filled."""
+    made = []
+
+    class Recording(Evaluator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+    monkeypatch.setattr(invariants, "Evaluator", Recording)
+    invariant(parse_braid(braid, strands), colors)
+    return made
+
+
+MEMO_CASES = {
+    "fig8-e2": (3, "1 -2 1 -2", [2]),
+    "trefoil-p21": (2, "1 1 1", [Partition((2, 1))]),
+    "hopf-p32-h1": (2, "1 1", [Partition((3, 2)), Partition((1,))]),
+    "t34-e1": (3, "1 2 1 2 1 2 1 2", [1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEMO_CASES))
+def test_memo_keys_are_settled(monkeypatch, case):
+    # every stored word has its F letters right of the rightmost E in
+    # normal form, so words equal up to that form share one entry
+    keys = [w for e in _contracted(monkeypatch, *MEMO_CASES[case])
+            for w in e._memo]
+    assert keys
+    for w in keys:
+        l = max((k for k, let in enumerate(w) if let.kind == "E"), default=-1)
+        tail = w[l + 1:]
+        assert _normal(tail) == (RatQ.one(), tail)
+
+
+@pytest.mark.parametrize("case, most", [("fig8-e2", 1130),
+                                        ("trefoil-p21", 10490)])
+def test_memo_size(monkeypatch, case, most):
+    # words stored once per settled form: 1 888 and 30 996 entries when
+    # keyed on the raw letters
+    made = _contracted(monkeypatch, *MEMO_CASES[case])
+    assert sum(len(e._memo) for e in made) <= most
 
 
 def test_index_validation():

@@ -7,9 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 from homflypt import (LaurentQ, RatQ, XPoly, laurent_gcd, qint, xpoly_divexact,
                       xpoly_gcd)
 from homflypt import rings
-from homflypt.rings import (_FACTORS, _KRONECKER_MIN_TERMS, _cyclo_exponents,
+from homflypt.rings import (_FACTORS, _KRONECKER_MIN_TERMS, _cancel,
+                            _cancel_by, _cyclo_exponents, _cyclo_product,
                             _kronecker_mul, _list_content, _list_gcd, _phi,
-                            _phi_multiplicity, laurent_divexact, xpoly_sum)
+                            _phi_multiplicity, laurent_divexact,
+                            lift_fractions, xpoly_sum)
 
 ONE = XPoly.one()
 ZERO = XPoly.zero()
@@ -393,6 +395,42 @@ def test_phi_multiplicity_of_sparse_laurent_maps():
     # Phi_k | 1 + q^(10^6) exactly when 2^7 | k and k | 2 * 10^6
     assert [_phi_multiplicity(tail.c, k, 3) for k in (64, 128, 640)] == [0, 1, 1]
     assert _phi_multiplicity(LaurentQ({-2: 5}).c, 1, 3) == 0
+
+
+def test_cancel_memo_hit_matches_a_fresh_call():
+    # (q - 1)^2 Phi_3 (q^2 + 3) over Phi_1 Phi_2 Phi_3^2: Phi_1 and Phi_3
+    # cancel once each
+    phi1, phi3 = _poly(_phi(1)), _poly(_phi(3))
+    rest = _poly([3, 0, 1])
+    vec = {3: 2, 1: 1, 2: 1}
+    _cancel_by.cache_clear()
+    fresh = dict(vec)
+    q = _cancel(phi1 * phi1 * phi3 * rest, fresh)
+    assert _cancel_by.cache_info().hits == 0
+    hit = dict(vec)
+    assert _cancel(phi1 * phi1 * phi3 * rest, hit) == q == phi1 * rest
+    assert _cancel_by.cache_info().hits == 1
+    assert hit == fresh == {3: 1, 1: 0, 2: 1}
+    # a numerator that nothing divides comes back as the caller's object
+    for _ in range(2):
+        p = phi3 * rest
+        assert _cancel(p, {2: 1}) is p
+    for cache in (_cancel_by, _cyclo_product):
+        assert 0 < cache.cache_info().maxsize < 10 ** 5
+
+
+def test_lift_cofactor_is_not_registered():
+    # the cofactor Phi_7 Phi_9 only multiplies a numerator; it is not a
+    # denominator, so it is kept out of the factored denominators
+    den = _poly(_phi(1))
+    top = den * _poly(_phi(7)) * _poly(_phi(9))
+    cofactor = _poly(_phi(7)) * _poly(_phi(9))
+    _FACTORS.pop(cofactor, None)
+    nums, common, _ = lift_fractions([(LaurentQ.one(), den),
+                                      (LaurentQ.one(), top)])
+    assert nums == [cofactor, LaurentQ.one()] and common == top
+    assert cofactor not in _FACTORS
+    assert _FACTORS[top] == ((1, 1), (7, 1), (9, 1))
 
 
 def test_laurent_divexact():
