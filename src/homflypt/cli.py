@@ -11,10 +11,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .braid import BraidError, closure_info, is_int_token, parse_braid
+from .braid import closure_info, is_int_token, parse_braid
 from .invariants import (Partition, invariant, torus_reference,
                          trefoil_reference)
-from .recurrence import OperatorError, guess, parse_operator, require_window
+from .recurrence import guess, parse_operator, require_window
 from .rings import XPoly
 
 
@@ -69,7 +69,7 @@ def _emit(value, meta: dict, args) -> None:
     if args.format == "json":
         import json  # only JSON output pays for the import
         body = value.json_obj()
-        print(json.dumps({"value": body, "meta": meta}, separators=(", ", ": ")))
+        print(json.dumps({"value": body, "meta": meta}))
     else:
         print(value.text())
 
@@ -214,7 +214,7 @@ def main(argv=None) -> int:
         if args.cmd == "oracle":
             return _cmd_oracle(args)
         return _cmd_recur(args)
-    except (UsageError, BraidError, OperatorError, ValueError) as e:
+    except (UsageError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -12,10 +12,13 @@ consistency oracle, fixes x = q^n per evaluator, and with it the ring of
 values (``RatQ`` instead of ``XPoly``) and the swap coefficient
 (``_coeff``: the x-shifted binomial becomes qbinom(n + lin, t)).
 
-The entry point checks the word once: X^(0) letters are the identity and
-are dropped, and a negative divided power is the zero element, so such a
-word has the empty state without rewriting.  The recursion then sees
-positive powers only, and it creates no others.  Every word it sees is
+Every word enters through one fold (``_fold``): the unit state takes sums
+of (letters, scalar) picks in turn, ``state`` its word as one pick and
+``contract`` the cup, the crossing sums and the cap.  Each pick is checked
+once: X^(0) letters are the identity and are dropped, and a negative
+divided power is the zero element, so such a pick is dropped without
+rewriting.  The recursion then sees positive powers only, and it creates
+no others.  Every word it sees is
 settled: its F letters right of the rightmost E are in a normal form
 (``_normal``), where F_i F_j = F_j F_i for |i - j| >= 2 puts them in the
 lexicographically least order and F_i^(a) F_i^(b) = [a+b, a] F_i^(a+b)
@@ -36,9 +39,10 @@ merges what meets.  A word is its merge scalar times its settled form
 
 A swap child that keeps its E_r is settled already, since the letters
 right of E_r are a suffix of a settled tail, and a suffix of a normal form
-is one.  Only three words are settled explicitly: a swap child whose E_r
-is used up, the entry word of ``state``, and, in ``contract``, a pick that
-ends in an F followed by a state word.  The memo is keyed on settled words,
+is one; a state word is in normal form, so a pick followed by one is
+settled unless the pick ends in an F.  Only two kinds of word are settled
+explicitly: a swap child whose E_r is used up, and a pick that ends in an F
+followed by a state word.  The memo is keyed on settled words,
 so the words that differ only in the order or the splitting of their F
 tail share one entry; it is a pure accelerator and never changes results.
 A trace (``--trace``, on stderr) logs a rewrite once per settled word, so
@@ -53,9 +57,8 @@ interpreter is left alone; a word too deep for it is refused with
 ``ValueError``.
 
 ``contract`` evaluates a sum of words that factors crossing by crossing:
-it carries the state of the cup up through each crossing's sum of letters
-and pairs the final state with the cap, instead of rewriting every product
-word from scratch.
+the state of the cup is carried through each crossing's sum and the cap,
+instead of rewriting every product word from scratch.
 """
 
 from __future__ import annotations
@@ -95,33 +98,32 @@ class Evaluator:
     def state(self, word: Iterable[Letter]) -> State:
         """The word applied to the highest-weight idempotent, as F-only
         words in normal form with their nonzero coefficients.  The returned
-        dict may be shared with the memo; do not change it."""
-        letters = self._letters(word)
-        if letters is None:
-            return {}
-        c, letters = _settled(letters)
-        try:
-            res = self._ev(letters)
-        except RecursionError:
-            raise _too_deep(len(letters)) from None
-        if c.is_one():
-            return res
-        return {u: _times(c, v) for u, v in res.items()}
+        dict is a new one that belongs to the caller."""
+        return self._fold([[(word, RatQ.one())]])
 
     def contract(self, cap: Word, sums: list[list[tuple[Word, RatQ]]],
                  cup: Word) -> XPoly | RatQ:
         """The sum, over one (letters, scalar) pick from each entry of
         ``sums``, of the product of the scalars times
         ev(cap + picks + cup), with the picks of later entries further left.
-        The state of the cup takes each entry in turn: the entry's sum is
-        applied to every state word, and equal words are merged.  The final
-        state is paired with the cap through ``ev``.  Each state word is
-        rewritten once per pick, not once per product word."""
-        state = self.state(cup)
+        The cup, each entry and the cap act in turn on one state, so each
+        state word is rewritten once per pick, not once per product word;
+        every pick is checked as ``ev`` checks a word."""
+        one = RatQ.one()
+        return self._fold([[(cup, one)], *sums, [(cap, one)]]).get(
+            (), self.ring.zero())
+
+    def _fold(self, sums) -> State:
+        """The unit state taken through each sum of (letters, scalar) picks
+        in turn, equal words merged; a pick with a negative power is zero."""
+        state, word = self._unit, ()
         try:
             for picks in sums:
                 parts: dict[Word, list] = {}
                 for letters, c in picks:
+                    letters = self._letters(letters)
+                    if letters is None:
+                        continue
                     # a state word is in normal form, so letters + w is
                     # settled unless the pick ends in an F
                     settle = letters and letters[-1].kind == "F"
@@ -141,8 +143,9 @@ class Evaluator:
                     if not total.is_zero():
                         state[u] = total
         except RecursionError:
-            raise _too_deep(len(word)) from None
-        return self._sum(v * self.ev(cap + w) for w, v in state.items())
+            raise ValueError(f"a word of {len(word)} letters rewrites too deep "
+                             "for the interpreter's recursion limit") from None
+        return state
 
     # -- helpers
 
@@ -285,11 +288,6 @@ class Evaluator:
                     v = res[u] + v
                 res[u] = v
         return {u: v for u, v in res.items() if not v.is_zero()}
-
-
-def _too_deep(size: int) -> ValueError:
-    return ValueError(f"a word of {size} letters rewrites too deep for the "
-                      "interpreter's recursion limit")
 
 
 def _times(c, v):

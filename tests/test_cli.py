@@ -441,6 +441,14 @@ def test_recur_guess_window_too_small(capsys):
     assert rc == 2
 
 
+def test_recur_guess_no_operator(capsys):
+    # no operator of order 1 and M-degree 0 annihilates the unknot
+    rc, out, err = run(capsys, "recur", "guess", "--strands", "1", "--braid", "",
+                       "--family", "e", "--m-range", "0:4", "--max-order", "1",
+                       "--max-m-degree", "0")
+    assert (rc, out, err) == (1, "no operator found within the given bounds\n", "")
+
+
 # integers on the command line are ASCII digits with an optional minus sign;
 # int() alone also reads '+', '_', spaces and non-ASCII digits
 

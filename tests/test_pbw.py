@@ -6,7 +6,8 @@ from itertools import combinations
 import pytest
 
 from homflypt import (Evaluator, Letter, Partition, build_cap, build_cup,
-                      invariant, parse_braid, qbinom, qint, xbinom)
+                      crossing_sums, invariant, parse_braid, qbinom, qint,
+                      xbinom)
 from homflypt import invariants
 from homflypt.pbw import _normal
 from homflypt.rings import RatQ, XPoly
@@ -302,6 +303,35 @@ def test_index_validation():
                     for entry in (e.ev, e.state):
                         with pytest.raises(ValueError, match="index"):
                             entry(w)
+
+
+@pytest.mark.parametrize("bad", [Letter("E", -2, 1), Letter("E", 0, 1),
+                                 Letter("F", 7, 1)])
+def test_contract_checks_every_pick(bad):
+    # a crossing pick is checked as ev checks a word
+    with pytest.raises(ValueError, match=r"outside \[1, 3\]"):
+        Evaluator(4).contract((), [[((bad,), RatQ.one())]], ())
+
+
+def test_negative_pick_is_dropped():
+    # a pick with a negative power is zero, whichever crossing it joins
+    colors = (1, 1)
+    cap, cup = build_cap(colors), build_cup(colors)
+    sums = crossing_sums(parse_braid("1 1 1", 2), colors)
+    extra = [picks + [(word(("F", 3, -1)), RatQ.one())] for picks in sums]
+    value = Evaluator(4).contract(cap, sums, cup)
+    assert not value.is_zero()
+    assert Evaluator(4).contract(cap, extra, cup) == value
+
+
+def test_state_belongs_to_the_caller():
+    e = Evaluator(4)
+    w = word(("E", 2, 1)) + build_cup((1, 1))
+    first = e.state(w)
+    kept = dict(first)
+    assert kept
+    first.clear()
+    assert e.state(w) == kept
 
 
 def test_kind_validation():
