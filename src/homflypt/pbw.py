@@ -14,11 +14,12 @@ values (``RatQ`` instead of ``XPoly``) and the swap coefficient
 
 Every word enters through one fold (``_fold``): the unit state takes sums
 of (letters, scalar) picks in turn, ``state`` its word as one pick and
-``contract`` the cup, the crossing sums and the cap.  Each pick is checked
-once: X^(0) letters are the identity and are dropped, and a negative
-divided power is the zero element, so such a pick is dropped without
-rewriting.  The recursion then sees positive powers only, and it creates
-no others.  Every word it sees is
+``contract`` the cup, the crossing sums and the cap.  Every state, whether
+of a swap, a pick sum, the cup or the cap, is merged by ``_merge``, where a
+word with one term keeps it.  Each pick is checked once: X^(0) letters are
+the identity and are dropped, and a negative divided power is the zero
+element, so such a pick is dropped without rewriting.  The recursion then
+sees positive powers only, and it creates no others.  Every word it sees is
 settled: its F letters right of the rightmost E are in a normal form
 (``_normal``), where F_i F_j = F_j F_i for |i - j| >= 2 puts them in the
 lexicographically least order and F_i^(a) F_i^(b) = [a+b, a] F_i^(a+b)
@@ -51,10 +52,9 @@ fewer lines than there are words; stdout does not depend on it.
 Each swap moves one E letter right of one F letter with the same index and
 creates no new such pair, and settling a word only reorders and merges F
 letters that lie right of every E, so it creates none either.  So the
-recursion depth is at most I(w) + 1, where I(w) counts the pairs
-(E_i, F_i) with the E left of the F.  The recursion limit of the
-interpreter is left alone; a word too deep for it is refused with
-``ValueError``.
+recursion depth is at most I(w) + 1, where I(w) counts the pairs (E_i, F_i)
+with the E left of the F.  The recursion limit of the interpreter is left
+alone; a word too deep for it is refused with ``ValueError``.
 
 ``contract`` evaluates a sum of words that factors crossing by crossing:
 the state of the cup is carried through each crossing's sum and the cap,
@@ -137,17 +137,22 @@ class Evaluator:
                         cv = _times(cv, v)
                         for u, x in self._ev(word).items():
                             parts.setdefault(u, []).append(cv * x)
-                state = {}
-                for u, vs in parts.items():
-                    total = self._sum(vs)
-                    if not total.is_zero():
-                        state[u] = total
+                state = self._merge(parts)
         except RecursionError:
             raise ValueError(f"a word of {len(word)} letters rewrites too deep "
                              "for the interpreter's recursion limit") from None
         return state
 
     # -- helpers
+
+    def _merge(self, parts: dict[Word, list]) -> State:
+        """Each word's terms summed once into a state; a lone term is kept."""
+        state = {}
+        for u, vs in parts.items():
+            total = vs[0] if len(vs) == 1 else self._sum(vs)
+            if not total.is_zero():
+                state[u] = total
+        return state
 
     def _sum(self, values):
         # generic values cancel once per power of x
@@ -266,7 +271,7 @@ class Evaluator:
         tail = w[j + 1:]
         lin = self._lin_form(tail, r, bl, bl1)
         head = w[:l] + w[l + 1:j]
-        res: State = {}
+        parts: dict[Word, list] = {}
         for t in range(0, min(bl, bl1) + 1):
             c = self._coeff(r, lin, t)
             if c.is_zero():
@@ -283,11 +288,8 @@ class Evaluator:
             if self.trace:
                 self.trace(f"swap E{r}^({bl}) F{r}^({bl1}) t={t} lin={lin}: {_dump(w)}")
             for u, v in sub.items():
-                v = _times(c, v)
-                if u in res:
-                    v = res[u] + v
-                res[u] = v
-        return {u: v for u, v in res.items() if not v.is_zero()}
+                parts.setdefault(u, []).append(_times(c, v))
+        return self._merge(parts)
 
 
 def _times(c, v):

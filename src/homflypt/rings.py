@@ -18,10 +18,10 @@ denominator the engine produces is a product prod Phi_k^e_k, and such
 fractions are multiplied and added without a gcd.  A product cancels each
 numerator against the other side's Phi_k.  Every sum goes through one
 kernel, ``_ratq_sum``: the binary ``RatQ +`` (and ``-``), the n-ary
-``xpoly_sum`` (the state sums of ``Evaluator.contract`` and the Jacobi-Trudi
-sum of ``homfly_partition``, which add the numerators that share a denominator
-first) and the substitution x = q^n.  It lifts the numerators once
-(``lift_fractions``, which also clears the denominators of a vector in
+``xpoly_sum`` (the swap and pick sums of ``Evaluator``, and the Jacobi-Trudi
+sum of ``homfly_partition``, which add the numerators that share a
+denominator first) and the substitution x = q^n.  It lifts the numerators
+once (``lift_fractions``, which also clears the denominators of a vector in
 recurrence guessing) to prod Phi^top, top the elementwise maximum of the
 exponent vectors, and cancels once: the terms folded modulo q^k - 1 tell
 which Phi_k divide, however sparse the numerator is, and only those are

@@ -449,6 +449,33 @@ def test_recur_guess_no_operator(capsys):
     assert (rc, out, err) == (1, "no operator found within the given bounds\n", "")
 
 
+_VERIFY = ("recur", "verify", "--strands", "1", "--braid", "")
+_OPERATOR = _VERIFY + ("--family", "e", "--m-range", "0:0", "--operator-text")
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("eval", "--strands", "1", "--braid", "", "--colors", "x1"),
+     "bad color token 'x1' (want e<k>, h<k> or p<parts>)"),
+    (("oracle", "trefoil"), "oracle trefoil needs --a <nonnegative int>"),
+    (("oracle", "trefoil", "--a", "-1"),
+     "oracle trefoil needs --a <nonnegative int>"),
+    (("oracle", "torus", "--m", "1"),
+     "oracle torus needs --s <positive int> and --m <nonnegative int>"),
+    (("oracle", "torus", "--s", "0", "--m", "1"),
+     "oracle torus needs --s <positive int> and --m <nonnegative int>"),
+    (_VERIFY + ("--m-range", "0:1"),
+     "recur verify needs --operator FILE or --operator-text STR"),
+    (_OPERATOR + ("L)",), "trailing input at token ')'"),
+    (_OPERATOR + ("(L",), "unexpected end of expression"),
+    (_OPERATOR + ("(L L",), "unbalanced parenthesis"),
+    (_OPERATOR + ("q^x",), "exponent expected, got 'x'"),
+    (_OPERATOR + ("(L+1)^-1",), "cannot invert this element"),
+    (_OPERATOR + ("M+*L",), "unexpected token '*'"),
+])
+def test_cli_refusals(capsys, argv, line):
+    assert run(capsys, *argv) == (2, "", f"error: {line}\n")
+
+
 # integers on the command line are ASCII digits with an optional minus sign;
 # int() alone also reads '+', '_', spaces and non-ASCII digits
 

@@ -349,3 +349,24 @@ def test_trace_emits_rewrite_steps():
     e = Evaluator(2, trace=lines.append)
     e.ev(word(("E", 1, 1), ("F", 1, 1)))
     assert any("swap" in ln for ln in lines)
+
+
+FIG8_E2_WORD = word(("E", 3, 2), ("E", 2, 2), ("E", 4, 2), ("E", 1, 2),
+                    ("E", 5, 2), ("E", 3, 2), ("E", 2, 2), ("F", 2, 2),
+                    ("F", 1, 2), ("E", 4, 1), ("F", 5, 2), ("F", 4, 2),
+                    ("F", 3, 2), ("F", 2, 2), ("F", 4, 1), ("F", 3, 2))
+
+
+def test_swap_terms_merge_through_one_sum():
+    # a figure-eight e2 word whose swaps send two terms to the empty word:
+    # they are summed once, and every word with one term keeps it unsummed
+    sizes = []
+
+    class Counted(Evaluator):
+        def _sum(self, values):
+            sizes.append(len(values))
+            return super()._sum(values)
+    value = Counted(6).ev(FIG8_E2_WORD)
+    assert sizes == [2]
+    for n in (2, 3, 4, -2):
+        assert Evaluator(6, n).ev(FIG8_E2_WORD) == value.subst_x_eq_qn(n)
