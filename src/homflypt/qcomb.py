@@ -2,14 +2,15 @@
 
 These are the scalar factors of every formula in the engine, so all four
 families are memoized by argument tuple; the contract is only that repeated
-calls return structurally identical values.
+calls return structurally identical values.  The x-shifted binomial is
+built from its closed form, with no product and no cancellation.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .rings import LaurentQ, RatQ, XPoly
+from .rings import LaurentQ, RatQ, XPoly, cyclotomic_fraction
 
 
 @lru_cache(maxsize=None)
@@ -51,16 +52,23 @@ def qbinom(r: int, s: int) -> RatQ:
 def xbinom(s: int, l: int) -> XPoly:
     """The x-shifted binomial: 0 for l < 0, otherwise
 
-        prod_{j=1}^{l} (x q^{s-j+1} - x^{-1} q^{-s+j-1}) / (q^j - q^{-j}).
+        prod_{j=1}^{l} (x q^{s-j+1} - x^{-1} q^{-s+j-1}) / (q^j - q^{-j}),
 
-    Its specialization at x = q^n is qbinom(n + s, l) for every integer n.
-    """
+    whose specialization at x = q^n is qbinom(n + s, l) for every integer n.
+    Its coefficient of x^(l-2k) is the closed form
+
+        (-1)^k q^(l + k(k-1) + (l-2k)s) / (P_k P_{l-k}),
+        P_k = prod_{j=1}^{k} (q^(2j) - 1),
+
+    a monomial over a monic denominator with constant term (-1)^l, so
+    canonical as it stands.  As q^(2j) - 1 = prod_{d | 2j} Phi_d, Phi_d
+    divides P_k floor(k/d) times for odd d and floor(2k/d) for even d."""
     if l < 0:
         return XPoly.zero()
-    out = XPoly.one()
-    for j in range(1, l + 1):
-        d = RatQ(LaurentQ({j: 1, -j: -1}))
-        factor = XPoly({1: RatQ.q_power(s - j + 1) / d,
-                        -1: -(RatQ.q_power(-s + j - 1) / d)})
-        out = out * factor
-    return out
+    out = {}
+    for k in range(l + 1):
+        out[l - 2 * k] = cyclotomic_fraction(
+            LaurentQ.mono(-1 if k % 2 else 1, l + k * (k - 1) + (l - 2 * k) * s),
+            ((d, (2 - d % 2) * k // d + (2 - d % 2) * (l - k) // d)
+             for d in range(1, 2 * max(k, l - k) + 1)))
+    return XPoly(out)

@@ -330,8 +330,7 @@ def _vector_normalize(vec: list[XPoly]) -> list[XPoly]:
     smallest q-span and is lowered by ``laurent_gcd`` only at a coefficient
     it does not divide exactly (for a normalized g, g | s exactly when
     gcd(g, s) = g); every coefficient is then divided by it exactly."""
-    nums, _, _ = lift_fractions([(r.num, r.den)
-                                 for p in vec for r in p.c.values()])
+    nums, _, _ = lift_fractions([(r.num, r) for p in vec for r in p.c.values()])
     if nums:
         g = laurent_gcd(min(nums, key=lambda n: n.max_exp - n.min_exp),
                         LaurentQ.zero())

@@ -14,31 +14,31 @@ Three layers, all immutable and exact (no floating point anywhere):
 The only non-integral scalar of the engine is the x-shifted binomial, whose
 denominator prod_{j<=l} (q^j - q^-j) is, up to a power of q, a product of
 factors q^(2j) - 1, hence of cyclotomic polynomials Phi_k.  So every
-denominator the engine produces is a product prod Phi_k^e_k, and such
-fractions are multiplied and added without a gcd.  A product cancels each
-numerator against the other side's Phi_k.  Every sum goes through one
-kernel, ``_ratq_sum``: the binary ``RatQ +`` (and ``-``), the n-ary
-``xpoly_sum`` (the swap and pick sums of ``Evaluator``, and the Jacobi-Trudi
-sum of ``homfly_partition``, which add the numerators that share a
-denominator first) and the substitution x = q^n.  It lifts the numerators
-once (``lift_fractions``, which also clears the denominators of a vector in
+denominator the engine produces is a product prod Phi_k^e_k, and each
+``RatQ`` carries its exponent vector, built with the value: there is no
+registry of denominators.  Such fractions are multiplied and added without
+a gcd.  A product cancels each numerator against the other side's Phi_k.
+Every sum goes through one kernel, ``_ratq_sum``: the binary ``RatQ +``
+(and ``-``), the n-ary ``xpoly_sum`` (the sums of ``Evaluator`` and of
+``homfly_partition``, which add the numerators that share a denominator
+first) and the substitution x = q^n.  It lifts the numerators once
+(``lift_fractions``, which also clears the denominators of a vector in
 recurrence guessing) to prod Phi^top, top the elementwise maximum of the
-exponent vectors, and cancels once: the terms folded modulo q^k - 1 tell
-which Phi_k divide, however sparse the numerator is, and only those are
-divided out exactly.  That is one cancellation per sum, or per power of x.
-About half of the engine's cancellations repeat an earlier numerator and
-exponent vector, so they are read from a bounded cache (``_cancel_by``).
-The result is canonical as it stands; so are an inverse and a
-q-substitution, after a shift and a sign.  The gcd canonicalization in ``RatQ.__init__``
-stays the reference and is the one path for every other denominator: once
-per product, and once for a whole sum.  The polynomial gcd is left to three
-users: parsed operators (division by a q-scalar), ``xpoly_gcd``, and the
-content of a vector in recurrence guessing (``laurent_gcd``, taken over
-Z[q^{±1}]), which needs it only at a coefficient that the content so far
-does not divide exactly.  Large ``LaurentQ`` products go through one big-int
-multiply (Kronecker substitution), unless the operands are so sparse that
-the packed slots would outnumber half the term pairs.  A large ``XPoly``
-product over Z[q^{±1}] is one such ``LaurentQ`` product, at x = q^s.
+vectors, and cancels once: the terms folded modulo q^k - 1 tell which
+Phi_k divide, however sparse the numerator is, and only those are divided
+out exactly.  About half of the cancellations repeat an earlier numerator
+and vector, so they are read from a bounded cache (``_cancel_by``).  The
+result is canonical as it stands; so are an inverse and a q-substitution,
+after a shift and a sign.  The gcd canonicalization in ``RatQ.__init__``
+stays the reference and is the one path for every other denominator, whose
+vector is searched once, when it is first needed.  The polynomial gcd is
+left to three users: parsed operators (division by a q-scalar),
+``xpoly_gcd``, and the content of a vector in recurrence guessing
+(``laurent_gcd``, over Z[q^{±1}]), which needs it only at a coefficient that
+the content so far does not divide exactly.  Large ``LaurentQ`` products go
+through one big-int multiply (Kronecker substitution), unless the operands
+are so sparse that the packed slots would outnumber half the term pairs.  A
+large ``XPoly`` product over Z[q^{±1}] is one such product, at x^g = q^s.
 """
 
 from __future__ import annotations
@@ -295,12 +295,13 @@ def _laurent(c: dict[int, int]) -> "LaurentQ":
     return r
 
 
-def _ratq(num: "LaurentQ", den: "LaurentQ") -> "RatQ":
+def _ratq(num: "LaurentQ", den: "LaurentQ", vec) -> "RatQ":
     # num over a denominator it is coprime to, in the form RatQ.__init__
-    # gives: canonical as it is
+    # gives: canonical as it is; vec as RatQ._vec
     r = RatQ.__new__(RatQ)
     r.num = num
     r.den = den
+    r._vec = vec
     return r
 
 
@@ -481,24 +482,23 @@ def laurent_divexact(n: LaurentQ, g: LaurentQ) -> LaurentQ:
 
 # -- cyclotomic denominators
 
-_FACTORS: dict[LaurentQ, tuple[tuple[int, int], ...] | None] = {}
-
 # entries of the cyclotomic product and cancellation caches: a whole
 # `columns` pass makes about 740 distinct cancellations, and a full
 # cancellation cache holds about 1 MB on the larger cables
 _CACHE_SIZE = 1024
 
+_CHAIN = 16  # _cyclo_product's depth bound; 64 raised the RSS of `columns`
+_UNKNOWN = ...  # RatQ._vec not yet searched; a singleton, kept by pickle and copy
+
 
 def _cyclo_exponents(den: LaurentQ) -> tuple[tuple[int, int], ...] | None:
     """The exponent vector of a canonical denominator, as ascending (k, e)
     pairs with den = prod Phi_k^e, or None if den is not such a product.
+    Only a denominator of unknown origin is searched (``RatQ.den_vector``).
 
     A product of Phi_k is monic with constant term (-1)^e_1 and coefficients
     palindromic up to that sign; a denominator failing these checks is
-    rejected without a search and is not cached."""
-    hit = _FACTORS.get(den, _FACTORS)
-    if hit is not _FACTORS:
-        return hit
+    rejected without a search."""
     c = den.c
     d = max(c)
     sign = c.get(0)
@@ -515,16 +515,23 @@ def _cyclo_exponents(den: LaurentQ) -> tuple[tuple[int, int], ...] | None:
             vec.append((k, e))
             deg += e * phik
     # den is monic and divisible by the monic prod Phi_k^e of degree deg
-    out = tuple(vec) if deg == d else None
-    _FACTORS[den] = out
-    return out
+    return tuple(vec) if deg == d else None
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _cyclo_product(vec: tuple[tuple[int, int], ...]) -> LaurentQ:
-    """prod Phi_k^e over the (k, e) pairs of vec."""
-    p = _L_ONE
-    for k, e in vec:
+    """prod Phi_k^e over the (k, e) pairs of vec: Phi_k times the cached
+    product with the last e lowered by one, or, for exponents summing to
+    more than _CHAIN, multiplied out, so the recursion is _CHAIN deep."""
+    if not vec:
+        return _L_ONE
+    *rest, (k, e) = vec
+    if e > 1:
+        rest.append((k, e - 1))
+    p, factors = _L_ONE, vec
+    if sum(f for _, f in vec) <= _CHAIN:
+        p, factors = _cyclo_product(tuple(rest)), ((k, 1),)
+    for k, e in factors:
         phik = LaurentQ._from_dense(0, list(_phi(k)))
         for _ in range(e):
             p = p * phik
@@ -561,12 +568,12 @@ def _cancel(p: LaurentQ, vec: dict[int, int]) -> LaurentQ:
     return q
 
 
-def _cyclo_den(vec: dict[int, int]) -> LaurentQ:
-    """The denominator prod Phi_k^vec[k], registered as factored."""
-    key = tuple(sorted((k, e) for k, e in vec.items() if e))
-    p = _cyclo_product(key)
-    _FACTORS[p] = key
-    return p
+def cyclotomic_fraction(num: LaurentQ, pairs) -> "RatQ":
+    """num / prod Phi_k^e over the (k, e) pairs with e > 0, for a nonzero
+    num coprime to each such Phi_k: canonical as it is, and carrying its
+    exponent vector."""
+    vec = tuple(sorted((k, e) for k, e in pairs if e))
+    return _ratq(num, _cyclo_product(vec), vec)
 
 
 def _cyclo_mul(x: "RatQ", fa, y: "RatQ", fb) -> "RatQ":
@@ -575,31 +582,25 @@ def _cyclo_mul(x: "RatQ", fa, y: "RatQ", fb) -> "RatQ":
     ra, rb = dict(fb), dict(fa)
     a, b = _cancel(x.num, ra), _cancel(y.num, rb)
     if not fa and a is x.num:
-        den = y.den
-    elif not fb and b is y.num:
-        den = x.den
-    else:
-        for k, e in rb.items():
-            ra[k] = ra.get(k, 0) + e
-        den = _cyclo_den(ra)
-    return _ratq(a * b, den)
-
-
-def _accumulate(into: dict[int, int], c: dict[int, int]) -> None:
-    for e, v in c.items():
-        into[e] = into.get(e, 0) + v
+        return _ratq(a * b, y.den, fb)
+    if not fb and b is y.num:
+        return _ratq(a * b, x.den, fa)
+    for k, e in rb.items():
+        ra[k] = ra.get(k, 0) + e
+    return cyclotomic_fraction(a * b, ra.items())
 
 
 def lift_fractions(terms) -> tuple[list[LaurentQ], LaurentQ,
-                                   dict[int, int] | None]:
-    """(num, den) pairs, each den canonical, lifted to one common
-    denominator, as (nums, common, top) with nums[i] = num_i common / den_i.
+                                   tuple[tuple[int, int], ...] | None]:
+    """(num, r) pairs, num over the denominator of the ``RatQ`` r, lifted to
+    one common denominator, as (nums, common, top) with nums[i] = num_i
+    common / r_i.den; each r's vector is read here (``RatQ.den_vector``).
     Products of Phi_k are lifted to their lcm prod Phi^top, top the
-    elementwise max of their exponent vectors: a den at top is the common
-    one, and each other distinct den gets its cofactor once.  With any
-    other denominator the common one is the product of the distinct dens,
-    and top is None."""
-    terms = [(num, den, _cyclo_exponents(den)) for num, den in terms]
+    elementwise max of their exponent vectors and the vector of common: a
+    den at top is the common one, and each other distinct den gets its
+    cofactor once.  With any other denominator the common one is the
+    product of the distinct dens, and top is None."""
+    terms = [(num, r.den, r.den_vector()) for num, r in terms]
     if any(vec is None for _, _, vec in terms):
         lifts = dict.fromkeys(den for _, den, _ in terms)
         common = _L_ONE
@@ -608,34 +609,35 @@ def lift_fractions(terms) -> tuple[list[LaurentQ], LaurentQ,
         for den in lifts:
             lifts[den] = laurent_divexact(common, den)
         return [num * lifts[den] for num, den, _ in terms], common, None
-    top: dict[int, int] = {}
+    most: dict[int, int] = {}
     for _, _, vec in terms:
         for k, e in vec:
-            if e > top.get(k, 0):
-                top[k] = e
+            if e > most.get(k, 0):
+                most[k] = e
+    top = tuple(sorted(most.items()))
     common, lifts, nums = None, {}, []
     for num, den, vec in terms:
-        have = dict(vec)
-        if have == top:
+        if vec == top:
             common = den
         else:
             c = lifts.get(vec)
             if c is None:
+                have = dict(vec)
                 c = lifts[vec] = _cyclo_product(tuple(
-                    (k, e - have.get(k, 0)) for k, e in sorted(top.items())
+                    (k, e - have.get(k, 0)) for k, e in top
                     if e > have.get(k, 0)))
             num = num * c
         nums.append(num)
     if common is None:
-        common = _cyclo_den(top)
+        common = _cyclo_product(top)
     return nums, common, top
 
 
 def _ratq_sum(terms) -> "RatQ":
-    """The sum of num / den over (num, den) pairs, each den canonical; every
-    sum of non-integral ``RatQ`` values comes here.  The numerators are
-    lifted once (``lift_fractions``) and added; a total over prod Phi^top
-    is cancelled once, and any other common denominator gets one gcd
+    """The sum of num / r.den over (num, r) pairs, as ``lift_fractions``
+    takes them; every sum of non-integral ``RatQ`` values comes here.  The
+    numerators are lifted once and added; a total over prod Phi^top is
+    cancelled once, and any other common denominator gets one gcd
     canonicalization."""
     nums, common, top = lift_fractions(terms)
     total = _L_ZERO
@@ -645,25 +647,27 @@ def _ratq_sum(terms) -> "RatQ":
         return _R_ZERO
     if top is None:
         return RatQ(total, common)
-    num = _cancel(total, top)  # lowers top by the Phi_k it divides out
+    left = dict(top)
+    num = _cancel(total, left)  # lowers left by the Phi_k it divides out
     if num is total:
-        return _ratq(num, common)
-    return _ratq(num, _cyclo_den(top))
+        return _ratq(num, common, top)
+    return cyclotomic_fraction(num, left.items())
 
 
 def xpoly_sum(values) -> "XPoly":
     """The sum of an iterable of ``XPoly`` values.  Per power of x, the
     numerators that share a denominator are added as integer coefficient
-    maps, and the (numerator, denominator) pairs go through one
-    ``_ratq_sum``: one cancellation per power of x instead of one per
-    binary ``+``."""
-    groups: dict[int, dict[LaurentQ, dict[int, int]]] = {}
+    maps, and the (numerator, value) pairs go through one ``_ratq_sum``:
+    one cancellation per power of x instead of one per binary ``+``."""
+    groups: dict[int, dict[LaurentQ, tuple[dict[int, int], RatQ]]] = {}
     for value in values:
         for e, r in value.c.items():
-            _accumulate(groups.setdefault(e, {}).setdefault(r.den, {}), r.num.c)
+            into = groups.setdefault(e, {}).setdefault(r.den, ({}, r))[0]
+            for k, v in r.num.c.items():
+                into[k] = into.get(k, 0) + v
     out = {}
     for e, parts in groups.items():
-        r = _ratq_sum((LaurentQ(c), den) for den, c in parts.items())
+        r = _ratq_sum((LaurentQ(c), s) for c, s in parts.values())
         if not r.is_zero():
             out[e] = r
     return _xpoly(out)
@@ -687,13 +691,17 @@ class RatQ:
     lowest exponent 0 and positive leading coefficient, coprime to the
     numerator over Q[q], and gcd(content(num), content(den)) = 1.  Equality
     is therefore structural.
+
+    ``_vec`` (not in equality or hashing) is ``den_vector``, set where a
+    value is built; the gcd constructor and ``inverse`` leave it unknown.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_vec")
 
     def __init__(self, num: LaurentQ, den: LaurentQ = _L_ONE):
         if den.is_zero():
             raise ZeroDivisionError("RatQ denominator is zero")
+        self._vec = () if num.is_zero() or den.is_one() else _UNKNOWN
         if num.is_zero():
             self.num, self.den = _L_ZERO, _L_ONE
         elif den.is_one():
@@ -738,25 +746,32 @@ class RatQ:
     def is_one(self) -> bool:
         return self.num.is_one() and self.den.is_one()
 
+    def den_vector(self) -> tuple[tuple[int, int], ...] | None:
+        """(k, e) pairs, k ascending, with den = prod Phi_k^e, or None."""
+        vec = self._vec
+        if vec is _UNKNOWN:
+            vec = self._vec = _cyclo_exponents(self.den)
+        return vec
+
     # -- arithmetic
 
     def __add__(self, other: "RatQ") -> "RatQ":
         if self.den.is_one() and other.den.is_one():
-            return _ratq(self.num + other.num, _L_ONE)
-        return _ratq_sum(((self.num, self.den), (other.num, other.den)))
+            return _ratq(self.num + other.num, _L_ONE, ())
+        return _ratq_sum(((self.num, self), (other.num, other)))
 
     def __sub__(self, other: "RatQ") -> "RatQ":
         return self + -other
 
     def __neg__(self) -> "RatQ":
-        return _ratq(-self.num, self.den)
+        return _ratq(-self.num, self.den, self._vec)
 
     def __mul__(self, other: "RatQ") -> "RatQ":
         if self.num.is_zero() or other.num.is_zero():
             return _R_ZERO
         if self.den.is_one() and other.den.is_one():
-            return _ratq(self.num * other.num, _L_ONE)
-        fa, fb = _cyclo_exponents(self.den), _cyclo_exponents(other.den)
+            return _ratq(self.num * other.num, _L_ONE, ())
+        fa, fb = self.den_vector(), other.den_vector()
         if fa is not None and fb is not None:
             return _cyclo_mul(self, fa, other, fb)
         return RatQ(self.num * other.num, self.den * other.den)
@@ -767,15 +782,21 @@ class RatQ:
     def inverse(self) -> "RatQ":
         if self.num.is_zero():
             raise ZeroDivisionError("division by zero RatQ")
-        return _ratq(*_shift_sign(self.den, self.num))
+        return _ratq(*_shift_sign(self.den, self.num), _UNKNOWN)
 
-    # -- substitutions (automorphisms: num and den stay coprime)
+    # -- substitutions (automorphisms: num and den stay coprime, Phi_k(q^-1)
+    # is +-q^-phi(k) Phi_k(q), and Phi_k(-q) = +-Phi_s(q) for s = 2k, k odd,
+    # s = k/2, k = 2 mod 4, and s = k, 4 | k)
 
     def q_bar(self) -> "RatQ":
-        return _ratq(*_shift_sign(self.num.q_bar(), self.den.q_bar()))
+        vec = self._vec
+        if isinstance(vec, tuple):
+            vec = tuple(sorted((2 * k if k % 2 else k // 2 if k % 4 == 2
+                                else k, e) for k, e in vec))
+        return _ratq(*_shift_sign(self.num.q_bar(), self.den.q_bar()), vec)
 
     def q_inv(self) -> "RatQ":
-        return _ratq(*_shift_sign(self.num.q_inv(), self.den.q_inv()))
+        return _ratq(*_shift_sign(self.num.q_inv(), self.den.q_inv()), self._vec)
 
     # -- comparison / hash / rendering
 
@@ -909,7 +930,7 @@ class XPoly:
         coefficient of x^e becomes its numerator shifted by n e over its
         denominator, and the terms are added by one ``_ratq_sum``."""
         return _ratq_sum((_laurent({k + n * e: v for k, v in r.num.c.items()}),
-                          r.den) for e, r in self.c.items())
+                          r) for e, r in self.c.items())
 
     def q_bar(self) -> "XPoly":
         """Apply q -> -q^{-1} coefficient-wise (x fixed); an involution."""
@@ -966,33 +987,32 @@ def _integral_terms(c: dict[int, RatQ]) -> int:
     return n
 
 
-def _q_range(c: dict[int, RatQ]) -> tuple[int, int]:
-    exps = [k for r in c.values() for k in r.num.c]
-    return min(exps), max(exps)
-
-
-def _xpoly_pack(c: dict[int, RatQ], s: int, qlo: int) -> LaurentQ:
-    """The integral coefficient map c at x = q^s, with x shifted to its
-    lowest exponent and q by qlo."""
+def _xpoly_pack(c: dict[int, RatQ], g: int, s: int, qlo: int) -> LaurentQ:
+    """The integral coefficient map c at x^g = q^s, with x shifted to its
+    lowest exponent and q by qlo; g divides every x offset."""
     xlo = min(c)
-    return _laurent({(e - xlo) * s + k - qlo: v
+    return _laurent({(e - xlo) // g * s + k - qlo: v
                      for e, r in c.items() for k, v in r.num.c.items()})
 
 
 def _xpoly_mul_integral(a: dict[int, RatQ], b: dict[int, RatQ]) -> XPoly:
     """The product of two ``XPoly`` coefficient maps over Z[q^±1] by one
-    ``LaurentQ`` product (Kronecker substitution x = q^s).  With q shifted
-    to its lowest exponent, every coefficient of the product spans fewer
-    than s = span_a + span_b + 1 powers of q, so divmod by s splits the
-    product back into its powers of x and of q."""
-    (alo, ahi), (blo, bhi) = _q_range(a), _q_range(b)
-    s = ahi - alo + bhi - blo + 1
+    ``LaurentQ`` product (Kronecker substitution x^g = q^s, g the common
+    stride of both maps' x-exponents).  With q shifted to its lowest
+    exponent, every coefficient of the product spans fewer than
+    s = span_a + span_b + 1 powers of q, so divmod by s splits the product
+    back into its powers of x^g and of q."""
+    qa = [k for r in a.values() for k in r.num.c]
+    qb = [k for r in b.values() for k in r.num.c]
+    alo, blo = min(qa), min(qb)
+    s = max(qa) - alo + max(qb) - blo + 1
+    xa, xb = min(a), min(b)
+    g = _igcd(*[e - xa for e in a], *[e - xb for e in b]) or 1
     out: dict[int, dict[int, int]] = {}
-    x0, q0 = min(a) + min(b), alo + blo
-    for k, v in (_xpoly_pack(a, s, alo) * _xpoly_pack(b, s, blo)).c.items():
+    for k, v in (_xpoly_pack(a, g, s, alo) * _xpoly_pack(b, g, s, blo)).c.items():
         i, j = divmod(k, s)
-        out.setdefault(x0 + i, {})[q0 + j] = v
-    return _xpoly({e: _ratq(_laurent(c), _L_ONE) for e, c in out.items()})
+        out.setdefault(xa + xb + g * i, {})[alo + blo + j] = v
+    return _xpoly({e: _ratq(_laurent(c), _L_ONE, ()) for e, c in out.items()})
 
 
 def _xpoly_divmod(a: XPoly, b: XPoly) -> tuple[XPoly, XPoly]:

@@ -7,7 +7,8 @@ from homflypt import (Braid, BraidError, Evaluator, Partition,
                       enumerate_terms, homfly_columns, homfly_partition,
                       invariant, parse_braid, qbinom, torus_reference,
                       trefoil_reference, xbinom)
-from homflypt.rings import LaurentQ, RatQ, XPoly, xpoly_divexact, xpoly_sum
+from homflypt.rings import (LaurentQ, RatQ, XPoly, _cyclo_exponents,
+                            xpoly_divexact, xpoly_sum)
 
 TREFOIL = parse_braid("1 1 1", 2)
 UNKNOT = parse_braid("", 1)
@@ -682,3 +683,23 @@ def test_columns_match_product_oracle(cb):
     at_two = Evaluator(sides, 2).contract(build_cap(sc), crossing_sums(braid, sc),
                                           build_cup(sc))
     assert at_two == value.subst_x_eq_qn(2)
+
+
+@_PROPERTY
+@given(_colored_braids(), st.sampled_from(("blackboard", "zero")),
+       st.booleans())
+def test_engine_values_carry_their_exponent_vectors(cb, framing, rows):
+    # every coefficient of a generic value, and of every memo entry, holds
+    # the exponent vector that a fresh search of its denominator finds
+    braid, colors = cb
+    if rows:    # row colors: the value is transposed by q -> -q^-1
+        colors = tuple(Partition((c,)) for c in colors)
+    values = [invariant(braid, colors, framing)]
+    sc = _strand_colors(braid, cb[1])
+    ev = Evaluator(2 * braid.strands)
+    values.append(ev.contract(build_cap(sc), crossing_sums(braid, sc),
+                              build_cup(sc)))
+    values += [v for state in ev._memo.values() for v in state.values()]
+    for value in values:
+        for r in value.c.values():
+            assert r._vec == _cyclo_exponents(r.den)

@@ -1,6 +1,6 @@
 import pytest
 
-from homflypt import LaurentQ, RatQ, qbinom, qfactorial, qint, xbinom
+from homflypt import LaurentQ, RatQ, XPoly, qbinom, qfactorial, qint, xbinom
 
 
 def test_qint_values():
@@ -52,6 +52,26 @@ def test_gaussian_binomials_are_positive_laurent():
             b = qbinom(r, s)
             assert b.den.is_one()
             assert all(c > 0 for c in b.num.c.values())
+
+
+def _xbinom_product(s, l):
+    """The definition of the x-shifted binomial: the product over j of
+    (x q^(s-j+1) - x^-1 q^(-s+j-1)) / (q^j - q^-j)."""
+    if l < 0:
+        return XPoly.zero()
+    out = XPoly.one()
+    for j in range(1, l + 1):
+        d = RatQ(LaurentQ({j: 1, -j: -1}))
+        out = out * XPoly({1: RatQ.q_power(s - j + 1) / d,
+                           -1: -(RatQ.q_power(-s + j - 1) / d)})
+    return out
+
+
+def test_xbinom_closed_form_matches_the_product():
+    for s in range(-9, 10):
+        for l in range(-1, 9):
+            assert xbinom(s, l) == _xbinom_product(s, l)
+            assert xbinom(s, l) is xbinom(s, l)
 
 
 def test_memoization_returns_identical_values():

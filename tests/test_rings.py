@@ -1,4 +1,6 @@
+import pickle
 import random
+from copy import deepcopy
 from math import gcd
 
 import pytest
@@ -7,11 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 from homflypt import (LaurentQ, RatQ, XPoly, laurent_gcd, qint, xpoly_divexact,
                       xpoly_gcd)
 from homflypt import rings
-from homflypt.rings import (_FACTORS, _KRONECKER_MIN_TERMS, _cancel,
+from homflypt.qcomb import xbinom
+from homflypt.rings import (_KRONECKER_MIN_TERMS, _UNKNOWN, _cancel,
                             _cancel_by, _cyclo_exponents, _cyclo_product,
                             _kronecker_mul, _list_content, _list_gcd, _phi,
-                            _phi_multiplicity, laurent_divexact,
-                            lift_fractions, xpoly_sum)
+                            _phi_multiplicity, cyclotomic_fraction,
+                            laurent_divexact, lift_fractions, xpoly_sum)
 
 ONE = XPoly.one()
 ZERO = XPoly.zero()
@@ -381,8 +384,20 @@ def test_cyclotomic_products_of_divisors():
 
 def test_factorizer_finds_exponents():
     den = LaurentQ({2: 1, 0: -1}) * LaurentQ({4: 1, 0: -1}) * LaurentQ({6: 1, 0: -1})
-    _FACTORS.pop(den, None)
     assert _cyclo_exponents(den) == ((1, 3), (2, 3), (3, 1), (4, 1), (6, 1))
+
+
+def test_cyclotomic_product_of_a_large_exponent():
+    # one Phi_k per cached step below the chain bound; a larger exponent is
+    # multiplied out without recursing once per factor
+    phi1 = _poly(_phi(1))
+    power = {1: phi1}
+    for e in (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024):
+        power[e] = power[e // 2] * power[e // 2]
+    assert _cyclo_product(((1, 1100),)) == power[1024] * power[64] * power[8] \
+        * power[4]
+    assert _cyclo_product(((1, 3), (2, 2), (5, 1))) == _product(
+        [phi1] * 3 + [_poly(_phi(2))] * 2 + [_poly(_phi(5))])
 
 
 def test_phi_multiplicity_of_sparse_laurent_maps():
@@ -419,18 +434,39 @@ def test_cancel_memo_hit_matches_a_fresh_call():
         assert 0 < cache.cache_info().maxsize < 10 ** 5
 
 
-def test_lift_cofactor_is_not_registered():
-    # the cofactor Phi_7 Phi_9 only multiplies a numerator; it is not a
-    # denominator, so it is kept out of the factored denominators
+def test_lift_returns_the_common_vector():
+    # the common denominator comes back with its exponent vector, and no
+    # denominator is kept anywhere in the module
     den = _poly(_phi(1))
     top = den * _poly(_phi(7)) * _poly(_phi(9))
     cofactor = _poly(_phi(7)) * _poly(_phi(9))
-    _FACTORS.pop(cofactor, None)
-    nums, common, _ = lift_fractions([(LaurentQ.one(), den),
-                                      (LaurentQ.one(), top)])
-    assert nums == [cofactor, LaurentQ.one()] and common == top
-    assert cofactor not in _FACTORS
-    assert _FACTORS[top] == ((1, 1), (7, 1), (9, 1))
+    vec = ((1, 1), (7, 1), (9, 1))
+    one = LaurentQ.one()
+    low, mid = RatQ(one, den), RatQ(one, cofactor)
+    nums, common, got = lift_fractions([(one, low),
+                                        (one, cyclotomic_fraction(one, vec))])
+    assert nums == [cofactor, one] and common == top and got == vec
+    nums, common, got = lift_fractions([(one, low), (one, mid)])
+    assert nums == [cofactor, den] and common == top and got == vec
+    assert (low + mid)._vec == vec
+    assert not hasattr(rings, "_FACTORS")
+    assert not [name for name, v in vars(rings).items() if isinstance(v, dict)
+                and any(isinstance(key, LaurentQ) for key in v)]
+
+
+def test_unknown_vector_survives_pickle_and_copy():
+    # a value not yet searched keeps its marker through pickle and deepcopy,
+    # and the copy is searched, multiplied and added as the original is
+    q = LaurentQ({1: 1})
+    other = RatQ(q, _poly(_phi(2)))
+    for r, vec in ((RatQ(q, LaurentQ({2: 1, 0: 3})), None),
+                   (RatQ(q, _poly(_phi(1)) * _poly(_phi(3))), ((1, 1), (3, 1))),
+                   (RatQ(LaurentQ({0: 2}), _poly(_phi(1))).inverse(), None)):
+        copies = [pickle.loads(pickle.dumps(r)), deepcopy(r)]
+        for c in copies:
+            assert c._vec is _UNKNOWN
+            assert c * other == r * other and c + other == r + other
+            assert c * c == r * r and c.den_vector() == vec
 
 
 def test_laurent_divexact():
@@ -449,13 +485,15 @@ def test_laurent_divexact():
 def test_non_cyclotomic_denominator_takes_gcd_path():
     den = LaurentQ({2: 1, 0: 3})             # q^2 + 3: fails the cheap checks
     assert _cyclo_exponents(den) is None
-    assert den not in _FACTORS               # rejected without a search
     palin = LaurentQ({2: 1, 1: 3, 0: 1})     # q^2 + 3q + 1: searched, no match
     assert _cyclo_exponents(palin) is None
     x = RatQ(LaurentQ({3: 2, 0: 1}), den)
     y = RatQ(LaurentQ({1: 1}), LaurentQ({2: 1, 0: -1}))
-    assert x + y == RatQ(x.num * y.den + y.num * x.den, x.den * y.den)
+    assert x._vec is _UNKNOWN                # not searched until needed
     assert x * y == RatQ(x.num * y.num, x.den * y.den)
+    assert x._vec is None                    # one search, kept on the value
+    assert y._vec == ((1, 1), (2, 1))
+    assert x + y == RatQ(x.num * y.den + y.num * x.den, x.den * y.den)
     assert (x * y).den == LaurentQ({4: 1, 2: 2, 0: -3})
 
 
@@ -530,3 +568,87 @@ def test_integral_xpoly_product_is_one_laurent_product(monkeypatch):
     calls.clear()
     assert a * c == _per_term(a, c)
     assert len(calls) > 1
+
+
+def _strided(rng, xs, k0):
+    # an integral XPoly on the x-exponents xs with at least
+    # _KRONECKER_MIN_TERMS q-terms, so its products are packed
+    n = -(-_KRONECKER_MIN_TERMS // len(xs))
+    return XPoly({e: RatQ(LaurentQ({k0 + 3 * i + e: rng.randint(-9, 9) or 1
+                                    for i in range(n)})) for e in xs})
+
+
+def test_integral_xpoly_product_packs_at_the_common_x_stride(monkeypatch):
+    # x-strides 2 and 3, strides 2 and 3 together (gcd 1), and one operand
+    # a single power of x; every operand has at least 11 q-terms
+    rng = random.Random(13)
+    cases = [((-4, -2, 0, 2), (1, 3, 5), 2), ((-3, 0, 3, 6), (3, 9, 12), 3),
+             ((0, 2, 4, 6), (-3, 0, 3), 1), ((-5, -1, 3), (7,), 4),
+             ((2,), (-6, 0, 6), 6)]
+    spans = []
+    mul = LaurentQ.__mul__
+
+    def spy(x, y):
+        spans.append((max(x.c) - min(x.c), max(y.c) - min(y.c)))
+        return mul(x, y)
+    for xa, xb, g in cases:
+        a, b = _strided(rng, xa, -5), _strided(rng, xb, 2)
+        qa = [k for r in a.c.values() for k in r.num.c]
+        qb = [k for r in b.c.values() for k in r.num.c]
+        alo, ahi, blo, bhi = min(qa), max(qa), min(qb), max(qb)
+        s = ahi - alo + bhi - blo + 1
+        spans.clear()
+        monkeypatch.setattr(LaurentQ, "__mul__", spy)
+        product = a * b
+        monkeypatch.undo()
+        # one packed product, x^g = q^s, so x offsets come in steps of s
+        assert spans == [((max(xa) - min(xa)) // g * s + ahi - alo,
+                          (max(xb) - min(xb)) // g * s + bhi - blo)]
+        assert product == _per_term(a, b)
+        assert b * a == product
+
+
+# -- the exponent vector each RatQ carries (against a fresh search)
+
+def _carries_its_vector(r):
+    return r._vec == _cyclo_exponents(r.den)
+
+
+def test_q_bar_maps_phi_k_to_phi_at_minus_q():
+    # q_bar sends the vector ((k, 1),) to ((sigma(k), 1),), and
+    # Phi_k(-q) = +-Phi_sigma(k)(q); sigma is an involution
+    sigma = {}
+    for k in range(1, 61):
+        r = RatQ(LaurentQ.one(), _poly(_phi(k)))
+        assert r.den_vector() == ((k, 1),)
+        ((sigma[k], e),) = r.q_bar()._vec
+        assert e == 1
+        at_minus = [-c if i % 2 else c for i, c in enumerate(_phi(k))]
+        assert at_minus in ([*_phi(sigma[k])], [-c for c in _phi(sigma[k])])
+    assert all(sigma[sigma[k]] == k for k in sigma if sigma[k] in sigma)
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurents, cyclotomic_dens, laurents, cyclotomic_dens, laurents,
+       mixed_dens, st.integers(-3, 3), st.integers(-1, 5))
+def test_results_carry_their_exponent_vector(a, b, c, d, m, e, n, l):
+    x, y, z = RatQ(a, b), RatQ(c, d), RatQ(m, e)
+    # the gcd constructor leaves the vector to the first use
+    for r in (x, y, z):
+        assert r._vec is _UNKNOWN or r.den.is_one()
+        if r.den_vector() is None:
+            assert r._vec is None
+        assert _carries_its_vector(r)
+    p = XPoly({1: x, -1: y, 0: x * y})
+    made = [x * y, x + y, x - y, -x, x.q_bar(), x.q_inv(), y.q_bar(),
+            p.subst_x_eq_qn(n), *xpoly_sum([p, p.q_bar(), -p]).c.values(),
+            *(p * p).c.values(), *xbinom(n, l).c.values(),
+            -z, z.q_bar(), z.q_inv()]
+    for r in made:
+        assert _carries_its_vector(r)
+    # a non-cyclotomic operand takes the gcd path, which leaves the vector
+    # unknown until its first use
+    for r in (x * z, x + z, z * z, *([] if z.is_zero() else [z.inverse()])):
+        assert r._vec is _UNKNOWN or _carries_its_vector(r)
+        r.den_vector()
+        assert _carries_its_vector(r)
