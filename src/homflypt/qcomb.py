@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .rings import LaurentQ, RatQ, XPoly, cyclotomic_fraction
+from .rings import (LaurentQ, RatQ, XPoly, cyclotomic_fraction,
+                    laurent_divexact)
 
 
 @lru_cache(maxsize=None)
@@ -45,7 +46,9 @@ def qbinom(r: int, s: int) -> RatQ:
         num = num * qint(k)
         if num.is_zero():
             return num
-    return num / qfactorial(s)
+    # a Gaussian binomial lies in Z[q^±1]: the division is exact, and
+    # raises if it is not
+    return RatQ(laurent_divexact(num.num, qfactorial(s).num))
 
 
 @lru_cache(maxsize=None)

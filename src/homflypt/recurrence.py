@@ -8,13 +8,17 @@ q^m before shifting, which realizes the relation L M = q M L.
 ``+``-separated terms; products, parentheses, integer powers of q, x, M, L
 and division by q-scalars are accepted, and noncommutative products are
 normalized with L^j M^k = q^{jk} M^k L^j.  ``guess`` finds a recurrence for
-a computed sequence by an exact fraction-free nullspace: each row of the
-linear system is lifted once to a common denominator and its content over
-Z[q^{±1}] divided out, so the elimination runs in Z[q^{±1}][x^{±1}], where
-a large x-polynomial product is one integer-polynomial product (``XPoly *``).
-It updates only the columns' tracking vectors, reads each row once, when it
-is reached, and divides each updated vector by its content exactly, with a
-gcd only where a coefficient is not a multiple of the content so far.
+a computed sequence by an exact fraction-free nullspace.  The row of the
+linear system at start index m has the entry f(m+j) q^(mk) for the unknown
+c_{j,k}; it is kept as its order + 1 values b_j = f(m+j), lifted once to a
+common denominator with their content over Z[q^{±1}] divided out, so the
+elimination runs in Z[q^{±1}][x^{±1}], where a large x-polynomial product
+is one integer-polynomial product (``XPoly *``).  A tracking vector is an
+operator, and its entry in the row is that operator applied at m:
+sum_j b_j T_j(q^m), one product per b_j.  The elimination updates only the
+columns' tracking vectors, reads each row once, when it is reached, and
+divides each updated vector by its content exactly, with a gcd only where
+a coefficient is not a multiple of the content so far.
 """
 
 from __future__ import annotations
@@ -167,13 +171,14 @@ def _neg(a):
 
 
 def _mul(a, b):
-    out: dict[tuple[int, int], XPoly] = {}
+    parts: dict[tuple[int, int], list[XPoly]] = {}
     for (j1, k1), c1 in a.items():
         for (j2, k2), c2 in b.items():
             # L^j1 M^k2 = q^(j1 k2) M^k2 L^j1
-            c = (c1 * c2).scale(RatQ.q_power(j1 * k2))
-            out = _add(out, {(j1 + j2, k1 + k2): c})
-    return out
+            parts.setdefault((j1 + j2, k1 + k2), []).append(
+                (c1 * c2).scale(RatQ.q_power(j1 * k2)))
+    return {key: c for key, cs in parts.items()
+            if not (c := sum(cs[1:], cs[0])).is_zero()}
 
 
 def _div(a, b):
@@ -249,6 +254,16 @@ def parse_xpoly(text: str) -> XPoly:
 # operators
 # ---------------------------------------------------------------------------
 
+def _at_m(cs, m: int) -> XPoly:
+    """sum_k c_k q^(mk) over (k, c_k) pairs: c(M) = sum_k c_k M^k at
+    M = q^m, whether c is a coefficient of an operator or a block of a
+    tracking vector in ``guess``'s elimination."""
+    out = XPoly.zero()
+    for k, c in cs:
+        out = out + c.scale(RatQ.q_power(m * k))
+    return out
+
+
 class RecurrenceOperator(namedtuple("RecurrenceOperator", "terms")):
     """sum_{j,k} c_{j,k}(q,x) M^k L^j with c_{j,k} in Q(q)[x^±1], built from
     the parser's dict {(j, k): c_{j,k}} and kept as its nonzero entries in
@@ -271,11 +286,7 @@ class RecurrenceOperator(namedtuple("RecurrenceOperator", "terms")):
 
     def coefficient(self, j: int, m: int) -> XPoly:
         """c_j with M evaluated at q^m."""
-        out = XPoly.zero()
-        for (i, k), c in self.terms:
-            if i == j:
-                out = out + c.scale(RatQ.q_power(m * k))
-        return out
+        return _at_m(((k, c) for (i, k), c in self.terms if i == j), m)
 
     def apply(self, f: Mapping[int, XPoly], m: int) -> XPoly:
         """(Pf)(m) = sum_j c_j(q, x, q^m) f(m+j); raises on missing indices."""
@@ -350,23 +361,41 @@ def _vector_normalize(vec: list[XPoly]) -> list[XPoly]:
     return [XPoly({e: RatQ(next(it)) for e in p.c}) for p in vec]
 
 
-def _dot(row: list[XPoly], vec: list[XPoly]) -> XPoly:
-    return sum((a * b for a, b in zip(row, vec)
-                if not (a.is_zero() or b.is_zero())), XPoly.zero())
+def _row_dot(row: tuple[list[XPoly], int], vec: list[XPoly]) -> XPoly:
+    """row · vec for a row (b, m) of ``_nullspace_columns``, whose entry at
+    column j w + k is b_j q^(mk), w = len(vec) // len(b): the sum over j of
+    b_j T_j(q^m) with T_j(M) = sum_k vec[j w + k] M^k.  So vec is an
+    operator, and its entry in the row is that operator applied at m: one
+    product per nonzero b_j, and a q-shift for each q^(mk)."""
+    b, m = row
+    w = len(vec) // len(b)
+    out = XPoly.zero()
+    for j, bj in enumerate(b):
+        if bj.is_zero():
+            continue
+        t = _at_m(enumerate(vec[j * w:(j + 1) * w]), m)
+        if not t.is_zero():
+            out = out + bj * t
+    return out
 
 
-def _nullspace_columns(rows: list[list[XPoly]], ncols: int) -> list[list[XPoly]]:
-    """Kernel vectors of the homogeneous system, by fraction-free column
-    elimination on tracking vectors alone: column i is carried as T_i, the
-    combination of original columns it stands for, and each row is read
-    once, when it is reached, as the entries row · T_i.  The rows come
-    normalized, so every entry stays in Z[q^±1][x^±1], and each updated T_i
-    is divided exactly by its content (``_vector_normalize``)."""
+def _nullspace_columns(rows: list[tuple[list[XPoly], int]], ncols: int
+                       ) -> list[list[XPoly]]:
+    """Kernel vectors of the homogeneous system whose row (b, m) has the
+    entry b_j q^(mk) at column j w + k, w = ncols // len(b); a plain row b
+    is (b, 0) with w = 1.  By fraction-free column elimination on tracking
+    vectors alone: column i is carried as T_i, the combination of original
+    columns it stands for, and each row is read once, when it is reached,
+    as the entries row · T_i (``_row_dot``).  The rows come normalized, so
+    every entry stays in Z[q^±1][x^±1], and each updated T_i is divided
+    exactly by its content (``_vector_normalize``).  Every row is checked
+    against every kernel vector at the end, by the same row product; the
+    check raises, so it stays under ``python -O``."""
     tracks = [[XPoly.one() if t == i else XPoly.zero() for t in range(ncols)]
               for i in range(ncols)]
     active = list(range(ncols))
     for row in rows:
-        entry = {ci: _dot(row, tracks[ci]) for ci in active}
+        entry = {ci: _row_dot(row, tracks[ci]) for ci in active}
         hot = [ci for ci in active if not entry[ci].is_zero()]
         if not hot:
             continue
@@ -379,7 +408,8 @@ def _nullspace_columns(rows: list[list[XPoly]], ncols: int) -> list[list[XPoly]]
                     [pr * a - entry[ci] * b for a, b in zip(tracks[ci], pvec)])
         active.remove(pi)
     kernels = [tracks[ci] for ci in active]
-    assert all(_dot(row, k).is_zero() for row in rows for k in kernels)
+    if not all(_row_dot(row, k).is_zero() for row in rows for k in kernels):
+        raise AssertionError("a kernel vector does not annihilate the system")
     return kernels
 
 
@@ -399,9 +429,13 @@ def guess(f: Mapping[int, XPoly], max_order: int, max_m_degree: int
     """Search for a recurrence annihilating f, smallest order first.
 
     Solves the exact homogeneous system for the coefficients c_{j,k} of
-    c_j = sum_k c_{j,k} M^k.  Each row is normalized once as it is built
-    (lifted to a common denominator, content over Z[q^±1] divided out), so
-    the elimination runs in Z[q^±1][x^±1]; the kernel vector is reduced to a
+    c_j = sum_k c_{j,k} M^k.  The row at start index m is (b, m), b_j the
+    value f(m+j) times the one scalar λ_m that normalizes b (lifted to a
+    common denominator, content over Z[q^±1] divided out); its entry for
+    c_{j,k} is b_j q^(mk), and q^(mk) is a unit of Z[q^±1], so b is the
+    normalized full row's k = 0 part and the elimination runs in
+    Z[q^±1][x^±1].  A candidate operator's entry in the row is that
+    operator applied to λ_m f at m.  The kernel vector is reduced to a
     canonical form, so scaling f by a constant of Q(q) gives the same
     operator.  The result is re-verified on every available index before
     it is returned.  Returns None when no operator exists within the
@@ -417,13 +451,8 @@ def guess(f: Mapping[int, XPoly], max_order: int, max_m_degree: int
     for order in range(1, max_order + 1):
         usable = [m for m in indices if all(m + j in f for j in range(order + 1))]
         ncols = require_window(len(usable), order, g)
-        rows = []
-        for m in usable:
-            row = []
-            for j in range(order + 1):
-                for k in range(g + 1):
-                    row.append(f[m + j].scale(RatQ.q_power(m * k)))
-            rows.append(_vector_normalize(row))
+        rows = [(_vector_normalize([f[m + j] for j in range(order + 1)]), m)
+                for m in usable]
         for kernel in _nullspace_columns(rows, ncols):
             top = kernel[order * (g + 1):]
             if all(c.is_zero() for c in top):

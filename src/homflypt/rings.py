@@ -921,6 +921,8 @@ class XPoly:
     def scale(self, r: RatQ) -> "XPoly":
         if r.is_zero():
             return _X_ZERO
+        if r.is_one():
+            return self
         return _xpoly({e: v * r for e, v in self.c.items()})
 
     # -- substitutions

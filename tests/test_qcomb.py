@@ -29,6 +29,19 @@ def test_qbinom_product_identity():
             assert qbinom(r, s) * qfactorial(s) == prod
 
 
+def test_qbinom_is_an_exact_laurent_quotient():
+    # the falling product over [s]! by RatQ division, against the exact
+    # division in Z[q^±1]: equal, integral, and with the empty vector
+    for r in range(-9, 10):
+        for s in range(-1, 9):
+            b = qbinom(r, s)
+            prod = RatQ.one()
+            for k in range(r - s + 1, r + 1):
+                prod = prod * qint(k)
+            assert b == (prod / qfactorial(s) if s >= 0 else RatQ.zero())
+            assert b.den.is_one() and b._vec == ()
+
+
 def test_xbinom_values():
     assert xbinom(5, -2).is_zero()
     d = RatQ(LaurentQ({1: 1, -1: -1}))

@@ -1,12 +1,16 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homflypt import (OperatorError, Partition, RecurrenceOperator, guess,
                       invariant, parse_braid, parse_operator, parse_xpoly, qint,
                       rings, torus_reference, trefoil_recurrence, xbinom)
-from homflypt.recurrence import _nullspace_columns, _vector_normalize
+from homflypt.recurrence import _nullspace_columns, _row_dot, _vector_normalize
 from homflypt.rings import LaurentQ, RatQ, XPoly, laurent_gcd
 
 
@@ -227,14 +231,38 @@ def test_vector_normalize_matches_reference():
     assert out[1].c[2].num == L({0: 1, 3: -2}) * L({2: 1, 0: -1})
 
 
+def _unknot_values(family):
+    unknot = parse_braid("", 1)
+    return {m: invariant(unknot, (m if family == "e" else Partition((m,)),))
+            for m in range(9)}
+
+
 def _unknot_rows(family):
     """The rows of the linear system of `recur guess` on the unknot, m 0:8,
-    order 1, M-degree 2, before normalization: eight rows, six unknowns."""
-    unknot = parse_braid("", 1)
-    f = {m: invariant(unknot, (m if family == "e" else Partition((m,)),))
-         for m in range(9)}
+    order 1, M-degree 2, before normalization and written out: eight rows,
+    six unknowns."""
+    f = _unknot_values(family)
     return [[f[m + j].scale(RatQ.q_power(m * k))
              for j in range(2) for k in range(3)] for m in range(8)]
+
+
+def _factored_rows(family):
+    """The same rows as `guess` keeps them: (b, m), b the normalized
+    values f(m), f(m + 1)."""
+    f = _unknot_values(family)
+    return [(_vector_normalize([f[m], f[m + 1]]), m) for m in range(8)]
+
+
+@pytest.mark.parametrize("family", "eh")
+def test_factored_rows_are_the_normalized_rows_at_k_zero(family):
+    # q^(mk) is a unit of Z[q^±1]: it changes neither the common
+    # denominator nor the content, so normalizing the b_j alone gives the
+    # k = 0 entries of the normalized full row, and the row's other
+    # entries are their q-shifts
+    for (b, m), row in zip(_factored_rows(family), _unknot_rows(family)):
+        full = _vector_normalize(row)
+        assert b == full[::3]
+        assert full == [p.scale(RatQ.q_power(m * k)) for p in b for k in range(3)]
 
 
 @pytest.mark.parametrize("family", "eh")
@@ -258,7 +286,7 @@ def test_rows_are_lifted_without_scaling(monkeypatch, family):
 @pytest.mark.parametrize("family", "eh")
 def test_elimination_takes_at_most_one_gcd_per_column_update(monkeypatch,
                                                             family):
-    rows = [_vector_normalize(row) for row in _unknot_rows(family)]
+    rows = _factored_rows(family)
     gcds, per_update = [0], []
     list_gcd, normalize = rings._list_gcd, _vector_normalize
 
@@ -281,10 +309,10 @@ def test_elimination_takes_at_most_one_gcd_per_column_update(monkeypatch,
 
 @pytest.mark.parametrize("family", "eh")
 def test_elimination_reads_each_row_once(monkeypatch, family):
-    """Only the tracking vectors are updated; a row is read as its dot
-    products when it is reached, so a row past the last pivot costs one
-    product per nonzero term."""
-    rows = [_vector_normalize(row) for row in _unknot_rows(family)]
+    """Only the tracking vectors are updated; a row is read as its
+    products with them when it is reached, one per b_j whose block of the
+    tracking vector is nonzero at M = q^m."""
+    rows = _factored_rows(family)
     products, mul = [0], XPoly.__mul__
 
     def counted(a, b):
@@ -292,7 +320,50 @@ def test_elimination_reads_each_row_once(monkeypatch, family):
         return mul(a, b)
     monkeypatch.setattr(XPoly, "__mul__", counted)
     assert len(_nullspace_columns(rows, 6)) == 1
-    assert products[0] == 261
+    assert products[0] == 221
+
+
+_laurents = st.dictionaries(st.integers(-4, 4), st.integers(-9, 9),
+                            max_size=3).map(LaurentQ)
+# den 1 (integral), a product of cyclotomics and one that is not
+_dens = st.sampled_from([LaurentQ.one(), LaurentQ({2: 1, 0: -1}),
+                         LaurentQ({4: 1, 2: 1, 0: 1}), LaurentQ({2: 1, 0: 3})])
+_xpolys = st.dictionaries(st.integers(-2, 2), st.builds(RatQ, _laurents, _dens),
+                          max_size=3).map(XPoly)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(-3, 9),
+       st.lists(_xpolys, min_size=1, max_size=3), st.data())
+def test_factored_row_product_is_the_dot_product(width, m, b, data):
+    # zero entries come from the empty coefficient maps of _xpolys
+    vec = data.draw(st.lists(_xpolys, min_size=len(b) * width,
+                             max_size=len(b) * width))
+    row = [bj.scale(RatQ.q_power(m * k)) for bj in b for k in range(width)]
+    plain = sum((a * t for a, t in zip(row, vec)), XPoly.zero())
+    assert _row_dot((b, m), vec) == plain
+
+
+def test_closing_check_raises_on_a_wrong_kernel(monkeypatch):
+    # one row (1, 1): the kernel is (-1, 1), but an update that returns
+    # ones makes it (1, 1), which the closing check must refuse
+    rows = [([XPoly.one(), XPoly.one()], 0)]
+    assert _nullspace_columns(rows, 2) == [[-XPoly.one(), XPoly.one()]]
+    monkeypatch.setattr("homflypt.recurrence._vector_normalize",
+                        lambda vec: [XPoly.one()] * len(vec))
+    with pytest.raises(AssertionError, match="does not annihilate"):
+        _nullspace_columns(rows, 2)
+    # python -O strips assert statements; the check is an explicit raise
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r})\n"
+            "from homflypt import recurrence as r\n"
+            "from homflypt.rings import XPoly\n"
+            "r._vector_normalize = lambda vec: [XPoly.one()] * len(vec)\n"
+            "r._nullspace_columns([([XPoly.one(), XPoly.one()], 0)], 2)\n")
+    done = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert "AssertionError: a kernel vector does not annihilate" in done.stderr
 
 
 def _at(p, q, x):
@@ -348,7 +419,7 @@ def test_nullspace_against_rational_oracle(ncols, dim, mixed, zero_col):
     q, x = Fraction(7, 3), Fraction(-5, 2)
     rank = _rank([[_at(p, q, x) for p in row] for row in rows])
     assert rank == ncols - dim
-    kernels = _nullspace_columns(rows, ncols)
+    kernels = _nullspace_columns([(row, 0) for row in rows], ncols)
     assert all(sum((a * b for a, b in zip(row, k)), XPoly.zero()).is_zero()
                for row in rows for k in kernels)
     assert _rank([[_at(p, q, x) for p in k] for k in kernels]) == len(kernels)
