@@ -38,7 +38,10 @@ left to three users: parsed operators (division by a q-scalar),
 the content so far does not divide exactly.  Large ``LaurentQ`` products go
 through one big-int multiply (Kronecker substitution), unless the operands
 are so sparse that the packed slots would outnumber half the term pairs.  A
-large ``XPoly`` product over Z[q^{±1}] is one such product, at x^g = q^s.
+large ``XPoly`` product over Z[q^{±1}] is one such multiply too: each
+operand's q-coefficients go straight into one dense list, a block of s
+slots per power x^g, and each power of x of the product is read off its
+block.
 """
 
 from __future__ import annotations
@@ -202,8 +205,10 @@ def _phi_multiplicity(c: dict[int, int], k: int, most: int) -> int:
 # Kronecker substitution: integer polynomials as integers at q = 2^(8 w)
 # ---------------------------------------------------------------------------
 
-# below this many terms in the smaller factor the schoolbook loop is faster
-# (measured on the products of the benchmark workloads)
+# below this many terms in the smaller factor the term-by-term loop is
+# faster; an XPoly factor over Z[q^±1] counts its q-terms (measured on the
+# products of the benchmark workloads; for XPoly products a gate of 2 was
+# no faster on recur guess and slower on the cabled colors)
 _KRONECKER_MIN_TERMS = 11
 
 # slots of 1, 2, 4 or 8 bytes pack and unpack through an array, whose bytes
@@ -258,6 +263,14 @@ def _schoolbook_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return out
 
 
+def _packed_product(da: list[int], db: list[int], bound: int) -> list[int]:
+    """The coefficient list of the product of two dense coefficient lists,
+    by one big-int multiply; bound is at least every product coefficient's
+    magnitude."""
+    w = _slot_bytes(bound.bit_length())
+    return _unpack(_pack(da, w) * _pack(db, w), len(da) + len(db) - 1, w)
+
+
 def _kronecker_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     """The product of two coefficient maps of two terms or more, by one
     big-int multiply.  Exponents are packed with their common stride g.
@@ -277,10 +290,9 @@ def _kronecker_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
         db[(e - blo) // g] = v
     bound = (min(len(a), len(b)) * max(map(abs, a.values()))
              * max(map(abs, b.values())))
-    w = _slot_bytes(bound.bit_length())
-    prod = _unpack(_pack(da, w) * _pack(db, w), na + nb - 1, w)
     lo = alo + blo
-    return {lo + g * i: v for i, v in enumerate(prod) if v}
+    return {lo + g * i: v for i, v in enumerate(_packed_product(da, db, bound))
+            if v}
 
 
 # ---------------------------------------------------------------------------
@@ -900,11 +912,12 @@ class XPoly:
     def __mul__(self, other: "XPoly") -> "XPoly":
         if not self.c or not other.c:
             return _X_ZERO
-        # the packed product pays off where its LaurentQ product is a
-        # Kronecker one (measured on the integral products of the workloads)
+        # packing pays off at the LaurentQ gate, counted in q-terms
         if (_integral_terms(self.c) >= _KRONECKER_MIN_TERMS
                 and _integral_terms(other.c) >= _KRONECKER_MIN_TERMS):
-            return _xpoly_mul_integral(self.c, other.c)
+            packed = _xpoly_mul_integral(self.c, other.c)
+            if packed is not None:
+                return packed
         out: dict[int, RatQ] = {}
         for ea, va in self.c.items():
             for eb, vb in other.c.items():
@@ -923,6 +936,14 @@ class XPoly:
             return _X_ZERO
         if r.is_one():
             return self
+        if r.den.is_one() and len(r.num.c) == 1:
+            # r = +-q^d: each numerator shifts, each denominator stays
+            ((d, u),) = r.num.c.items()
+            if u == 1 or u == -1:
+                return _xpoly({e: _ratq(_laurent({k + d: u * c for k, c
+                                                  in v.num.c.items()}),
+                                        v.den, v._vec)
+                               for e, v in self.c.items()})
         return _xpoly({e: v * r for e, v in self.c.items()})
 
     # -- substitutions
@@ -989,32 +1010,44 @@ def _integral_terms(c: dict[int, RatQ]) -> int:
     return n
 
 
-def _xpoly_pack(c: dict[int, RatQ], g: int, s: int, qlo: int) -> LaurentQ:
-    """The integral coefficient map c at x^g = q^s, with x shifted to its
-    lowest exponent and q by qlo; g divides every x offset."""
-    xlo = min(c)
-    return _laurent({(e - xlo) // g * s + k - qlo: v
-                     for e, r in c.items() for k, v in r.num.c.items()})
-
-
-def _xpoly_mul_integral(a: dict[int, RatQ], b: dict[int, RatQ]) -> XPoly:
+def _xpoly_mul_integral(a: dict[int, RatQ], b: dict[int, RatQ]
+                        ) -> XPoly | None:
     """The product of two ``XPoly`` coefficient maps over Z[q^±1] by one
-    ``LaurentQ`` product (Kronecker substitution x^g = q^s, g the common
-    stride of both maps' x-exponents).  With q shifted to its lowest
-    exponent, every coefficient of the product spans fewer than
-    s = span_a + span_b + 1 powers of q, so divmod by s splits the product
-    back into its powers of x^g and of q."""
+    big-int multiply (Kronecker substitution), or None where the layout is
+    sparse.  With g and h the common x- and q-strides of both maps and
+    s = (span_a + span_b)/h + 1 their q-spans together in steps of h, the
+    coefficient of q^k x^e goes to slot (e - x_lo)/g s + (k - q_lo)/h of
+    its operand's dense list.  A product coefficient spans fewer than s
+    slots, so the coefficient of x^(xa + xb + g i) is read off slots
+    [i s, (i + 1) s).  The slot width and the sparse guard are those of
+    ``_kronecker_mul``."""
     qa = [k for r in a.values() for k in r.num.c]
     qb = [k for r in b.values() for k in r.num.c]
     alo, blo = min(qa), min(qb)
-    s = max(qa) - alo + max(qb) - blo + 1
+    h = _igcd(*[k - alo for k in qa], *[k - blo for k in qb]) or 1
+    s = (max(qa) - alo + max(qb) - blo) // h + 1
     xa, xb = min(a), min(b)
     g = _igcd(*[e - xa for e in a], *[e - xb for e in b]) or 1
-    out: dict[int, dict[int, int]] = {}
-    for k, v in (_xpoly_pack(a, g, s, alo) * _xpoly_pack(b, g, s, blo)).c.items():
-        i, j = divmod(k, s)
-        out.setdefault(xa + xb + g * i, {})[alo + blo + j] = v
-    return _xpoly({e: _ratq(_laurent(c), _L_ONE, ()) for e, c in out.items()})
+    sides = ((a, xa, alo), (b, xb, blo))
+    na, nb = ((max(c) - xlo) // g * s + (max(c[max(c)].num.c) - qlo) // h + 1
+              for c, xlo, qlo in sides)
+    if 2 * (na + nb) > len(qa) * len(qb):
+        return None
+    da, db = [0] * na, [0] * nb
+    for (c, xlo, qlo), d in zip(sides, (da, db)):
+        for e, r in c.items():
+            off = (e - xlo) // g * s
+            for k, v in r.num.c.items():
+                d[off + (k - qlo) // h] = v
+    prod = _packed_product(da, db, min(len(qa), len(qb))
+                           * max(map(abs, da)) * max(map(abs, db)))
+    qs = range(alo + blo, alo + blo + h * s, h)
+    out = {}
+    for i in range(0, len(prod), s):
+        c = {k: v for k, v in zip(qs, prod[i:i + s]) if v}
+        if c:
+            out[xa + xb + g * (i // s)] = _ratq(_laurent(c), _L_ONE, ())
+    return _xpoly(out)
 
 
 def _xpoly_divmod(a: XPoly, b: XPoly) -> tuple[XPoly, XPoly]:

@@ -1,5 +1,6 @@
 import pickle
 import random
+from contextlib import contextmanager
 from copy import deepcopy
 from math import gcd
 
@@ -511,8 +512,8 @@ def test_sparse_operands_skip_the_packing(monkeypatch):
         dense * dense
 
 
-# -- XPoly products over Z[q^±1] (one packed LaurentQ product, against the
-# per-term loop over RatQ)
+# -- XPoly products over Z[q^±1] (one packed multiply of two dense layouts,
+# against the per-term loop over RatQ)
 
 def _per_term(a, b):
     out = {}
@@ -520,6 +521,37 @@ def _per_term(a, b):
         for eb, vb in b.c.items():
             out[ea + eb] = out.get(ea + eb, RatQ.zero()) + va * vb
     return XPoly(out)
+
+
+def _layout(a, b, g, h):
+    # the slot counts of the dense layouts of a and b at x-stride g and
+    # q-stride h: the q^k x^e term of a sits at (e - xlo)/g s + (k - qlo)/h
+    qa = [k for r in a.c.values() for k in r.num.c]
+    qb = [k for r in b.c.values() for k in r.num.c]
+    s = (max(qa) - min(qa) + max(qb) - min(qb)) // h + 1
+    return tuple((max(c.c) - min(c.c)) // g * s
+                 + (max(c.c[max(c.c)].num.c) - min(qs)) // h + 1
+                 for c, qs in ((a, qa), (b, qb)))
+
+
+def _terms(a):
+    return sum(len(r.num.c) for r in a.c.values())
+
+
+@contextmanager
+def _packs():
+    # the slot counts of every packed multiply in the block
+    calls = []
+    product = rings._packed_product
+
+    def spy(da, db, bound):
+        calls.append((len(da), len(db)))
+        return product(da, db, bound)
+    rings._packed_product = spy
+    try:
+        yield calls
+    finally:
+        rings._packed_product = product
 
 
 # coefficients on both sides of the 8-byte slot: a product coefficient of
@@ -544,7 +576,29 @@ def test_integral_xpoly_product_matches_per_term_loop(a, b):
     assert b * a == _per_term(a, b)
 
 
-def test_integral_xpoly_product_is_one_laurent_product(monkeypatch):
+# 1 to 3 powers of x at stride 1 or 2, each with a run of 11 to 20 nonzero
+# q-terms, many at the slot edge: every layout is dense enough to pack
+dense_integral_xpolys = st.builds(
+    lambda x0, g, runs: XPoly({
+        x0 + g * i: RatQ(LaurentQ({k0 + j: v for j, v in enumerate(vs)}))
+        for i, (k0, vs) in enumerate(runs)}),
+    st.integers(-3, 3), st.integers(1, 2),
+    st.lists(st.tuples(st.integers(-2, 2),
+                       st.lists(st.one_of(slot_edge, st.integers(1, 9)),
+                                min_size=_KRONECKER_MIN_TERMS, max_size=20)),
+             min_size=1, max_size=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_integral_xpolys, dense_integral_xpolys)
+def test_slot_edge_xpoly_products_take_the_kernel(a, b):
+    with _packs() as packed:
+        ab = a * b
+    assert len(packed) == 1
+    assert ab == _per_term(a, b)
+
+
+def test_integral_xpoly_product_is_one_packed_multiply():
     rng = random.Random(12)
     a = XPoly({e: RatQ(LaurentQ({k: rng.randint(-9, 9) or 1
                                  for k in range(-3 * e, 8)}))
@@ -552,60 +606,118 @@ def test_integral_xpoly_product_is_one_laurent_product(monkeypatch):
     b = XPoly({e: RatQ(LaurentQ({k: rng.randint(-9, 9) or 1
                                  for k in range(e, e + 6)}))
                for e in (-1, 4)})
-    calls = []
-    mul = LaurentQ.__mul__
-
-    def counted(x, y):
-        calls.append((len(x.c), len(y.c)))
-        return mul(x, y)
-    monkeypatch.setattr(LaurentQ, "__mul__", counted)
-    product = a * b
-    assert calls == [(sum(len(r.num.c) for r in a.c.values()),
-                      sum(len(r.num.c) for r in b.c.values()))]
-    assert product == _per_term(a, b)
-    # a denominator anywhere takes the per-term loop
     c = XPoly({**b.c, 2: RatQ(LaurentQ.one(), LaurentQ({2: 1, 0: -1}))})
-    calls.clear()
-    assert a * c == _per_term(a, c)
-    assert len(calls) > 1
+    # a * a packs 74 slots a side for 21 * 21 term pairs
+    with _packs() as packed:
+        product = a * a
+    assert packed == [_layout(a, a, 1, 1)] == [(74, 74)]
+    assert product == _per_term(a, a)
+    # a * b would pack 74 + 115 slots for 21 * 12 term pairs, more than
+    # half of them, and a denominator anywhere rules packing out: both take
+    # the per-term loop
+    assert 2 * sum(_layout(a, b, 1, 1)) > _terms(a) * _terms(b)
+    with _packs() as packed:
+        products = a * b, a * c
+    assert packed == []
+    assert products == (_per_term(a, b), _per_term(a, c))
 
 
 def _strided(rng, xs, k0):
     # an integral XPoly on the x-exponents xs with at least
-    # _KRONECKER_MIN_TERMS q-terms, so its products are packed
+    # _KRONECKER_MIN_TERMS q-terms
     n = -(-_KRONECKER_MIN_TERMS // len(xs))
     return XPoly({e: RatQ(LaurentQ({k0 + 3 * i + e: rng.randint(-9, 9) or 1
                                     for i in range(n)})) for e in xs})
 
 
-def test_integral_xpoly_product_packs_at_the_common_x_stride(monkeypatch):
-    # x-strides 2 and 3, strides 2 and 3 together (gcd 1), and one operand
-    # a single power of x; every operand has at least 11 q-terms
-    rng = random.Random(13)
-    cases = [((-4, -2, 0, 2), (1, 3, 5), 2), ((-3, 0, 3, 6), (3, 9, 12), 3),
-             ((0, 2, 4, 6), (-3, 0, 3), 1), ((-5, -1, 3), (7,), 4),
-             ((2,), (-6, 0, 6), 6)]
-    spans = []
-    mul = LaurentQ.__mul__
+def _run(rng, xs, k0, h, n):
+    # n q-terms at q-stride h on each of the x-exponents xs
+    return XPoly({e: RatQ(LaurentQ({k0 + h * (i + e): rng.randint(-9, 9) or 1
+                                    for i in range(n)})) for e in xs})
 
-    def spy(x, y):
-        spans.append((max(x.c) - min(x.c), max(y.c) - min(y.c)))
-        return mul(x, y)
-    for xa, xb, g in cases:
+
+def test_integral_xpoly_product_packs_at_the_common_x_and_q_strides():
+    # x-strides 2 and 3, strides 2 and 3 together (gcd 1), and one operand
+    # a single power of x; every operand has at least 11 q-terms, at
+    # q-stride 3 where its x-exponents differ by multiples of 3, and only
+    # the layouts with at most half as many slots as term pairs are packed
+    rng = random.Random(13)
+    cases = [((-4, -2, 0, 2), (1, 3, 5), 2, 1),
+             ((-3, 0, 3, 6), (3, 9, 12), 3, 3),
+             ((0, 2, 4, 6), (-3, 0, 3), 1, 1), ((-5, -1, 3), (7,), 4, 1),
+             ((2,), (-6, 0, 6), 6, 3)]
+    for xa, xb, g, h in cases:
         a, b = _strided(rng, xa, -5), _strided(rng, xb, 2)
-        qa = [k for r in a.c.values() for k in r.num.c]
-        qb = [k for r in b.c.values() for k in r.num.c]
-        alo, ahi, blo, bhi = min(qa), max(qa), min(qb), max(qb)
-        s = ahi - alo + bhi - blo + 1
-        spans.clear()
-        monkeypatch.setattr(LaurentQ, "__mul__", spy)
-        product = a * b
-        monkeypatch.undo()
-        # one packed product, x^g = q^s, so x offsets come in steps of s
-        assert spans == [((max(xa) - min(xa)) // g * s + ahi - alo,
-                          (max(xb) - min(xb)) // g * s + bhi - blo)]
+        with _packs() as packed:
+            product = a * b
+        slots = _layout(a, b, g, h)
+        dense = 2 * sum(slots) <= _terms(a) * _terms(b)
+        assert packed == ([slots] if dense else [])
         assert product == _per_term(a, b)
         assert b * a == product
+    assert dense
+    # q-stride 2 with odd q-exponents against even ones, q-stride 3 on
+    # both sides, and strides 2 and 3 together (q-stride 1)
+    for xa, xb, g, (ka, ha), (kb, hb), h in [
+            ((0, 2, 4), (-2, 0), 2, (-5, 2), (4, 2), 2),
+            ((-3, 0, 3), (3, 6), 3, (1, 3), (-2, 3), 3),
+            ((1, 2), (0,), 1, (0, 2), (-7, 3), 1)]:
+        a, b = _run(rng, xa, ka, ha, 12), _run(rng, xb, kb, hb, 12)
+        with _packs() as packed:
+            product = a * b
+        assert packed == [_layout(a, b, g, h)]
+        assert product == _per_term(a, b)
+        assert b * a == product
+
+
+def test_a_power_of_x_that_cancels_is_dropped():
+    # (A x + B)(C x + D) with A = U P, B = V P, C = U Q, D = -V Q: the
+    # coefficient of x, A D + B C, is zero, and its slice reads all zeros
+    u, v = _poly([1, -2, 3]), _poly([2, 0, 1, 1])
+    p, q = _poly([1, 1, -1, 2], -3), _poly([3, -1, 1, 1, 1])
+    a = XPoly({1: RatQ(u * p), 0: RatQ(v * p)})
+    b = XPoly({1: RatQ(u * q), 0: RatQ(-(v * q))})
+    assert min(_terms(a), _terms(b)) >= _KRONECKER_MIN_TERMS
+    with _packs() as packed:
+        product = a * b
+    assert len(packed) == 1
+    assert product == _per_term(a, b)
+    assert sorted(product.c) == [0, 2]
+    assert product.c[2] == RatQ(u * u * p * q)
+
+
+def test_sparse_xpoly_operands_skip_the_packing(monkeypatch):
+    # 11 q-terms on x-exponents 0, 1 and 10^6, or one coefficient spanning
+    # 10^6 powers of q: packing would fill ~10^7 slots for 121 term pairs
+    def no_pack(cs, w):
+        raise AssertionError("packed a sparse product")
+    run = RatQ(LaurentQ({i: 1 for i in range(9)}))
+    wide = XPoly({0: run, 1: RatQ.one(), 10 ** 6: RatQ.q_power(3)})
+    tall = XPoly.from_ratq(RatQ(LaurentQ({**{i: 1 for i in range(10)},
+                                          10 ** 6: 1})))
+    dense = XPoly({0: run, 1: RatQ(LaurentQ({0: 1, 1: -1}))})
+    expected = [_per_term(x, y) for x, y in
+                ((wide, wide), (wide, dense), (tall, tall), (tall, dense))]
+    monkeypatch.setattr(rings, "_pack", no_pack)
+    assert wide * wide == expected[0]
+    assert wide * dense == expected[1]
+    assert tall * tall == expected[2]
+    assert tall * dense == expected[3]
+    with pytest.raises(AssertionError, match="packed"):
+        dense * dense
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurents, mixed_dens, laurents, st.integers(-6, 6),
+       st.sampled_from([1, -1]))
+def test_scale_by_a_signed_power_of_q_shifts_the_numerators(a, b, c, d, u):
+    # the numerators shift, and each denominator stays with its vector
+    p = XPoly({0: RatQ(a, b), 3: RatQ(c)})
+    r = RatQ(LaurentQ.mono(u, d))
+    scaled = p.scale(r)
+    for e, v in scaled.c.items():
+        assert v.den is p.c[e].den and v._vec is p.c[e]._vec
+    assert scaled == XPoly({e: v * r for e, v in p.c.items()})
 
 
 # -- the exponent vector each RatQ carries (against a fresh search)
@@ -642,6 +754,7 @@ def test_results_carry_their_exponent_vector(a, b, c, d, m, e, n, l):
     p = XPoly({1: x, -1: y, 0: x * y})
     made = [x * y, x + y, x - y, -x, x.q_bar(), x.q_inv(), y.q_bar(),
             p.subst_x_eq_qn(n), *xpoly_sum([p, p.q_bar(), -p]).c.values(),
+            *p.scale(RatQ(LaurentQ.mono(-1, n))).c.values(),
             *(p * p).c.values(), *xbinom(n, l).c.values(),
             -z, z.q_bar(), z.q_inv()]
     for r in made:
