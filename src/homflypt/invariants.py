@@ -26,7 +26,7 @@ from math import prod
 from .braid import Braid, cable, closure_info
 from .ladder import build_cap, build_cup, crossing_sums
 from .pbw import Evaluator
-from .qcomb import qbinom, qint, xbinom
+from .qcomb import qbinom, qint, qint_inverse, xbinom
 from .rings import LaurentQ, RatQ, XPoly, xpoly_sum
 
 
@@ -222,7 +222,7 @@ def torus_reference(s: int, m: int, *, zero_framed: bool = False) -> XPoly:
         else:
             e = s * (m * m - 2 * m * k + k * k - k)
         coef = (RatQ(LaurentQ.mono(sgn, e))
-                * (qint(2 * m - 2 * k + 1) / qint(2 * m - k + 1)))
+                * (qint(2 * m - 2 * k + 1) * qint_inverse(2 * m - k + 1)))
         total = total + (xbinom(k - 2, k)
                          * xbinom(2 * m - k - 1, 2 * m - k)).scale(coef)
     if zero_framed:

@@ -25,6 +25,13 @@ def qint(r: int) -> RatQ:
     return RatQ(LaurentQ({e: 1 for e in range(1 - r, r, 2)}))
 
 
+def qint_inverse(r: int) -> RatQ:
+    """1/[r] for r >= 1, with its exponent vector: [r] = q^(1-r) (q^(2r) - 1)
+    / (q^2 - 1), so 1/[r] = q^(r-1) / prod_{d | 2r, d > 2} Phi_d."""
+    return cyclotomic_fraction(LaurentQ.mono(1, r - 1), (
+        (d, 1) for d in range(3, 2 * r + 1) if 2 * r % d == 0))
+
+
 @lru_cache(maxsize=None)
 def qfactorial(r: int) -> RatQ:
     """[r]! = [1][2]...[r]; defined for r >= 0."""

@@ -42,8 +42,9 @@ class OperatorError(ValueError):
 
 _TOKEN = re.compile(r"\s*([0-9]+|[qxML()+\-*/^]|$)")
 
-# the widest q-span of a parsed divisor (``/p`` or ``p^-k``): the time to
-# factor 1/p's denominator into cyclotomic polynomials grows steeply with it
+# the widest q-span of a parsed divisor (``/p`` or ``p^-k``): 1/p carries no
+# exponent vector, so each product and sum with it takes a dense gcd, whose
+# time grows steeply with the span
 _DIVISOR_SPAN = 256
 
 # the most coefficient bits a parsed power (``p^k``) may hold, as estimated

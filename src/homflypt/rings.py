@@ -15,33 +15,35 @@ The only non-integral scalar of the engine is the x-shifted binomial, whose
 denominator prod_{j<=l} (q^j - q^-j) is, up to a power of q, a product of
 factors q^(2j) - 1, hence of cyclotomic polynomials Phi_k.  So every
 denominator the engine produces is a product prod Phi_k^e_k, and each
-``RatQ`` carries its exponent vector, built with the value: there is no
-registry of denominators.  Such fractions are multiplied and added without
-a gcd.  A product cancels each numerator against the other side's Phi_k.
-Every sum goes through one kernel, ``_ratq_sum``: the binary ``RatQ +``
-(and ``-``), the n-ary ``xpoly_sum`` (the sums of ``Evaluator`` and of
-``homfly_partition``, which add the numerators that share a denominator
-first) and the substitution x = q^n.  It lifts the numerators once
-(``lift_fractions``, which also clears the denominators of a vector in
-recurrence guessing) to prod Phi^top, top the elementwise maximum of the
-vectors, and cancels once: the terms folded modulo q^k - 1 tell which
-Phi_k divide, however sparse the numerator is, and only those are divided
-out exactly.  About half of the cancellations repeat an earlier numerator
-and vector, so they are read from a bounded cache (``_cancel_by``).  The
-result is canonical as it stands; so are an inverse and a q-substitution,
-after a shift and a sign.  The gcd canonicalization in ``RatQ.__init__``
-stays the reference and is the one path for every other denominator, whose
-vector is searched once, when it is first needed.  The polynomial gcd is
-left to three users: parsed operators (division by a q-scalar),
+``RatQ`` carries its exponent vector, fixed by the constructor that builds
+the value: there is no registry of denominators and no search for one.
+Such fractions are multiplied and added without a gcd.  A product cancels
+each numerator against the other side's Phi_k.  Every sum goes through one
+kernel, ``_ratq_sum``: the binary ``RatQ +`` (and ``-``), the n-ary
+``xpoly_sum`` (the sums of ``Evaluator`` and of ``homfly_partition``, which
+add the numerators that share a denominator first) and the substitution
+x = q^n.  It lifts the numerators once (``lift_fractions``, which also
+clears the denominators of a vector in recurrence guessing) to prod
+Phi^top, top the elementwise maximum of the vectors, and cancels once: the
+terms folded modulo q^k - 1 tell which Phi_k divide, however sparse the
+numerator is, and only those are divided out exactly.  About half of the
+cancellations repeat an earlier numerator and vector, so they are read from
+a bounded cache (``_cancel_by``).  The result is canonical as it stands; so
+are an inverse and a q-substitution, after a shift and a sign.  The gcd
+canonicalization in ``RatQ.__init__`` stays the reference and is the one
+path for every other value: the gcd constructor and ``inverse`` give the
+vector () when the reduced denominator is 1 and None otherwise, and a
+product or sum with a None vector takes the gcd again.  The polynomial gcd
+is left to three users: parsed operators (division by a q-scalar),
 ``xpoly_gcd``, and the content of a vector in recurrence guessing
 (``laurent_gcd``, over Z[q^{±1}]), which needs it only at a coefficient that
-the content so far does not divide exactly.  Large ``LaurentQ`` products go
-through one big-int multiply (Kronecker substitution), unless the operands
-are so sparse that the packed slots would outnumber half the term pairs.  A
-large ``XPoly`` product over Z[q^{±1}] is one such multiply too: each
-operand's q-coefficients go straight into one dense list, a block of s
-slots per power x^g, and each power of x of the product is read off its
-block.
+the content so far does not divide exactly.  Every large product over
+Z[q^{±1}], of ``LaurentQ`` or of integral ``XPoly`` values, is one big-int
+multiply (``_packed_mul``, Kronecker substitution): each operand's
+q-coefficients go into one dense list, a block of s slots per power x^g (a
+``LaurentQ`` is the one block x^0), and each power of x of the product is
+read off its block, unless the operands are so sparse that the packed slots
+would outnumber half the term pairs.
 """
 
 from __future__ import annotations
@@ -153,22 +155,6 @@ def _phi(k: int) -> tuple[int, ...]:
     return tuple(cs)
 
 
-@lru_cache(maxsize=None)
-def _phi_candidates(deg: int) -> tuple[tuple[int, int], ...]:
-    """(k, phi(k)) for every k with Euler phi(k) <= deg, k ascending.
-
-    phi(k) >= sqrt(k) for k > 6, and phi(k) >= k / (r + 1) >= k / bitlen(k)
-    for k with r distinct prime factors, so a totient sieve up to
-    deg * bitlen(max(6, deg^2)) finds them all."""
-    n = max(6, deg * max(6, deg * deg).bit_length())
-    tot = list(range(n + 1))
-    for p in range(2, n + 1):
-        if tot[p] == p:
-            for j in range(p, n + 1, p):
-                tot[j] -= tot[j] // p
-    return tuple((k, tot[k]) for k in range(1, n + 1) if tot[k] <= deg)
-
-
 def _phi_divides(c: dict[int, int], k: int) -> bool:
     """Whether Phi_k divides the nonzero Laurent polynomial with coefficient
     map c.  Phi_k divides q^k - 1, so it is enough to reduce the fold of c
@@ -271,28 +257,47 @@ def _packed_product(da: list[int], db: list[int], bound: int) -> list[int]:
     return _unpack(_pack(da, w) * _pack(db, w), len(da) + len(db) - 1, w)
 
 
-def _kronecker_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """The product of two coefficient maps of two terms or more, by one
-    big-int multiply.  Exponents are packed with their common stride g.
-    Every product coefficient is at most min(len) max|a| max|b|.  Operands
-    so sparse that the packed slots outnumber half the term pairs go
-    through the schoolbook loop: packing is linear in the slots, whatever
-    their number."""
-    alo, blo = min(a), min(b)
-    g = _igcd(*[e - alo for e in a], *[e - blo for e in b])
-    na, nb = (max(a) - alo) // g + 1, (max(b) - blo) // g + 1
-    if 2 * (na + nb) > len(a) * len(b):
-        return _schoolbook_mul(a, b)
+def _packed_mul(a: dict[int, dict[int, int]], b: dict[int, dict[int, int]]
+                ) -> dict[int, dict[int, int]] | None:
+    """The product of two maps from powers of x to nonzero integer
+    coefficient maps in q, by one big-int multiply (Kronecker
+    substitution), or None where the layout is sparse; a ``LaurentQ``
+    product is the one block x^0.  With g and h the common x- and
+    q-strides of both maps and s = (span_a + span_b)/h + 1 their q-spans
+    together in steps of h, the coefficient of q^k x^e goes to slot
+    (e - x_lo)/g s + (k - q_lo)/h of its operand's dense list.  A product
+    coefficient spans fewer than s slots, so the coefficient of
+    x^(xa + xb + g i) is read off slots [i s, (i + 1) s).  Every product
+    coefficient is at most min(terms) max|a| max|b|.  Layouts whose slots
+    outnumber half the term pairs are left to the term-by-term loop:
+    packing is linear in the slots, whatever their number."""
+    qa = [k for c in a.values() for k in c]
+    qb = [k for c in b.values() for k in c]
+    alo, blo = min(qa), min(qb)
+    h = _igcd(*[k - alo for k in qa], *[k - blo for k in qb]) or 1
+    s = (max(qa) - alo + max(qb) - blo) // h + 1
+    xa, xb = min(a), min(b)
+    g = _igcd(*[e - xa for e in a], *[e - xb for e in b]) or 1
+    sides = ((a, xa, alo), (b, xb, blo))
+    na, nb = ((max(c) - xlo) // g * s + (max(c[max(c)]) - qlo) // h + 1
+              for c, xlo, qlo in sides)
+    if 2 * (na + nb) > len(qa) * len(qb):
+        return None
     da, db = [0] * na, [0] * nb
-    for e, v in a.items():
-        da[(e - alo) // g] = v
-    for e, v in b.items():
-        db[(e - blo) // g] = v
-    bound = (min(len(a), len(b)) * max(map(abs, a.values()))
-             * max(map(abs, b.values())))
-    lo = alo + blo
-    return {lo + g * i: v for i, v in enumerate(_packed_product(da, db, bound))
-            if v}
+    for (c, xlo, qlo), d in zip(sides, (da, db)):
+        for e, ce in c.items():
+            off = (e - xlo) // g * s
+            for k, v in ce.items():
+                d[off + (k - qlo) // h] = v
+    prod = _packed_product(da, db, min(len(qa), len(qb))
+                           * max(map(abs, da)) * max(map(abs, db)))
+    qs = range(alo + blo, alo + blo + h * s, h)
+    out = {}
+    for i in range(0, len(prod), s):
+        c = {k: v for k, v in zip(qs, prod[i:i + s]) if v}
+        if c:
+            out[xa + xb + g * (i // s)] = c
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +402,9 @@ class LaurentQ:
         if len(a) > len(b):
             a, b = b, a
         if len(a) >= _KRONECKER_MIN_TERMS:
-            return _laurent(_kronecker_mul(a, b))
+            packed = _packed_mul({0: a}, {0: b})
+            if packed is not None:
+                return _laurent(packed[0])
         return _laurent(_schoolbook_mul(a, b))
 
     # -- substitutions
@@ -500,34 +507,6 @@ def laurent_divexact(n: LaurentQ, g: LaurentQ) -> LaurentQ:
 _CACHE_SIZE = 1024
 
 _CHAIN = 16  # _cyclo_product's depth bound; 64 raised the RSS of `columns`
-_UNKNOWN = ...  # RatQ._vec not yet searched; a singleton, kept by pickle and copy
-
-
-def _cyclo_exponents(den: LaurentQ) -> tuple[tuple[int, int], ...] | None:
-    """The exponent vector of a canonical denominator, as ascending (k, e)
-    pairs with den = prod Phi_k^e, or None if den is not such a product.
-    Only a denominator of unknown origin is searched (``RatQ.den_vector``).
-
-    A product of Phi_k is monic with constant term (-1)^e_1 and coefficients
-    palindromic up to that sign; a denominator failing these checks is
-    rejected without a search."""
-    c = den.c
-    d = max(c)
-    sign = c.get(0)
-    if c[d] != 1 or sign not in (1, -1):
-        return None
-    if any(c.get(d - e) != sign * v for e, v in c.items()):
-        return None
-    vec, deg = [], 0
-    for k, phik in _phi_candidates(d):
-        if deg == d:
-            break
-        e = _phi_multiplicity(c, k, (d - deg) // phik)
-        if e:
-            vec.append((k, e))
-            deg += e * phik
-    # den is monic and divisible by the monic prod Phi_k^e of degree deg
-    return tuple(vec) if deg == d else None
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -606,13 +585,13 @@ def lift_fractions(terms) -> tuple[list[LaurentQ], LaurentQ,
                                    tuple[tuple[int, int], ...] | None]:
     """(num, r) pairs, num over the denominator of the ``RatQ`` r, lifted to
     one common denominator, as (nums, common, top) with nums[i] = num_i
-    common / r_i.den; each r's vector is read here (``RatQ.den_vector``).
+    common / r_i.den.
     Products of Phi_k are lifted to their lcm prod Phi^top, top the
     elementwise max of their exponent vectors and the vector of common: a
     den at top is the common one, and each other distinct den gets its
     cofactor once.  With any other denominator the common one is the
     product of the distinct dens, and top is None."""
-    terms = [(num, r.den, r.den_vector()) for num, r in terms]
+    terms = [(num, r.den, r._vec) for num, r in terms]
     if any(vec is None for _, _, vec in terms):
         lifts = dict.fromkeys(den for _, den, _ in terms)
         common = _L_ONE
@@ -704,8 +683,12 @@ class RatQ:
     numerator over Q[q], and gcd(content(num), content(den)) = 1.  Equality
     is therefore structural.
 
-    ``_vec`` (not in equality or hashing) is ``den_vector``, set where a
-    value is built; the gcd constructor and ``inverse`` leave it unknown.
+    ``_vec`` (not in equality or hashing) is fixed by the constructor that
+    builds the value: the (k, e) pairs, k ascending, with den = prod
+    Phi_k^e, or None where den is not known to be such a product.  The gcd
+    constructor and ``inverse`` give () when the reduced denominator is 1
+    and None otherwise; a None vector sends a product or sum through the
+    gcd.
     """
 
     __slots__ = ("num", "den", "_vec")
@@ -713,7 +696,6 @@ class RatQ:
     def __init__(self, num: LaurentQ, den: LaurentQ = _L_ONE):
         if den.is_zero():
             raise ZeroDivisionError("RatQ denominator is zero")
-        self._vec = () if num.is_zero() or den.is_one() else _UNKNOWN
         if num.is_zero():
             self.num, self.den = _L_ZERO, _L_ONE
         elif den.is_one():
@@ -731,6 +713,7 @@ class RatQ:
                 nb = [x // c for x in nb]
             self.num, self.den = _shift_sign(LaurentQ._from_dense(va, na),
                                              LaurentQ._from_dense(vb, nb))
+        self._vec = () if self.den.is_one() else None
 
     # -- constructors
 
@@ -758,13 +741,6 @@ class RatQ:
     def is_one(self) -> bool:
         return self.num.is_one() and self.den.is_one()
 
-    def den_vector(self) -> tuple[tuple[int, int], ...] | None:
-        """(k, e) pairs, k ascending, with den = prod Phi_k^e, or None."""
-        vec = self._vec
-        if vec is _UNKNOWN:
-            vec = self._vec = _cyclo_exponents(self.den)
-        return vec
-
     # -- arithmetic
 
     def __add__(self, other: "RatQ") -> "RatQ":
@@ -783,7 +759,7 @@ class RatQ:
             return _R_ZERO
         if self.den.is_one() and other.den.is_one():
             return _ratq(self.num * other.num, _L_ONE, ())
-        fa, fb = self.den_vector(), other.den_vector()
+        fa, fb = self._vec, other._vec
         if fa is not None and fb is not None:
             return _cyclo_mul(self, fa, other, fb)
         return RatQ(self.num * other.num, self.den * other.den)
@@ -794,7 +770,8 @@ class RatQ:
     def inverse(self) -> "RatQ":
         if self.num.is_zero():
             raise ZeroDivisionError("division by zero RatQ")
-        return _ratq(*_shift_sign(self.den, self.num), _UNKNOWN)
+        num, den = _shift_sign(self.den, self.num)
+        return _ratq(num, den, () if den.is_one() else None)
 
     # -- substitutions (automorphisms: num and den stay coprime, Phi_k(q^-1)
     # is +-q^-phi(k) Phi_k(q), and Phi_k(-q) = +-Phi_s(q) for s = 2k, k odd,
@@ -802,7 +779,7 @@ class RatQ:
 
     def q_bar(self) -> "RatQ":
         vec = self._vec
-        if isinstance(vec, tuple):
+        if vec:
             vec = tuple(sorted((2 * k if k % 2 else k // 2 if k % 4 == 2
                                 else k, e) for k, e in vec))
         return _ratq(*_shift_sign(self.num.q_bar(), self.den.q_bar()), vec)
@@ -915,9 +892,11 @@ class XPoly:
         # packing pays off at the LaurentQ gate, counted in q-terms
         if (_integral_terms(self.c) >= _KRONECKER_MIN_TERMS
                 and _integral_terms(other.c) >= _KRONECKER_MIN_TERMS):
-            packed = _xpoly_mul_integral(self.c, other.c)
+            packed = _packed_mul({e: r.num.c for e, r in self.c.items()},
+                                 {e: r.num.c for e, r in other.c.items()})
             if packed is not None:
-                return packed
+                return _xpoly({e: _ratq(_laurent(c), _L_ONE, ())
+                               for e, c in packed.items()})
         out: dict[int, RatQ] = {}
         for ea, va in self.c.items():
             for eb, vb in other.c.items():
@@ -1008,46 +987,6 @@ def _integral_terms(c: dict[int, RatQ]) -> int:
             return 0
         n += len(r.num.c)
     return n
-
-
-def _xpoly_mul_integral(a: dict[int, RatQ], b: dict[int, RatQ]
-                        ) -> XPoly | None:
-    """The product of two ``XPoly`` coefficient maps over Z[q^±1] by one
-    big-int multiply (Kronecker substitution), or None where the layout is
-    sparse.  With g and h the common x- and q-strides of both maps and
-    s = (span_a + span_b)/h + 1 their q-spans together in steps of h, the
-    coefficient of q^k x^e goes to slot (e - x_lo)/g s + (k - q_lo)/h of
-    its operand's dense list.  A product coefficient spans fewer than s
-    slots, so the coefficient of x^(xa + xb + g i) is read off slots
-    [i s, (i + 1) s).  The slot width and the sparse guard are those of
-    ``_kronecker_mul``."""
-    qa = [k for r in a.values() for k in r.num.c]
-    qb = [k for r in b.values() for k in r.num.c]
-    alo, blo = min(qa), min(qb)
-    h = _igcd(*[k - alo for k in qa], *[k - blo for k in qb]) or 1
-    s = (max(qa) - alo + max(qb) - blo) // h + 1
-    xa, xb = min(a), min(b)
-    g = _igcd(*[e - xa for e in a], *[e - xb for e in b]) or 1
-    sides = ((a, xa, alo), (b, xb, blo))
-    na, nb = ((max(c) - xlo) // g * s + (max(c[max(c)].num.c) - qlo) // h + 1
-              for c, xlo, qlo in sides)
-    if 2 * (na + nb) > len(qa) * len(qb):
-        return None
-    da, db = [0] * na, [0] * nb
-    for (c, xlo, qlo), d in zip(sides, (da, db)):
-        for e, r in c.items():
-            off = (e - xlo) // g * s
-            for k, v in r.num.c.items():
-                d[off + (k - qlo) // h] = v
-    prod = _packed_product(da, db, min(len(qa), len(qb))
-                           * max(map(abs, da)) * max(map(abs, db)))
-    qs = range(alo + blo, alo + blo + h * s, h)
-    out = {}
-    for i in range(0, len(prod), s):
-        c = {k: v for k, v in zip(qs, prod[i:i + s]) if v}
-        if c:
-            out[xa + xb + g * (i // s)] = _ratq(_laurent(c), _L_ONE, ())
-    return _xpoly(out)
 
 
 def _xpoly_divmod(a: XPoly, b: XPoly) -> tuple[XPoly, XPoly]:

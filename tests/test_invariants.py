@@ -7,7 +7,7 @@ from homflypt import (Braid, BraidError, Evaluator, Partition,
                       enumerate_terms, homfly_columns, homfly_partition,
                       invariant, parse_braid, qbinom, torus_reference,
                       trefoil_reference, xbinom)
-from homflypt.rings import (LaurentQ, RatQ, XPoly, _cyclo_exponents,
+from homflypt.rings import (LaurentQ, RatQ, XPoly, _cyclo_product,
                             xpoly_divexact, xpoly_sum)
 
 TREFOIL = parse_braid("1 1 1", 2)
@@ -214,6 +214,12 @@ def test_torus_s1_is_framed_unknot():
         flat = invariant(UNKNOT, (_row(m),))
         expect = adjust_framing(flat.q_bar(), m, 1).q_bar()
         assert torus_reference(1, m) == expect
+
+
+def test_torus_reference_carries_exponent_vectors():
+    # 1/[b] is built with its vector, so no coefficient needs a gcd
+    for r in torus_reference(3, 10, zero_framed=True).c.values():
+        assert r._vec is not None and _cyclo_product(r._vec) == r.den
 
 
 def test_torus_zero_framed_needs_odd_s():
@@ -690,7 +696,7 @@ def test_columns_match_product_oracle(cb):
        st.booleans())
 def test_engine_values_carry_their_exponent_vectors(cb, framing, rows):
     # every coefficient of a generic value, and of every memo entry, holds
-    # the exponent vector that a fresh search of its denominator finds
+    # an exponent vector whose cyclotomic product is its denominator
     braid, colors = cb
     if rows:    # row colors: the value is transposed by q -> -q^-1
         colors = tuple(Partition((c,)) for c in colors)
@@ -702,4 +708,4 @@ def test_engine_values_carry_their_exponent_vectors(cb, framing, rows):
     values += [v for state in ev._memo.values() for v in state.values()]
     for value in values:
         for r in value.c.values():
-            assert r._vec == _cyclo_exponents(r.den)
+            assert r._vec is not None and _cyclo_product(r._vec) == r.den

@@ -1,6 +1,8 @@
 import pytest
 
 from homflypt import LaurentQ, RatQ, XPoly, qbinom, qfactorial, qint, xbinom
+from homflypt.qcomb import qint_inverse
+from homflypt.rings import _cyclo_product
 
 
 def test_qint_values():
@@ -9,6 +11,14 @@ def test_qint_values():
     assert qint(-1) == RatQ.from_int(-1)
     for r in range(-5, 6):
         assert qint(-r) == -qint(r)
+
+
+def test_qint_inverse_matches_division():
+    # the closed form against the gcd canonicalization of 1 / [b]
+    for b in range(1, 41):
+        r = qint_inverse(b)
+        assert r == RatQ.one() / qint(b)
+        assert _cyclo_product(r._vec) == r.den
 
 
 def test_qbinom_values():

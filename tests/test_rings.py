@@ -1,5 +1,6 @@
 import pickle
 import random
+from collections import Counter
 from contextlib import contextmanager
 from copy import deepcopy
 from math import gcd
@@ -11,11 +12,11 @@ from homflypt import (LaurentQ, RatQ, XPoly, laurent_gcd, qint, xpoly_divexact,
                       xpoly_gcd)
 from homflypt import rings
 from homflypt.qcomb import xbinom
-from homflypt.rings import (_KRONECKER_MIN_TERMS, _UNKNOWN, _cancel,
-                            _cancel_by, _cyclo_exponents, _cyclo_product,
-                            _kronecker_mul, _list_content, _list_gcd, _phi,
-                            _phi_multiplicity, cyclotomic_fraction,
-                            laurent_divexact, lift_fractions, xpoly_sum)
+from homflypt.rings import (_KRONECKER_MIN_TERMS, _cancel, _cancel_by,
+                            _cyclo_product, _list_content, _list_gcd,
+                            _packed_mul, _phi, _phi_multiplicity,
+                            cyclotomic_fraction, laurent_divexact,
+                            lift_fractions, xpoly_sum)
 
 ONE = XPoly.one()
 ZERO = XPoly.zero()
@@ -100,8 +101,16 @@ def test_q_bar_involution():
 
 def test_integral_laurent():
     # canonical form leaves an integral value over the denominator 1
+    # and with the empty exponent vector, however the input denominator
+    # factors; so does the inverse of +-q^k
     r = RatQ(LaurentQ({2: 1, -2: -1}), LaurentQ({1: 1, -1: -1}))
     assert r.den.is_one() and r.num == LaurentQ({1: 1, -1: 1})
+    assert r._vec == ()
+    assert RatQ(LaurentQ({2: 1, 0: -1}), LaurentQ({1: 1, 0: -1}))._vec == ()
+    for u in (1, -1):
+        for k in (-3, 0, 2):
+            inv = RatQ(LaurentQ.mono(u, k)).inverse()
+            assert inv == RatQ(LaurentQ.mono(u, -k)) and inv._vec == ()
     assert not RatQ(LaurentQ.one(), LaurentQ({1: 1, -1: -1})).den.is_one()
     assert RatQ.zero().den.is_one() and RatQ.zero().num == LaurentQ.zero()
 
@@ -200,7 +209,7 @@ def test_json_rendering():
 
 
 # -- gcd-free arithmetic over cyclotomic denominators (against the gcd
-# canonicalization of RatQ.__init__) and Kronecker products (against the
+# canonicalization of RatQ.__init__) and packed products (against the
 # schoolbook loop)
 
 def _poly(cs, low=0):
@@ -222,42 +231,54 @@ def _product(factors):
     return out
 
 
+def _over(num, vec):
+    """num / prod Phi_k^e over the (k, e) pairs of vec, with its exponent
+    vector: the integral num times 1 / prod Phi_k^e, whose product cancels
+    the Phi_k that divide num."""
+    return RatQ(num) * cyclotomic_fraction(LaurentQ.one(), vec)
+
+
 laurents = st.dictionaries(st.integers(-8, 8), st.integers(-50, 50),
                            max_size=10).map(LaurentQ)
-# a product of Phi_k (k <= 12) and q^(2j) - 1 (j <= 4)
-cyclotomic_dens = st.lists(
-    st.one_of(st.integers(1, 12).map(lambda k: _poly(_phi(k))),
-              st.integers(1, 4).map(lambda j: LaurentQ({2 * j: 1, 0: -1}))),
-    max_size=4).map(_product)
+# the exponent vector of a product of Phi_k (k <= 12) and q^(2j) - 1
+# (j <= 4), which is prod_{d | 2j} Phi_d
+cyclotomic_vecs = st.lists(
+    st.one_of(st.integers(1, 12).map(lambda k: [k]),
+              st.integers(1, 4).map(lambda j: [d for d in range(1, 2 * j + 1)
+                                               if 2 * j % d == 0])),
+    max_size=4).map(lambda ks: tuple(sorted(Counter(sum(ks, [])).items())))
+cyclotomic_dens = cyclotomic_vecs.map(_cyclo_product)
+cyclotomic_ratqs = st.builds(_over, laurents, cyclotomic_vecs)
+# values with their vectors, and values of the gcd constructor, over
+# products of Phi_k and over q^2 + 3, 2q - 1 and 2q^2 + 6, whose content
+# can cancel against a numerator's
+mixed_ratqs = st.one_of(cyclotomic_ratqs, st.builds(RatQ, laurents, st.one_of(
+    cyclotomic_dens, st.sampled_from(
+        [LaurentQ({2: 1, 0: 3}), LaurentQ({1: 2, 0: -1}),
+         LaurentQ({2: 2, 0: 6})]))))
+Q2 = ((1, 1), (2, 1))   # q^2 - 1 = Phi_1 Phi_2
 
 
 # equal non-unit denominators: x + x, x + (-x), two numerators over one
 # denominator whose sum cancels Phi_2, and a zero operand
 @settings(max_examples=150, deadline=None)
-@given(laurents, cyclotomic_dens, laurents, cyclotomic_dens)
-@example(_poly([1]), _poly([-1, 0, 1]), _poly([1]), _poly([-1, 0, 1]))
-@example(_poly([1]), _poly([-1, 0, 1]), _poly([-1]), _poly([-1, 0, 1]))
-@example(_poly([1]), _poly([-1, 0, 1]), _poly([0, 1]), _poly([-1, 0, 1]))
-@example(LaurentQ.zero(), _poly([-1, 0, 1]), _poly([2, 1]), _poly([-1, 0, 1]))
+@given(laurents, cyclotomic_vecs, laurents, cyclotomic_vecs)
+@example(_poly([1]), Q2, _poly([1]), Q2)
+@example(_poly([1]), Q2, _poly([-1]), Q2)
+@example(_poly([1]), Q2, _poly([0, 1]), Q2)
+@example(LaurentQ.zero(), Q2, _poly([2, 1]), Q2)
 def test_cyclotomic_fast_paths_match_gcd_canonical(a, b, c, d):
-    x, y = RatQ(a, b), RatQ(c, d)
-    assert _cyclo_exponents(x.den) is not None
-    assert _cyclo_exponents(y.den) is not None
+    x, y = _over(a, b), _over(c, d)
+    assert x == RatQ(a, _cyclo_product(b)) and y == RatQ(c, _cyclo_product(d))
+    assert x._vec is not None and y._vec is not None
     assert x + y == RatQ(x.num * y.den + y.num * x.den, x.den * y.den)
     assert x - y == RatQ(x.num * y.den - y.num * x.den, x.den * y.den)
     assert x * y == RatQ(x.num * y.num, x.den * y.den)
 
 
-# products of Phi_k, and denominators that are not: q^2 + 3, 2q - 1 and
-# 2q^2 + 6, whose content can cancel against a numerator's
-mixed_dens = st.one_of(cyclotomic_dens, st.sampled_from(
-    [LaurentQ({2: 1, 0: 3}), LaurentQ({1: 2, 0: -1}), LaurentQ({2: 2, 0: 6})]))
-
-
 @settings(max_examples=150, deadline=None)
-@given(laurents, mixed_dens, laurents, mixed_dens)
-def test_inverse_and_substitutions_match_gcd_canonical(a, b, c, d):
-    x, y = RatQ(a, b), RatQ(c, d)
+@given(mixed_ratqs, mixed_ratqs)
+def test_inverse_and_substitutions_match_gcd_canonical(x, y):
     assert x.q_bar() == RatQ(x.num.q_bar(), x.den.q_bar())
     assert x.q_inv() == RatQ(x.num.q_inv(), x.den.q_inv())
     if y.is_zero():
@@ -271,12 +292,11 @@ def test_inverse_and_substitutions_match_gcd_canonical(a, b, c, d):
 
 
 @st.composite
-def _term_lists(draw, dens):
+def _term_lists(draw, coeffs):
     """0 to 8 values, the last up to 3 drawn from the first ones: a repeat
     (shared denominators), a negation (cancels to zero) or w - v for a w on
     the powers of x of v (the lcm of the denominators is more than the sum
     needs)."""
-    coeffs = st.builds(RatQ, laurents, dens)
     vs = draw(st.lists(st.dictionaries(st.integers(-1, 1), coeffs, max_size=3)
                        .map(XPoly), max_size=5))
     for v in draw(st.lists(st.sampled_from(vs), max_size=3)) if vs else ():
@@ -296,7 +316,7 @@ def _gcd_canonical_sum(pairs):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(_term_lists(cyclotomic_dens), _term_lists(mixed_dens)))
+@given(st.one_of(_term_lists(cyclotomic_ratqs), _term_lists(mixed_ratqs)))
 def test_xpoly_sum_matches_gcd_canonical(vs):
     got = xpoly_sum(iter(vs))
     for e in {e for v in vs for e in v.c} | set(got.c):
@@ -305,8 +325,8 @@ def test_xpoly_sum_matches_gcd_canonical(vs):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.dictionaries(st.integers(-3, 3), st.builds(RatQ, laurents, mixed_dens),
-                       max_size=4).map(XPoly), st.integers(-3, 3))
+@given(st.dictionaries(st.integers(-3, 3), mixed_ratqs, max_size=4).map(XPoly),
+       st.integers(-3, 3))
 def test_subst_x_matches_gcd_canonical(p, n):
     assert p.subst_x_eq_qn(n) == _gcd_canonical_sum(
         [(r.num * LaurentQ.mono(1, n * e), r.den) for e, r in p.c.items()])
@@ -315,9 +335,9 @@ def test_subst_x_matches_gcd_canonical(p, n):
 def test_xpoly_sum_cancels_once_over_the_lcm(monkeypatch):
     # 1/(q^2 - 1) + 1/(q^4 - 1) + q^2/(q^4 - 1): lcm Phi_1 Phi_2 Phi_4, and
     # the total 2/(q^2 - 1) cancels Phi_4
-    a = RatQ(LaurentQ.one(), _poly([-1, 0, 1]))
-    b = RatQ(LaurentQ.one(), _poly([-1, 0, 0, 0, 1]))
-    c = RatQ(LaurentQ.mono(1, 2), _poly([-1, 0, 0, 0, 1]))
+    a = cyclotomic_fraction(LaurentQ.one(), Q2)
+    b = cyclotomic_fraction(LaurentQ.one(), Q2 + ((4, 1),))
+    c = cyclotomic_fraction(LaurentQ.mono(1, 2), Q2 + ((4, 1),))
     seen = []
     cancel = rings._cancel
 
@@ -341,10 +361,11 @@ coefficient_maps = st.dictionaries(
 @settings(max_examples=200, deadline=None)
 @given(coefficient_maps, coefficient_maps)
 def test_kronecker_matches_schoolbook(a, b):
+    # the packed kernel on one block, or None on a sparse layout
     assert a * b == _schoolbook(a, b)
-    if len(a.c) >= 2 and len(b.c) >= 2:
-        small, big = sorted((a.c, b.c), key=len)
-        assert _kronecker_mul(small, big) == _schoolbook(a, b).c
+    if a.c and b.c:
+        assert _packed_mul({0: a.c}, {0: b.c}) in (None,
+                                                   {0: _schoolbook(a, b).c})
 
 
 def test_kronecker_both_sides_of_threshold():
@@ -381,11 +402,6 @@ def test_cyclotomic_products_of_divisors():
             if k % d == 0:
                 prod = (_poly(prod) * _poly(_phi(d)))._dense()[1]
         assert prod == [-1] + [0] * (k - 1) + [1]
-
-
-def test_factorizer_finds_exponents():
-    den = LaurentQ({2: 1, 0: -1}) * LaurentQ({4: 1, 0: -1}) * LaurentQ({6: 1, 0: -1})
-    assert _cyclo_exponents(den) == ((1, 3), (2, 3), (3, 1), (4, 1), (6, 1))
 
 
 def test_cyclotomic_product_of_a_large_exponent():
@@ -443,7 +459,8 @@ def test_lift_returns_the_common_vector():
     cofactor = _poly(_phi(7)) * _poly(_phi(9))
     vec = ((1, 1), (7, 1), (9, 1))
     one = LaurentQ.one()
-    low, mid = RatQ(one, den), RatQ(one, cofactor)
+    low = cyclotomic_fraction(one, ((1, 1),))
+    mid = cyclotomic_fraction(one, ((7, 1), (9, 1)))
     nums, common, got = lift_fractions([(one, low),
                                         (one, cyclotomic_fraction(one, vec))])
     assert nums == [cofactor, one] and common == top and got == vec
@@ -455,19 +472,19 @@ def test_lift_returns_the_common_vector():
                 and any(isinstance(key, LaurentQ) for key in v)]
 
 
-def test_unknown_vector_survives_pickle_and_copy():
-    # a value not yet searched keeps its marker through pickle and deepcopy,
-    # and the copy is searched, multiplied and added as the original is
+def test_vector_survives_pickle_and_copy():
+    # a value keeps its vector, or None, through pickle and deepcopy, and
+    # the copy is multiplied and added as the original is
     q = LaurentQ({1: 1})
-    other = RatQ(q, _poly(_phi(2)))
+    other = cyclotomic_fraction(q, ((2, 1),))
     for r, vec in ((RatQ(q, LaurentQ({2: 1, 0: 3})), None),
-                   (RatQ(q, _poly(_phi(1)) * _poly(_phi(3))), ((1, 1), (3, 1))),
+                   (cyclotomic_fraction(q, ((1, 1), (3, 1))), ((1, 1), (3, 1))),
                    (RatQ(LaurentQ({0: 2}), _poly(_phi(1))).inverse(), None)):
         copies = [pickle.loads(pickle.dumps(r)), deepcopy(r)]
         for c in copies:
-            assert c._vec is _UNKNOWN
+            assert c._vec == vec
             assert c * other == r * other and c + other == r + other
-            assert c * c == r * r and c.den_vector() == vec
+            assert c * c == r * r
 
 
 def test_laurent_divexact():
@@ -484,16 +501,11 @@ def test_laurent_divexact():
 
 
 def test_non_cyclotomic_denominator_takes_gcd_path():
-    den = LaurentQ({2: 1, 0: 3})             # q^2 + 3: fails the cheap checks
-    assert _cyclo_exponents(den) is None
-    palin = LaurentQ({2: 1, 1: 3, 0: 1})     # q^2 + 3q + 1: searched, no match
-    assert _cyclo_exponents(palin) is None
-    x = RatQ(LaurentQ({3: 2, 0: 1}), den)
-    y = RatQ(LaurentQ({1: 1}), LaurentQ({2: 1, 0: -1}))
-    assert x._vec is _UNKNOWN                # not searched until needed
+    x = RatQ(LaurentQ({3: 2, 0: 1}), LaurentQ({2: 1, 0: 3}))    # q^2 + 3
+    y = cyclotomic_fraction(LaurentQ({1: 1}), Q2)
+    assert x._vec is None                    # the gcd constructor's value
     assert x * y == RatQ(x.num * y.num, x.den * y.den)
-    assert x._vec is None                    # one search, kept on the value
-    assert y._vec == ((1, 1), (2, 1))
+    assert (x * y)._vec is None
     assert x + y == RatQ(x.num * y.den + y.num * x.den, x.den * y.den)
     assert (x * y).den == LaurentQ({4: 1, 2: 2, 0: -3})
 
@@ -708,11 +720,10 @@ def test_sparse_xpoly_operands_skip_the_packing(monkeypatch):
 
 
 @settings(max_examples=100, deadline=None)
-@given(laurents, mixed_dens, laurents, st.integers(-6, 6),
-       st.sampled_from([1, -1]))
-def test_scale_by_a_signed_power_of_q_shifts_the_numerators(a, b, c, d, u):
+@given(mixed_ratqs, laurents, st.integers(-6, 6), st.sampled_from([1, -1]))
+def test_scale_by_a_signed_power_of_q_shifts_the_numerators(x, c, d, u):
     # the numerators shift, and each denominator stays with its vector
-    p = XPoly({0: RatQ(a, b), 3: RatQ(c)})
+    p = XPoly({0: x, 3: RatQ(c)})
     r = RatQ(LaurentQ.mono(u, d))
     scaled = p.scale(r)
     for e, v in scaled.c.items():
@@ -720,10 +731,10 @@ def test_scale_by_a_signed_power_of_q_shifts_the_numerators(a, b, c, d, u):
     assert scaled == XPoly({e: v * r for e, v in p.c.items()})
 
 
-# -- the exponent vector each RatQ carries (against a fresh search)
+# -- the exponent vector each RatQ carries (against its cyclotomic product)
 
 def _carries_its_vector(r):
-    return r._vec == _cyclo_exponents(r.den)
+    return r._vec is not None and _cyclo_product(r._vec) == r.den
 
 
 def test_q_bar_maps_phi_k_to_phi_at_minus_q():
@@ -731,37 +742,30 @@ def test_q_bar_maps_phi_k_to_phi_at_minus_q():
     # Phi_k(-q) = +-Phi_sigma(k)(q); sigma is an involution
     sigma = {}
     for k in range(1, 61):
-        r = RatQ(LaurentQ.one(), _poly(_phi(k)))
-        assert r.den_vector() == ((k, 1),)
+        r = cyclotomic_fraction(LaurentQ.one(), ((k, 1),))
+        assert r == RatQ(LaurentQ.one(), _poly(_phi(k)))
         ((sigma[k], e),) = r.q_bar()._vec
-        assert e == 1
+        assert e == 1 and _carries_its_vector(r.q_bar())
         at_minus = [-c if i % 2 else c for i, c in enumerate(_phi(k))]
         assert at_minus in ([*_phi(sigma[k])], [-c for c in _phi(sigma[k])])
     assert all(sigma[sigma[k]] == k for k in sigma if sigma[k] in sigma)
 
 
 @settings(max_examples=150, deadline=None)
-@given(laurents, cyclotomic_dens, laurents, cyclotomic_dens, laurents,
-       mixed_dens, st.integers(-3, 3), st.integers(-1, 5))
-def test_results_carry_their_exponent_vector(a, b, c, d, m, e, n, l):
-    x, y, z = RatQ(a, b), RatQ(c, d), RatQ(m, e)
-    # the gcd constructor leaves the vector to the first use
-    for r in (x, y, z):
-        assert r._vec is _UNKNOWN or r.den.is_one()
-        if r.den_vector() is None:
-            assert r._vec is None
-        assert _carries_its_vector(r)
+@given(laurents, cyclotomic_vecs, laurents, cyclotomic_vecs, mixed_ratqs,
+       st.integers(-3, 3), st.integers(-1, 5))
+def test_results_carry_their_exponent_vector(a, b, c, d, z, n, l):
+    x, y = _over(a, b), _over(c, d)
+    assert _carries_its_vector(x) and _carries_its_vector(y)
     p = XPoly({1: x, -1: y, 0: x * y})
     made = [x * y, x + y, x - y, -x, x.q_bar(), x.q_inv(), y.q_bar(),
             p.subst_x_eq_qn(n), *xpoly_sum([p, p.q_bar(), -p]).c.values(),
             *p.scale(RatQ(LaurentQ.mono(-1, n))).c.values(),
-            *(p * p).c.values(), *xbinom(n, l).c.values(),
-            -z, z.q_bar(), z.q_inv()]
+            *(p * p).c.values(), *xbinom(n, l).c.values()]
     for r in made:
         assert _carries_its_vector(r)
-    # a non-cyclotomic operand takes the gcd path, which leaves the vector
-    # unknown until its first use
-    for r in (x * z, x + z, z * z, *([] if z.is_zero() else [z.inverse()])):
-        assert r._vec is _UNKNOWN or _carries_its_vector(r)
-        r.den_vector()
-        assert _carries_its_vector(r)
+    # an operand of the gcd constructor takes the gcd path, whose value has
+    # the vector () over the denominator 1 and None otherwise
+    for r in (z, -z, z.q_bar(), z.q_inv(), x * z, x + z, z * z,
+              *([] if z.is_zero() else [z.inverse()])):
+        assert _carries_its_vector(r) or r._vec is None and not r.den.is_one()
