@@ -53,8 +53,10 @@ Each swap moves one E letter right of one F letter with the same index and
 creates no new such pair, and settling a word only reorders and merges F
 letters that lie right of every E, so it creates none either.  So the
 recursion depth is at most I(w) + 1, where I(w) counts the pairs (E_i, F_i)
-with the E left of the F.  The recursion limit of the interpreter is left
-alone; a word too deep for it is refused with ``ValueError``.
+with the E left of the F; beside it the ring layer adds only logarithmic
+depth (``_phi`` and ``_cyclo_product``).  The recursion limit of the
+interpreter is left alone; a word too deep for it is refused with
+``ValueError``.
 
 ``contract`` evaluates a sum of words that factors crossing by crossing:
 the state of the cup is carried through each crossing's sum and the cap,

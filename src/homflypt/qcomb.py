@@ -34,12 +34,13 @@ def qint_inverse(r: int) -> RatQ:
 
 @lru_cache(maxsize=None)
 def qfactorial(r: int) -> RatQ:
-    """[r]! = [1][2]...[r]; defined for r >= 0."""
+    """[r]! = [1][2]...[r] for r >= 0, by a loop that adds no stack depth."""
     if r < 0:
         raise ValueError("quantum factorial needs r >= 0")
-    if r == 0:
-        return RatQ.one()
-    return qfactorial(r - 1) * qint(r)
+    out = RatQ.one()
+    for k in range(1, r + 1):
+        out = out * qint(k)
+    return out
 
 
 @lru_cache(maxsize=None)

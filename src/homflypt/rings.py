@@ -506,27 +506,22 @@ def laurent_divexact(n: LaurentQ, g: LaurentQ) -> LaurentQ:
 # cancellation cache holds about 1 MB on the larger cables
 _CACHE_SIZE = 1024
 
-_CHAIN = 16  # _cyclo_product's depth bound; 64 raised the RSS of `columns`
-
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _cyclo_product(vec: tuple[tuple[int, int], ...]) -> LaurentQ:
-    """prod Phi_k^e over the (k, e) pairs of vec: Phi_k times the cached
-    product with the last e lowered by one, or, for exponents summing to
-    more than _CHAIN, multiplied out, so the recursion is _CHAIN deep."""
+    """prod Phi_k^e over the (k, e) pairs of vec (e >= 1): the product of
+    the cached values of its two halves, vec[:n // 2] and vec[n // 2:], and
+    for one pair of Phi_k^(e // 2) and Phi_k^(e - e // 2), so the recursion
+    is about log2(len(vec)) + log2(max e) deep."""
+    if len(vec) > 1:
+        n = len(vec) // 2
+        return _cyclo_product(vec[:n]) * _cyclo_product(vec[n:])
     if not vec:
         return _L_ONE
-    *rest, (k, e) = vec
-    if e > 1:
-        rest.append((k, e - 1))
-    p, factors = _L_ONE, vec
-    if sum(f for _, f in vec) <= _CHAIN:
-        p, factors = _cyclo_product(tuple(rest)), ((k, 1),)
-    for k, e in factors:
-        phik = LaurentQ._from_dense(0, list(_phi(k)))
-        for _ in range(e):
-            p = p * phik
-    return p
+    (k, e), = vec
+    if e == 1:
+        return LaurentQ._from_dense(0, list(_phi(k)))
+    return _cyclo_product(((k, e // 2),)) * _cyclo_product(((k, e - e // 2),))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from homflypt import LaurentQ, RatQ, XPoly, qbinom, qfactorial, qint, xbinom
@@ -97,6 +101,20 @@ def test_xbinom_closed_form_matches_the_product():
             assert xbinom(s, l) is xbinom(s, l)
 
 
+def test_xbinom_denominators_past_sixteen_factors():
+    # P_k P_(l-k), P_k = prod_{j<=k} (q^(2j) - 1), built from the binomials
+    # q^(2j) - 1; for l >= 9 some have 17 or more Phi factors
+    def p(k):
+        out = LaurentQ.one()
+        for j in range(1, k + 1):
+            out = out * LaurentQ({2 * j: 1, 0: -1})
+        return out
+    for l in range(9, 17):
+        x = xbinom(0, l)
+        for k in range(l + 1):
+            assert x.coeff(l - 2 * k).den == p(k) * p(l - k)
+
+
 def test_memoization_returns_identical_values():
     assert qbinom(6, 3) is qbinom(6, 3)
     assert xbinom(1, 2) is xbinom(1, 2)
@@ -105,3 +123,16 @@ def test_memoization_returns_identical_values():
 def test_qfactorial_negative_raises():
     with pytest.raises(ValueError):
         qfactorial(-1)
+
+
+def test_qfactorial_adds_no_stack_depth():
+    # a first call deep inside a rewrite must not need one frame per factor
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r})\n"
+            "from homflypt.qcomb import qfactorial\n"
+            "sys.setrecursionlimit(40)\n"
+            "print(sorted(qfactorial(60).num.c.items()))\n")
+    done = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"{sorted(qfactorial(60).num.c.items())}\n"

@@ -405,8 +405,8 @@ def test_cyclotomic_products_of_divisors():
 
 
 def test_cyclotomic_product_of_a_large_exponent():
-    # one Phi_k per cached step below the chain bound; a larger exponent is
-    # multiplied out without recursing once per factor
+    # a single pair is the product of its two cached exponent halves, so
+    # Phi_1^1100 is about log2(1100) calls deep, not one call per factor
     phi1 = _poly(_phi(1))
     power = {1: phi1}
     for e in (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024):
@@ -415,6 +415,18 @@ def test_cyclotomic_product_of_a_large_exponent():
         * power[4]
     assert _cyclo_product(((1, 3), (2, 2), (5, 1))) == _product(
         [phi1] * 3 + [_poly(_phi(2))] * 2 + [_poly(_phi(5))])
+
+
+def test_cyclotomic_products_of_17_to_60_factors():
+    # several distinct k, with exponent sums past the 16 factors that
+    # cyclotomic_vecs reaches, against the left-fold product
+    rng = random.Random(1604)
+    for total in range(17, 61):
+        ks = sorted(rng.sample(range(1, 19), rng.randint(2, 6)))
+        cuts = sorted(rng.sample(range(1, total), len(ks) - 1))
+        vec = tuple(zip(ks, (b - a for a, b in zip([0] + cuts, cuts + [total]))))
+        assert _cyclo_product(vec) == _product(
+            _poly(_phi(k)) for k, e in vec for _ in range(e))
 
 
 def test_phi_multiplicity_of_sparse_laurent_maps():
