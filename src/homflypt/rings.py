@@ -527,31 +527,31 @@ def _cyclo_product(vec: tuple[tuple[int, int], ...]) -> LaurentQ:
 @lru_cache(maxsize=_CACHE_SIZE)
 def _cancel_by(p: LaurentQ, vec: tuple[tuple[int, int], ...]
                ) -> tuple[LaurentQ, tuple[tuple[int, int], ...]]:
-    """(p / prod Phi_k^c_k, the nonzero (k, c_k)), c_k <= e_k as large as
-    divides p, over the (k, e_k) pairs of vec; the quotient is p itself
-    when nothing divides."""
-    div = []
+    """(p / prod Phi_k^c_k, the (k, e_k - c_k) with c_k < e_k), c_k <= e_k
+    as large as divides p, over the (k, e_k) pairs of vec; (p, vec) when
+    nothing divides."""
+    div, left = [], []
     for k, e in vec:
         c = _phi_multiplicity(p.c, k, e)
         if c:
             div.append((k, c))
+        if c < e:
+            left.append((k, e - c))
     if not div:
-        return p, ()
-    div = tuple(div)
-    return laurent_divexact(p, _cyclo_product(div)), div
+        return p, vec
+    return laurent_divexact(p, _cyclo_product(tuple(div))), tuple(left)
 
 
-def _cancel(p: LaurentQ, vec: dict[int, int]) -> LaurentQ:
-    """Divide p by prod Phi_k^c_k, c_k <= vec[k] as large as divides p, and
-    lower vec[k] by c_k.  Returns p itself when nothing divides."""
+def _cancel(p: LaurentQ, vec: tuple[tuple[int, int], ...]
+            ) -> tuple[LaurentQ, tuple[tuple[int, int], ...]]:
+    """(p / prod Phi_k^c_k, vec lowered by the c_k) as ``_cancel_by`` gives
+    it, or the caller's own p and vec when nothing divides."""
     if len(p.c) < 2 or not vec:
-        return p
-    q, div = _cancel_by(p, tuple(sorted(vec.items())))
-    if not div:
-        return p
-    for k, c in div:
-        vec[k] -= c
-    return q
+        return p, vec
+    q, left = _cancel_by(p, vec)
+    if left == vec:
+        return p, vec
+    return q, left
 
 
 def cyclotomic_fraction(num: LaurentQ, pairs) -> "RatQ":
@@ -565,15 +565,16 @@ def cyclotomic_fraction(num: LaurentQ, pairs) -> "RatQ":
 def _cyclo_mul(x: "RatQ", fa, y: "RatQ", fb) -> "RatQ":
     """x * y for denominators prod Phi^fa and prod Phi^fb.  A numerator is
     coprime to its own Phi_k, so it can only cancel the other side's."""
-    ra, rb = dict(fb), dict(fa)
-    a, b = _cancel(x.num, ra), _cancel(y.num, rb)
+    a, ra = _cancel(x.num, fb)
+    b, rb = _cancel(y.num, fa)
     if not fa and a is x.num:
         return _ratq(a * b, y.den, fb)
     if not fb and b is y.num:
         return _ratq(a * b, x.den, fa)
-    for k, e in rb.items():
-        ra[k] = ra.get(k, 0) + e
-    return cyclotomic_fraction(a * b, ra.items())
+    vec = dict(ra)
+    for k, e in rb:
+        vec[k] = vec.get(k, 0) + e
+    return cyclotomic_fraction(a * b, vec.items())
 
 
 def lift_fractions(terms) -> tuple[list[LaurentQ], LaurentQ,
@@ -633,11 +634,10 @@ def _ratq_sum(terms) -> "RatQ":
         return _R_ZERO
     if top is None:
         return RatQ(total, common)
-    left = dict(top)
-    num = _cancel(total, left)  # lowers left by the Phi_k it divides out
+    num, left = _cancel(total, top)
     if num is total:
         return _ratq(num, common, top)
-    return cyclotomic_fraction(num, left.items())
+    return cyclotomic_fraction(num, left)
 
 
 def xpoly_sum(values) -> "XPoly":
@@ -696,18 +696,9 @@ class RatQ:
         elif den.is_one():
             self.num, self.den = num, _L_ONE
         else:
-            va, na = num._dense()
-            vb, nb = den._dense()
-            g = _list_gcd(na, nb)
-            if len(g) > 1:
-                na = _list_divexact(na, g)
-                nb = _list_divexact(nb, g)
-            c = _igcd(_list_content(na), _list_content(nb))
-            if c > 1:
-                na = [x // c for x in na]
-                nb = [x // c for x in nb]
-            self.num, self.den = _shift_sign(LaurentQ._from_dense(va, na),
-                                             LaurentQ._from_dense(vb, nb))
+            g = laurent_gcd(num, den)
+            self.num, self.den = _shift_sign(laurent_divexact(num, g),
+                                             laurent_divexact(den, g))
         self._vec = () if self.den.is_one() else None
 
     # -- constructors

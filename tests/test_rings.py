@@ -139,6 +139,30 @@ def test_canonical_denominator_shape():
         assert r.den.leading_coeff() > 0
 
 
+def test_gcd_constructor_is_reduced_and_primitive():
+    # RatQ(a g c, b g c), g not a monomial and c an integer other than 0
+    # and +-1, checked by cross-multiplying and by the dense gcd and
+    # content, none of which goes through the constructor
+    rng = random.Random(14)
+    for _ in range(40):
+        a = rand_laurent(rng)
+        b = g = LaurentQ.zero()
+        while b.is_zero():
+            b = rand_laurent(rng, span=2)
+        while len(g.c) < 2:
+            g = rand_laurent(rng, span=2)
+        c = LaurentQ.from_int(rng.choice((-6, -4, -3, -2, 2, 3, 5, 12)))
+        num, den = a * g * c, b * g * c
+        r = RatQ(num, den)
+        assert r.num * den == r.den * num
+        assert r.den.min_exp == 0 and r.den.leading_coeff() > 0
+        if r.num.is_zero():
+            continue
+        dn, dd = r.num._dense()[1], r.den._dense()[1]
+        assert len(_list_gcd(dn, dd)) == 1
+        assert gcd(_list_content(dn), _list_content(dd)) == 1
+
+
 def test_half_is_not_integral():
     assert not RatQ(LaurentQ.one(), LaurentQ.from_int(2)).den.is_one()
 
@@ -342,12 +366,12 @@ def test_xpoly_sum_cancels_once_over_the_lcm(monkeypatch):
     cancel = rings._cancel
 
     def spy(p, vec):
-        seen.append(dict(vec))
+        seen.append(vec)
         return cancel(p, vec)
     monkeypatch.setattr(rings, "_cancel", spy)
     total = xpoly_sum(XPoly.mono(r, 1) for r in (a, b, c))
     assert total == XPoly.mono(RatQ(LaurentQ.from_int(2), _poly([-1, 0, 1])), 1)
-    assert seen == [{1: 1, 2: 1, 4: 1}]
+    assert seen == [((1, 1), (2, 1), (4, 1))]
     assert xpoly_sum([]) == XPoly.zero()
     assert xpoly_sum([XPoly.mono(a, 0), XPoly.mono(-a, 0)]) == XPoly.zero()
 
@@ -446,19 +470,20 @@ def test_cancel_memo_hit_matches_a_fresh_call():
     # cancel once each
     phi1, phi3 = _poly(_phi(1)), _poly(_phi(3))
     rest = _poly([3, 0, 1])
-    vec = {3: 2, 1: 1, 2: 1}
+    vec = ((1, 1), (2, 1), (3, 2))
     _cancel_by.cache_clear()
-    fresh = dict(vec)
-    q = _cancel(phi1 * phi1 * phi3 * rest, fresh)
+    q, fresh = _cancel(phi1 * phi1 * phi3 * rest, vec)
     assert _cancel_by.cache_info().hits == 0
-    hit = dict(vec)
-    assert _cancel(phi1 * phi1 * phi3 * rest, hit) == q == phi1 * rest
+    hit_q, hit = _cancel(phi1 * phi1 * phi3 * rest, vec)
+    assert hit_q == q == phi1 * rest
     assert _cancel_by.cache_info().hits == 1
-    assert hit == fresh == {3: 1, 1: 0, 2: 1}
-    # a numerator that nothing divides comes back as the caller's object
+    assert hit == fresh == ((2, 1), (3, 1))
+    # a numerator that nothing divides comes back as the caller's object,
+    # with the caller's vector
     for _ in range(2):
-        p = phi3 * rest
-        assert _cancel(p, {2: 1}) is p
+        p, v = phi3 * rest, tuple([(2, 1)])
+        q, left = _cancel(p, v)
+        assert q is p and left is v
     for cache in (_cancel_by, _cyclo_product):
         assert 0 < cache.cache_info().maxsize < 10 ** 5
 
