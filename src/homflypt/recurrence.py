@@ -18,7 +18,10 @@ operator, and its entry in the row is that operator applied at m:
 sum_j b_j T_j(q^m), one product per b_j.  The elimination updates only the
 columns' tracking vectors, reads each row once, when it is reached, and
 divides each updated vector by its content exactly, with a gcd only where
-a coefficient is not a multiple of the content so far.
+a coefficient is not a multiple of the content so far.  A column that
+reads zero at a row is read, until its next update, through a reduced
+copy of its vector (``_kernel_reduce``), far smaller and zero at the same
+rows; the closing check reads the reduced kernel vectors.
 """
 
 from __future__ import annotations
@@ -389,26 +392,43 @@ def _nullspace_columns(rows: list[tuple[list[XPoly], int]], ncols: int
     columns it stands for, and each row is read once, when it is reached,
     as the entries row · T_i (``_row_dot``).  The rows come normalized, so
     every entry stays in Z[q^±1][x^±1], and each updated T_i is divided
-    exactly by its content (``_vector_normalize``).  Every row is checked
-    against every kernel vector at the end, by the same row product; the
-    check raises, so it stays under ``python -O``."""
+    exactly by its content (``_vector_normalize``).  A column that reads
+    zero at a row with a nonzero b keeps a read-only copy
+    ``_kernel_reduce(T_i)`` until its next update: T_i times a nonzero
+    scalar of Q(q)(x), so it reads zero exactly where T_i does, and T_i is
+    read only where the copy reads nonzero.  The pivot rule and the
+    updates see the T_i alone.  The kernel vectors are returned reduced,
+    and every row is checked against each of them at the end, by the same
+    row product; the check raises, so it stays under ``python -O``."""
     tracks = [[XPoly.one() if t == i else XPoly.zero() for t in range(ncols)]
               for i in range(ncols)]
     active = list(range(ncols))
+    reduced: dict[int, list[XPoly]] = {}
     for row in rows:
-        entry = {ci: _row_dot(row, tracks[ci]) for ci in active}
-        hot = [ci for ci in active if not entry[ci].is_zero()]
-        if not hot:
+        if all(bj.is_zero() for bj in row[0]):
+            continue
+        entry = {}
+        for ci in active:
+            if ci in reduced and _row_dot(row, reduced[ci]).is_zero():
+                continue
+            e = _row_dot(row, tracks[ci])
+            if e.is_zero():
+                reduced[ci] = _kernel_reduce(tracks[ci])
+            else:
+                entry[ci] = e
+        if not entry:
             continue
         # the sparsest tracking vector keeps intermediate growth down
-        pi = min(hot, key=lambda ci: sum(len(p.c) for p in tracks[ci]))
+        pi = min(entry, key=lambda ci: sum(len(p.c) for p in tracks[ci]))
         pvec, pr = tracks[pi], entry[pi]
-        for ci in hot:
+        for ci, e in entry.items():
             if ci != pi:
                 tracks[ci] = _vector_normalize(
-                    [pr * a - entry[ci] * b for a, b in zip(tracks[ci], pvec)])
+                    [pr * a - e * b for a, b in zip(tracks[ci], pvec)])
+                reduced.pop(ci, None)
         active.remove(pi)
-    kernels = [tracks[ci] for ci in active]
+    kernels = [reduced[ci] if ci in reduced else _kernel_reduce(tracks[ci])
+               for ci in active]
     if not all(_row_dot(row, k).is_zero() for row in rows for k in kernels):
         raise AssertionError("a kernel vector does not annihilate the system")
     return kernels
@@ -458,7 +478,6 @@ def guess(f: Mapping[int, XPoly], max_order: int, max_m_degree: int
             top = kernel[order * (g + 1):]
             if all(c.is_zero() for c in top):
                 continue
-            kernel = _kernel_reduce(kernel)
             op = RecurrenceOperator({divmod(i, g + 1): c
                                      for i, c in enumerate(kernel)})
             if op.verify(f, usable):
@@ -467,7 +486,8 @@ def guess(f: Mapping[int, XPoly], max_order: int, max_m_degree: int
 
 
 def _kernel_reduce(vec: list[XPoly]) -> list[XPoly]:
-    """Divide out the full common x-polynomial factor and normalize."""
+    """Divide out the full common x-polynomial factor and normalize: the
+    same vector for vec times any nonzero element of Q(q)[x^±1]."""
     g = XPoly.zero()
     for p in vec:
         if p.is_zero():

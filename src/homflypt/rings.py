@@ -34,10 +34,13 @@ canonicalization in ``RatQ.__init__`` stays the reference and is the one
 path for every other value: the gcd constructor and ``inverse`` give the
 vector () when the reduced denominator is 1 and None otherwise, and a
 product or sum with a None vector takes the gcd again.  The polynomial gcd
-is left to three users: parsed operators (division by a q-scalar),
-``xpoly_gcd``, and the content of a vector in recurrence guessing
-(``laurent_gcd``, over Z[q^{±1}]), which needs it only at a coefficient that
-the content so far does not divide exactly.  Every large product over
+is left to three users: parsed operators (division by a q-scalar), the
+content of a vector in recurrence guessing (``laurent_gcd``, over
+Z[q^{±1}]), which needs it only at a coefficient that the content so far
+does not divide exactly, and ``xpoly_gcd``, which reduces the kernel
+vectors of recurrence guessing and the read-only copies its elimination
+reads: a subresultant remainder sequence over Z[q^{±1}][x], which takes a
+content with ``laurent_gcd`` at its ends only.  Every large product over
 Z[q^{±1}], of ``LaurentQ`` or of integral ``XPoly`` values, is one big-int
 multiply (``_packed_mul``, Kronecker substitution): each operand's
 q-coefficients go into one dense list, a block of s slots per power x^g (a
@@ -1009,13 +1012,86 @@ def xpoly_divexact(a: XPoly, b: XPoly) -> XPoly:
     return quot
 
 
+def _x_content_free(cs: list[LaurentQ]) -> list[LaurentQ]:
+    """Coefficients by x-degree, divided by the gcd over Z[q^±1] of the
+    nonzero ones."""
+    g = _L_ZERO
+    for c in cs:
+        if c.c:
+            g = laurent_gcd(g, c)
+            if g.is_one():
+                return cs
+    return [laurent_divexact(c, g) if c.c else c for c in cs]
+
+
+def _x_lift(p: XPoly) -> list[LaurentQ]:
+    """Nonzero p times a scalar of Q(q) that puts it in Z[q^±1][x] with
+    lowest x-exponent 0 and content 1, as its coefficients by x-degree."""
+    nums, _, _ = lift_fractions([(r.num, r) for r in p.c.values()])
+    v = p.min_exp
+    cs = [_L_ZERO] * (p.max_exp - v + 1)
+    for e, n in zip(p.c, nums):
+        cs[e - v] = n
+    return _x_content_free(cs)
+
+
+def _x_prem(a: list[LaurentQ], b: list[LaurentQ]) -> list[LaurentQ]:
+    """lc(b)^(deg a - deg b + 1) a mod b over Z[q^±1], for coefficient
+    lists by x-degree, top nonzero, len(a) >= len(b).  The power is full
+    also where a step finds a zero top coefficient: the divisions of
+    ``xpoly_gcd`` are exact only for the full power."""
+    a, lb = list(a), b[-1]
+    steps = len(a) - len(b) + 1
+    while len(a) >= len(b):
+        la = a.pop()
+        s = len(a) + 1 - len(b)
+        a = [c * lb for c in a]
+        for i, bc in enumerate(b[:-1]):
+            a[s + i] = a[s + i] - la * bc
+        steps -= 1
+        while a and not a[-1].c:
+            a.pop()
+    for _ in range(steps):
+        a = [c * lb for c in a]
+    return a
+
+
+def _l_pow(p: LaurentQ, n: int) -> LaurentQ:
+    out = _L_ONE
+    for _ in range(n):
+        out = out * p
+    return out
+
+
 def xpoly_gcd(a: XPoly, b: XPoly) -> XPoly:
     """A gcd in x over Q(q), normalized to lowest x-exponent 0 with monic
-    leading coefficient 1; returns 1 for coprime inputs."""
-    while not b.is_zero():
-        a, b = b, _xpoly_divmod(a, b)[1]
+    leading coefficient 1; returns 1 for coprime inputs.
+
+    By the subresultant polynomial remainder sequence over Z[q^±1][x]
+    (Collins 1967; Brown and Traub 1971): each operand is lifted to
+    Z[q^±1], shifted to lowest x-exponent 0 and divided by its content
+    (``_x_lift``), and each pseudo-remainder is divided exactly by g h^δ,
+    which bounds the growth of its coefficients with no gcd over Z[q^±1].
+    Only the last nonzero remainder has its content taken, before it is
+    made monic over Q(q)."""
     if a.is_zero():
-        return a
-    lead = a.c[a.max_exp]
-    shift = -a.min_exp
-    return XPoly({e + shift: v / lead for e, v in a.c.items()})
+        a, b = b, a
+        if a.is_zero():
+            return a
+    a, b = _x_lift(a), (_x_lift(b) if b.c else [])
+    if len(a) < len(b):
+        a, b = b, a
+    g = h = _L_ONE
+    while b:
+        d = len(a) - len(b)
+        r = _x_prem(a, b)
+        if len(r) == 1:
+            return _X_ONE
+        s = g * _l_pow(h, d)
+        a, b = b, [laurent_divexact(c, s) if c.c else c for c in r]
+        g = a[-1]
+        if d:
+            h = laurent_divexact(_l_pow(g, d), _l_pow(h, d - 1))
+    a = _x_content_free(a)
+    return _xpoly({e: RatQ(c) for e, c in enumerate(a) if c.c}).scale(
+        RatQ(a[-1]).inverse())

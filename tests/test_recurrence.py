@@ -5,12 +5,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from homflypt import (OperatorError, Partition, RecurrenceOperator, guess,
                       invariant, parse_braid, parse_operator, parse_xpoly, qint,
                       rings, torus_reference, trefoil_recurrence, xbinom)
-from homflypt.recurrence import _nullspace_columns, _row_dot, _vector_normalize
+from homflypt.recurrence import (_kernel_reduce, _nullspace_columns, _row_dot,
+                                 _vector_normalize)
 from homflypt.rings import LaurentQ, RatQ, XPoly, laurent_gcd
 
 
@@ -287,7 +288,9 @@ def test_rows_are_lifted_without_scaling(monkeypatch, family):
 def test_elimination_takes_at_most_one_gcd_per_column_update(monkeypatch,
                                                             family):
     rows = _factored_rows(family)
-    gcds, per_update = [0], []
+    # only an update's normalizations count: the reductions of the
+    # read-only copies (``_kernel_reduce``) normalize too
+    gcds, per_update, reducing = [0], [], [False]
     list_gcd, normalize = rings._list_gcd, _vector_normalize
 
     def counted_gcd(a, b):
@@ -297,11 +300,20 @@ def test_elimination_takes_at_most_one_gcd_per_column_update(monkeypatch,
     def counted_normalize(vec):
         before = gcds[0]
         out = normalize(vec)
-        per_update.append(gcds[0] - before)
+        if not reducing[0]:
+            per_update.append(gcds[0] - before)
         return out
+
+    def flagged_reduce(vec):
+        reducing[0] = True
+        try:
+            return _kernel_reduce(vec)
+        finally:
+            reducing[0] = False
     monkeypatch.setattr(rings, "_list_gcd", counted_gcd)
     monkeypatch.setattr("homflypt.recurrence._vector_normalize",
                         counted_normalize)
+    monkeypatch.setattr("homflypt.recurrence._kernel_reduce", flagged_reduce)
     assert len(_nullspace_columns(rows, 6)) == 1
     assert len(per_update) == 14
     assert max(per_update) <= 1
@@ -311,16 +323,32 @@ def test_elimination_takes_at_most_one_gcd_per_column_update(monkeypatch,
 def test_elimination_reads_each_row_once(monkeypatch, family):
     """Only the tracking vectors are updated; a row is read as its
     products with them when it is reached, one per b_j whose block of the
-    tracking vector is nonzero at M = q^m."""
+    tracking vector (or of its reduced copy, which is nonzero at the same
+    M = q^m) is nonzero at M = q^m.  The five pivot rows read 6 + 5 + 4 +
+    3 + 2 columns, the three rows after them the one survivor, and the
+    closing check all 8 rows: 31 row products, of 53 ``XPoly`` products.
+    A survivor's copy is made at the first row it reads zero, and no row
+    after that reads it nonzero here, so no track is read twice.  The 14
+    updates take two products per entry, 168, and stripping a monomial
+    unit off the kernel (``_kernel_reduce``) takes 6."""
     rows = _factored_rows(family)
-    products, mul = [0], XPoly.__mul__
+    products, reads, row_dot, mul = [0], [0, 0], _row_dot, XPoly.__mul__
 
     def counted(a, b):
         products[0] += 1
         return mul(a, b)
+
+    def counted_row_dot(row, vec):
+        before = products[0]
+        out = row_dot(row, vec)
+        reads[0] += 1
+        reads[1] += products[0] - before
+        return out
     monkeypatch.setattr(XPoly, "__mul__", counted)
+    monkeypatch.setattr("homflypt.recurrence._row_dot", counted_row_dot)
     assert len(_nullspace_columns(rows, 6)) == 1
-    assert products[0] == 221
+    assert reads == [31, 53]
+    assert products[0] == 53 + 168 + 6
 
 
 _laurents = st.dictionaries(st.integers(-4, 4), st.integers(-9, 9),
@@ -389,17 +417,11 @@ def _rank(matrix):
     return rank
 
 
-@pytest.mark.parametrize("ncols, dim, mixed, zero_col", [
-    (4, 0, False, False), (3, 0, True, False), (4, 1, True, False),
-    (5, 1, False, False), (5, 2, True, True), (6, 3, True, False),
-    (5, 3, False, True), (3, 3, True, False)])
-def test_nullspace_against_rational_oracle(ncols, dim, mixed, zero_col):
-    """A system of known rank ncols - dim: that many random rows, then a
-    zero row, a repeated row and a combination with coefficients in x and q,
-    shuffled; with zero_col, one column is zero throughout.  The kernel's
-    size and independence are checked at a rational point (the rank there
-    is at most the generic rank), its annihilation exactly."""
-    rng = random.Random(ncols * 100 + dim * 10 + mixed * 2 + zero_col)
+def _random_system(rng, ncols, dim, mixed, zero_col):
+    """Plain rows of rank ncols - dim, generically: that many random rows,
+    then a zero row, a repeated row and a combination with coefficients in
+    x and q, shuffled; with zero_col, one column is zero throughout.
+    Without mixed, the entries are small integers, zeros among them."""
     L = LaurentQ
 
     def entry():
@@ -416,6 +438,23 @@ def test_nullspace_against_rational_oracle(ncols, dim, mixed, zero_col):
         a, b = XPoly.x_power(1), XPoly.from_ratq(RatQ.q_power(-1))
         rows.append([a * u - b * v for u, v in zip(basis[0], basis[1])])
     rng.shuffle(rows)
+    return rows
+
+
+def _oracle_rows(ncols, dim, mixed, zero_col):
+    rng = random.Random(ncols * 100 + dim * 10 + mixed * 2 + zero_col)
+    return _random_system(rng, ncols, dim, mixed, zero_col)
+
+
+@pytest.mark.parametrize("ncols, dim, mixed, zero_col", [
+    (4, 0, False, False), (3, 0, True, False), (4, 1, True, False),
+    (5, 1, False, False), (5, 2, True, True), (6, 3, True, False),
+    (5, 3, False, True), (3, 3, True, False)])
+def test_nullspace_against_rational_oracle(ncols, dim, mixed, zero_col):
+    """A system of known rank ncols - dim (``_random_system``).  The
+    kernel's size and independence are checked at a rational point (the
+    rank there is at most the generic rank), its annihilation exactly."""
+    rows = _oracle_rows(ncols, dim, mixed, zero_col)
     q, x = Fraction(7, 3), Fraction(-5, 2)
     rank = _rank([[_at(p, q, x) for p in row] for row in rows])
     assert rank == ncols - dim
@@ -424,6 +463,105 @@ def test_nullspace_against_rational_oracle(ncols, dim, mixed, zero_col):
                for row in rows for k in kernels)
     assert _rank([[_at(p, q, x) for p in k] for k in kernels]) == len(kernels)
     assert len(kernels) == ncols - rank
+
+
+def _track_elimination(rows, ncols):
+    """The elimination with every row read through the tracking vectors
+    alone, no reduced copies: returns the surviving tracks, unreduced, and
+    whether a column read zero at a row with a nonzero b and was updated
+    at a later row (where ``_nullspace_columns`` drops a copy)."""
+    tracks = [[XPoly.one() if t == i else XPoly.zero() for t in range(ncols)]
+              for i in range(ncols)]
+    active, read_zero, dropped = list(range(ncols)), set(), False
+    for row in rows:
+        entry = {ci: _row_dot(row, tracks[ci]) for ci in active}
+        hot = [ci for ci in active if not entry[ci].is_zero()]
+        if not all(bj.is_zero() for bj in row[0]):
+            read_zero.update(ci for ci in active if ci not in hot)
+        if not hot:
+            continue
+        pi = min(hot, key=lambda ci: sum(len(p.c) for p in tracks[ci]))
+        pvec, pr = tracks[pi], entry[pi]
+        for ci in hot:
+            if ci != pi:
+                dropped |= ci in read_zero
+                read_zero.discard(ci)
+                tracks[ci] = _vector_normalize(
+                    [pr * a - entry[ci] * b for a, b in zip(tracks[ci], pvec)])
+        active.remove(pi)
+    return [tracks[ci] for ci in active], dropped
+
+
+def test_reduced_copies_leave_the_kernels_unchanged():
+    # seeded systems of kernel dimension 0-3 with a zero row, some with a
+    # zero column: the same vectors, in the same order, as reducing the
+    # surviving tracks of the elimination that reads the tracks alone
+    dims, drops = set(), 0
+    for seed in range(24):
+        rng = random.Random(seed)
+        ncols = rng.randint(3, 4)
+        dim = min(seed % 4, ncols)
+        rows = _random_system(rng, ncols, dim, rng.random() < 0.5,
+                              seed % 3 == 0)
+        rows = [(row, 0) for row in rows]
+        tracks, dropped = _track_elimination(rows, ncols)
+        assert _nullspace_columns(rows, ncols) == [_kernel_reduce(t)
+                                                   for t in tracks]
+        dims.add(len(tracks))
+        drops += dropped
+    assert dims == {0, 1, 2, 3} and drops
+
+
+def test_generic_oracle_kernel_reduces():
+    # the survivor of the oracle system (4, 1, mixed) spans 10, 8, 8 and 6
+    # powers of x and has a common factor of x-degree 2; over Q(q), the
+    # remainders of its x-gcd swell past any use
+    rows = [(row, 0) for row in _oracle_rows(4, 1, True, False)]
+    (track,), _ = _track_elimination(rows, 4)
+    kernel = _kernel_reduce(track)
+    assert [p.max_exp - p.min_exp for p in track] == [10, 8, 8, 6]
+    assert [p.max_exp - p.min_exp for p in kernel] == [8, 6, 6, 4]
+    assert _kernel_reduce(kernel) == kernel
+    assert _nullspace_columns(rows, 4) == [kernel]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_xpolys, min_size=1, max_size=4),
+       st.dictionaries(st.integers(-2, 2), st.builds(RatQ, _laurents),
+                       min_size=1, max_size=2).map(XPoly))
+def test_kernel_reduce_ignores_a_common_factor(vec, c):
+    # c in Z[q^±1][x^±1]
+    assume(any(not p.is_zero() for p in vec) and not c.is_zero())
+    assert _kernel_reduce([c * p for p in vec]) == _kernel_reduce(vec)
+
+
+def test_a_dropped_copy_leaves_the_kernels_unchanged():
+    # row 1 reads zero in columns 1 and 2, so both get a copy; row 2 picks
+    # column 1 and updates column 2, whose copy is dropped
+    x, q = XPoly.x_power(1), XPoly.from_ratq(RatQ.q_power(1))
+    one, zero = XPoly.one(), XPoly.zero()
+    rows = [([x + q, zero, zero], 0), ([x, q * x - one, x * x + q], 0)]
+    tracks, dropped = _track_elimination(rows, 3)
+    assert dropped
+    kernels = _nullspace_columns(rows, 3)
+    assert kernels == [_kernel_reduce(t) for t in tracks]
+    assert kernels == [[zero, -x * x - q, q * x - one]]
+
+
+@pytest.mark.parametrize("family, m_range, kernels", [
+    ("e", range(8), 1), ("h", range(8), 1), ("e", range(9), 2)])
+def test_unknot_kernels_match_the_reduced_tracks(family, m_range, kernels):
+    # order 1: M-degree 2 on m 0:8 and M-degree 3 on m 0:9, where the
+    # kernel has dimension 2
+    unknot = parse_braid("", 1)
+    f = {m: invariant(unknot, (m if family == "e" else Partition((m,)),))
+         for m in range(m_range[-1] + 2)}
+    rows = [(_vector_normalize([f[m], f[m + 1]]), m) for m in m_range]
+    ncols = 2 * (kernels + 2)
+    tracks, _ = _track_elimination(rows, ncols)
+    assert len(tracks) == kernels
+    assert _nullspace_columns(rows, ncols) == [_kernel_reduce(t)
+                                               for t in tracks]
 
 
 def test_guess_window_too_small():

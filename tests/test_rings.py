@@ -15,8 +15,8 @@ from homflypt.qcomb import xbinom
 from homflypt.rings import (_KRONECKER_MIN_TERMS, _cancel, _cancel_by,
                             _cyclo_product, _list_content, _list_gcd,
                             _packed_mul, _phi, _phi_multiplicity,
-                            cyclotomic_fraction, laurent_divexact,
-                            lift_fractions, xpoly_sum)
+                            _xpoly_divmod, cyclotomic_fraction,
+                            laurent_divexact, lift_fractions, xpoly_sum)
 
 ONE = XPoly.one()
 ZERO = XPoly.zero()
@@ -215,6 +215,57 @@ def test_xpoly_gcd():
     g = xpoly_gcd(a, b)
     assert xpoly_divexact(a, g) is not None
     assert g == x + ONE
+
+
+def _euclid_gcd(a, b):
+    """The Euclid loop over Q(q) that ``xpoly_gcd`` replaced, normalized
+    the same way."""
+    while not b.is_zero():
+        a, b = b, _xpoly_divmod(a, b)[1]
+    if a.is_zero():
+        return a
+    lead, shift = a.c[a.max_exp], -a.min_exp
+    return XPoly({e + shift: v / lead for e, v in a.c.items()})
+
+
+_gcd_laurents = st.dictionaries(st.integers(-2, 2), st.integers(-3, 3),
+                                max_size=2).map(LaurentQ)
+# den 1, a product of cyclotomics, one that is not, and an integer
+_gcd_dens = st.sampled_from([LaurentQ.one(), LaurentQ({2: 1, 0: -1}),
+                             LaurentQ({2: 1, 0: 3}), LaurentQ.from_int(2)])
+_gcd_xpolys = st.builds(
+    lambda c, k: XPoly(c) * XPoly.x_power(k),
+    st.dictionaries(st.integers(0, 2), st.builds(RatQ, _gcd_laurents, _gcd_dens),
+                    max_size=3),
+    st.integers(-3, 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_gcd_xpolys, _gcd_xpolys, _gcd_xpolys)
+def test_xpoly_gcd_matches_euclid_over_q_of_q(a, b, g):
+    # zero operands come from the empty coefficient maps
+    assert xpoly_gcd(a, b) == _euclid_gcd(a, b)
+    ag, bg = a * g, b * g
+    h = xpoly_gcd(ag, bg)
+    assert h == _euclid_gcd(ag, bg)
+    if not g.is_zero():
+        xpoly_divexact(h, g)
+
+
+def test_xpoly_gcd_edge_cases():
+    x, q = XPoly.x_power(1), XPoly.from_ratq(RatQ.q_power(1))
+    assert xpoly_gcd(ZERO, ZERO) == ZERO
+    a = (x - q) * (x * x + q) * XPoly.x_power(-2)
+    assert xpoly_gcd(a, ZERO) == xpoly_gcd(ZERO, a) == _euclid_gcd(a, ZERO)
+    # coprime: x - q and x - q^2, and any nonzero constant
+    assert xpoly_gcd(x - q, x - q * q) == ONE
+    assert xpoly_gcd(a, XPoly.from_int(6)) == ONE
+    # x-shifts do not count: gcd(x^3 (x - q), x^-1 (x - q)^2) = x - q
+    assert xpoly_gcd(XPoly.x_power(3) * (x - q),
+                     XPoly.x_power(-1) * (x - q) * (x - q)) == x - q
+    # a monic gcd with coefficients in Q(q)
+    half = XPoly.from_ratq(RatQ(LaurentQ.one(), LaurentQ({2: 1, 0: 3})))
+    assert xpoly_gcd(a * (x + half), (x - ONE) * (x + half)) == x + half
 
 
 def test_text_rendering_is_canonical():
